@@ -11,7 +11,8 @@ scenario generated from (workload, seed) into a temporary directory under
 ``--seconds`` and reports the end-to-end metrics of BENCHMARK.json:
 medians of the command's wall time and peak RSS, and the median set-up
 time (``load_scenario`` plus ``make_lattices``, repeated in this process
-before the commands).  ``--trace 1`` runs the command once untraced and
+in a short burst before each command, so that its samples span the run
+as the commands' do).  ``--trace 1`` runs the command once untraced and
 once traced and reports the per-layer metrics.  Every command's outputs
 pass through the correctness gates in ``gates.py``; a nonzero exit code or
 a failed gate counts the command as failed.  The last line printed is the
@@ -29,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +41,8 @@ import workloads
 BENCH = Path(__file__).resolve().parent
 # a run ends well within 180 s even when a command is far slower than usual
 RUN_BUDGET_S = 160.0
-SETUP_MIN_REPS, SETUP_MIN_S, SETUP_MAX_REPS = 5, 2.0, 50
+# set-up is timed for at least this long before each command
+SETUP_BURST_S = 0.25
 
 
 @dataclass
@@ -55,15 +58,15 @@ def run_process(argv, cwd, env, timeout_s, log_path):
         t0 = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=cwd, env=env,
                                 stdout=subprocess.DEVNULL, stderr=log)
-        while True:
-            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-            if pid:
-                break
-            if time.perf_counter() - t0 > timeout_s:
-                proc.kill()
-                _, status, usage = os.wait4(proc.pid, 0)
-                break
-            time.sleep(0.005)
+        # a blocking wait: polling would wake this process while the
+        # command runs on the same few cores
+        killer = threading.Timer(max(timeout_s, 0.0), proc.kill)
+        killer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            killer.cancel()
+            killer.join()
         wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     return wall, usage.ru_maxrss / 1024.0, proc.returncode
@@ -93,20 +96,20 @@ class Runner:
         self.sc = self.lattices = None
         self.count = 0
 
-    def setup(self) -> float:
-        """Median time of ``load_scenario`` plus ``make_lattices``."""
+    def setup(self, min_s: float = 0.0) -> list:
+        """Times of ``load_scenario`` plus ``make_lattices``, repeated for at
+        least ``min_s`` seconds and at least once."""
         from heisgame.scenario import load_scenario
 
         times = []
         t_all = time.perf_counter()
-        while len(times) < SETUP_MIN_REPS or (
-                time.perf_counter() - t_all < SETUP_MIN_S and len(times) < SETUP_MAX_REPS):
+        while not times or time.perf_counter() - t_all < min_s:
             t0 = time.perf_counter()
             sc = load_scenario(self.scenario_path)
             lattices = sc.make_lattices()
             times.append(time.perf_counter() - t0)
         self.sc, self.lattices = sc, lattices
-        return statistics.median(times)
+        return times
 
     def attempt(self, spans_path=None) -> Attempt:
         self.count += 1
@@ -173,10 +176,11 @@ def measure(runner: Runner, seconds: float, trace: bool) -> tuple[list, dict, di
         attempts = [plain, traced]
         samples = {"command_s": [plain.wall_s], "traced_command_s": [traced.wall_s]}
         return attempts, values, samples
-    setup_s = runner.setup()
-    attempts = []
+    runner.setup()  # warm-up: first imports and caches
+    setup_times, attempts = [], []
     t0 = time.perf_counter()
     while True:
+        setup_times += runner.setup(SETUP_BURST_S)
         attempts.append(runner.attempt())
         elapsed = time.perf_counter() - t0
         per_attempt = elapsed / len(attempts)
@@ -187,10 +191,11 @@ def measure(runner: Runner, seconds: float, trace: bool) -> tuple[list, dict, di
     rss = [a.rss_mb for a in attempts]
     values = {
         "command_s": statistics.median(walls),
-        "setup_s": setup_s,
+        "setup_s": statistics.median(setup_times),
         "peak_rss_mb": statistics.median(rss),
     }
-    return attempts, values, {"command_s": walls, "peak_rss_mb": rss}
+    return attempts, values, {"command_s": walls, "setup_s": setup_times,
+                              "peak_rss_mb": rss}
 
 
 def main(argv=None) -> int:

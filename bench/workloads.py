@@ -5,6 +5,13 @@ The workload seed sets only the scenario's ``seed`` field (modulo
 lattices and costs are fixed per workload: solver cost depends on sizes and
 on the code branch taken, not on values, and fixed sizes keep the stored
 reference values valid.
+
+Every workload takes 2 time steps over a horizon of 0.25, so the step is
+the 0.125 of the 8-step, unit-horizon runs: each backward step does the
+same work as one of theirs (same reach, same share of clamped
+interpolation points), and the verify battery runs at that step.  A
+command this short runs several times in one measured run, so the
+benchmark reports a median over commands instead of a single sample.
 """
 
 from __future__ import annotations
@@ -14,15 +21,15 @@ import math
 
 _BOX = [[-4, 4], [-4, 4], [-8, 8]]
 
-# the canonical HJI scenario with 8 time steps instead of 20
+# the canonical HJI scenario, 2 time steps of 0.125 instead of 20 of 0.05
 _HJI_SOLVE = {
     "schema": 1,
     "kind": "hji",
-    "horizon": 1.0,
+    "horizon": 0.25,
     "hamiltonian": {"name": "norm"},
     "initial": {"name": "gauge"},
     "grid": {"box": _BOX, "counts": [33, 33, 65]},
-    "time_steps": 8,
+    "time_steps": 2,
     "lattice": {"rings": 4, "base_angles": 8},
 }
 
@@ -32,30 +39,36 @@ _HJI_SOLVE = {
 _GAME_SOLVE = {
     "schema": 1,
     "kind": "game",
-    "horizon": 1.0,
+    "horizon": 0.25,
     "radii": {"r_y": 2.0, "r_z": 1.0},
     "running_cost": {"name": "custom-affine",
                      "params": {"a0": 0.25, "ay": [0.5, -0.25], "az": [0.3, 0.2]}},
     "terminal": {"name": "gauge"},
     "grid": {"box": _BOX, "counts": [33, 33, 65]},
-    "time_steps": 8,
+    "time_steps": 2,
     "lattice": {"y": {"rings": 16, "base_angles": 8},
                 "z": {"rings": 1, "base_angles": 8}},
 }
 
 # many tiny interpolation batches (dpp_residual) instead of a few large ones;
+# with 2 steps every two-step DPP probe starts at k = 0, so the probes form
+# one batch and the work does not depend on the seed;
 # the oracle check's 5e-2 tolerance is calibrated at 33x33x65, which the
 # battery documents requesting through verify.oracle_counts
 _HJI_VERIFY = {
     "schema": 1,
     "kind": "hji",
-    "horizon": 1.0,
+    "horizon": 0.25,
     "hamiltonian": {"name": "norm"},
     "initial": {"name": "gauge"},
     "grid": {"box": _BOX, "counts": [17, 17, 33]},
-    "time_steps": 8,
+    "time_steps": 2,
     "lattice": {"rings": 4, "base_angles": 8},
-    "verify": {"oracle_counts": [33, 33, 65]},
+    # a quarter of the default flow-check samples, so the per-instance
+    # checks stay in the command without dwarfing dpp_residual
+    "verify": {"oracle_counts": [33, 33, 65], "flow_controls": 50,
+               "reach_instances": 500, "translation_instances": 500,
+               "shift_instances": 75},
 }
 
 # name -> (CLI command, scenario without its seed)
