@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .heis import (
+    ball_points,
     dist_g,
     gauge,
     group_mul,
@@ -40,7 +41,26 @@ from .game import (
 from .hji import hamiltonian_identity_check, uniqueness_initial_trace
 from .scenario import Scenario
 
-__all__ = ["CheckResult", "run_verification", "random_control", "ball_point"]
+__all__ = ["CheckResult", "run_verification", "random_control", "sample_counts"]
+
+# sample counts of the battery, each overridable in the scenario's
+# ``verify`` section; the manifest records the values in effect
+SAMPLE_DEFAULTS = {
+    "group_samples": 10_000,
+    "flow_controls": 200,
+    "reach_instances": 2000,
+    "translation_instances": 2000,
+    "shift_instances": 300,
+    "dpp_probes": 48,
+    "identity_probes": 1000,
+    "isaacs_probes": 200,
+    "random_pairs": 20_000,
+}
+
+
+def sample_counts(cfg: dict) -> dict:
+    """The battery's sample counts: ``cfg`` overrides over the defaults."""
+    return {name: int(cfg.get(name, n)) for name, n in SAMPLE_DEFAULTS.items()}
 
 
 @dataclass(frozen=True)
@@ -61,18 +81,6 @@ class CheckResult:
             "passed": bool(self.passed),
             "detail": self.detail,
         }
-
-
-def ball_point(rng: np.random.Generator, radius: float) -> np.ndarray:
-    theta = rng.random() * 2 * np.pi
-    r = radius * np.sqrt(rng.random())
-    return np.array([r * np.cos(theta), r * np.sin(theta)])
-
-
-def ball_points(rng: np.random.Generator, radius: float, n: int) -> np.ndarray:
-    theta = rng.random(n) * 2 * np.pi
-    r = radius * np.sqrt(rng.random(n))
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
 def random_control(
@@ -216,14 +224,15 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
     defaults sized for an interactive run.
     """
     cfg = sc.verify
+    counts = sample_counts(cfg)
     rng = np.random.default_rng(sc.seed)
     results: list[CheckResult] = []
 
-    results += check_group_axioms(int(cfg.get("group_samples", 10_000)), rng)
-    results.append(check_flow_exactness(int(cfg.get("flow_controls", 200)), rng))
-    results.append(check_reach(int(cfg.get("reach_instances", 2000)), rng))
-    results += check_translation(int(cfg.get("translation_instances", 2000)), rng)
-    results.append(check_shifted_start(int(cfg.get("shift_instances", 300)), rng))
+    results += check_group_axioms(counts["group_samples"], rng)
+    results.append(check_flow_exactness(counts["flow_controls"], rng))
+    results.append(check_reach(counts["reach_instances"], rng))
+    results += check_translation(counts["translation_instances"], rng)
+    results.append(check_shifted_start(counts["shift_instances"], rng))
 
     # horizontal convexity of the scenario's datum / terminal cost
     g_meta = sc.meta.get("initial") or sc.meta.get("terminal")
@@ -293,7 +302,7 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
     value = audited.reversed_time() if sc.kind == "hji" else audited
 
     dpp = dpp_residual(audited, sc.game, y_lat, z_lat,
-                       probes=int(cfg.get("dpp_probes", 48)), sigma_steps=2,
+                       probes=counts["dpp_probes"], sigma_steps=2,
                        rng=np.random.default_rng(sc.seed + 1))
     results.append(CheckResult(
         "dpp_residual",
@@ -305,7 +314,7 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
     for rep in lipschitz_audit(
         audited, sc.game.constants,
         rng=np.random.default_rng(sc.seed + 2),
-        n_random_pairs=int(cfg.get("random_pairs", 20000)),
+        n_random_pairs=counts["random_pairs"],
     ):
         results.append(CheckResult(
             "lipschitz_" + rep.quantity,
@@ -315,7 +324,7 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
         ))
 
     # lattice min-max gap
-    n_probes = int(cfg.get("isaacs_probes", 200))
+    n_probes = counts["isaacs_probes"]
     pr = np.random.default_rng(sc.seed + 3)
     pts = sc.box.sample(n_probes, pr)
     ts = pr.random(n_probes) * sc.horizon
@@ -341,7 +350,7 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
     ))
 
     if sc.kind == "hji":
-        n_id = int(cfg.get("identity_probes", 1000))
+        n_id = counts["identity_probes"]
         pr = np.random.default_rng(sc.seed + 4)
         pts = sc.box.sample(n_id, pr)
         ts = pr.random(n_id) * sc.horizon

@@ -26,19 +26,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid3, certify_region, read_value_grid, write_value_grid
+from .grids import (
+    Grid3,
+    certify_region,
+    read_value_grid,
+    refinement_sup_diffs,
+    write_value_grid,
+)
 from .game import (
+    COVERING_SAMPLING,
     LipschitzConstants,
     NonFiniteValueError,
     backward_induction,
     lipschitz_audit,
 )
-from .checks import run_verification
+from .checks import run_verification, sample_counts
 from .scenario import Scenario, ScenarioError, load_scenario
 
 __all__ = ["main"]
-
-_COVERING_SAMPLING = {"n_radial": 96, "n_angular": 384}
 
 
 def _resolve_outdir(args, sc: Scenario | None) -> Path:
@@ -75,21 +80,15 @@ def _formula_constants(sc: Scenario) -> dict:
             "c1": "C1 (running-cost bound)",
             "c1p": "C1p (running-cost gauge-Lipschitz constant)",
         }
-    out = {
+    return {
         "r_y": {"value": g.r_y, "formula": radius_src["r_y"]},
         "r_z": {"value": g.r_z, "formula": radius_src["r_z"]},
         "c1": {"value": g.c1, "formula": radius_src["c1"]},
         "c1p": {"value": g.c1p, "formula": radius_src["c1p"]},
         "c2": {"value": g.c2, "formula": "C2 (terminal/datum bound)"},
         "c2p": {"value": g.c2p, "formula": "C2p (terminal/datum gauge-Lipschitz constant)"},
-        "c_hat": {"value": g.c_hat, "formula": "C_hat = exp(T*R_Z/2)"},
-        "c_tilde": {"value": g.c_tilde, "formula": "C_tilde = (1 + 3*R_Z) * exp(T*R_Z/2)"},
-        "c_sharp": {"value": g.c_sharp,
-                    "formula": "C_sharp = (1 + 3*R_Z) * exp(T*R_Z/2) * (C1p*T + C2p)"},
-        "c_prime": {"value": g.c_prime,
-                    "formula": "C_prime = C_tilde * (C1p*T + C2p) + C1"},
+        **g.constants.table(),
     }
-    return out
 
 
 def _manifest(sc: Scenario, y_lat, z_lat, command: str) -> dict:
@@ -101,31 +100,16 @@ def _manifest(sc: Scenario, y_lat, z_lat, command: str) -> dict:
         "seed": sc.seed,
         "derived_constants": _formula_constants(sc),
         "covering": {
-            "y": {
-                "radius": y_lat.radius,
-                "covering_radius": y_lat.covering_radius,
-                "points": len(y_lat.points),
-                "sampling": _COVERING_SAMPLING,
-            },
-            "z": {
-                "radius": z_lat.radius,
-                "covering_radius": z_lat.covering_radius,
-                "points": len(z_lat.points),
-                "sampling": _COVERING_SAMPLING,
-            },
+            name: {
+                "radius": lat.radius,
+                "covering_radius": lat.covering_radius,
+                "points": len(lat.points),
+                "sampling": COVERING_SAMPLING,
+            }
+            for name, lat in (("y", y_lat), ("z", z_lat))
         },
         "trusted_region": [list(map(float, region.lo)), list(map(float, region.hi))],
-        "sample_counts": {
-            "group_samples": int(sc.verify.get("group_samples", 10_000)),
-            "flow_controls": int(sc.verify.get("flow_controls", 200)),
-            "reach_instances": int(sc.verify.get("reach_instances", 2000)),
-            "translation_instances": int(sc.verify.get("translation_instances", 2000)),
-            "shift_instances": int(sc.verify.get("shift_instances", 300)),
-            "dpp_probes": int(sc.verify.get("dpp_probes", 48)),
-            "identity_probes": int(sc.verify.get("identity_probes", 1000)),
-            "isaacs_probes": int(sc.verify.get("isaacs_probes", 200)),
-            "random_pairs": int(sc.verify.get("random_pairs", 20_000)),
-        },
+        "sample_counts": sample_counts(sc.verify),
     }
 
 
@@ -268,20 +252,7 @@ def _cmd_converge(args) -> int:
             "seconds": elapsed,
         })
 
-    # pairwise sup differences on the coarsest certified region
-    coarse_region = solves[0].region_index_bounds()
-    diffs = []
-    for i in range(levels - 1):
-        a, b = solves[i], solves[i + 1]
-        stride_t = (len(b.times) - 1) // (len(a.times) - 1)
-        stride_x = (b.counts[0] - 1) // (a.counts[0] - 1)
-        sub_b = b.data[::stride_t, ::stride_x, ::stride_x, ::stride_x]
-        # restrict comparison to the coarsest grid's certified nodes
-        scale = (a.counts[0] - 1) // (solves[0].counts[0] - 1)
-        sl = tuple(slice(s.start * scale, (s.stop - 1) * scale + 1, scale)
-                   for s in coarse_region)
-        d = float(np.abs((a.data - sub_b)[(slice(None),) + sl]).max())
-        diffs.append(d)
+    diffs = refinement_sup_diffs(solves)
     for i in range(levels - 1):
         rows[i]["sup_diff_to_next"] = diffs[i]
         rows[i]["ratio_vs_next_pair"] = (

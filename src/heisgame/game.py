@@ -13,12 +13,12 @@ expansion of the lower recurrence reproduces the lower Hamiltonian
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .heis import Box, dist_g, eval_field
+from .heis import Box, ball_points, dist_g, eval_field
 from .flow import Sign, exact_step
 from .grids import Grid3, ValueGrid, certify_region, interp_values
 
@@ -45,39 +45,43 @@ class NonFiniteValueError(RuntimeError):
     """A cost or value evaluation produced a non-finite number."""
 
 
-def _lipschitz_bundle(horizon, r_z, c1, c1p, c2p):
-    c_hat = float(np.exp(horizon * r_z / 2.0))
-    c_tilde = (1.0 + 3.0 * r_z) * c_hat
-    c_sharp = c_tilde * (c1p * horizon + c2p)
-    c_prime = c_sharp + c1
-    return c_hat, c_tilde, c_sharp, c_prime
+_FORMULAS = {
+    "c_hat": "C_hat = exp(T*R_Z/2)",
+    "c_tilde": "C_tilde = (1 + 3*R_Z) * exp(T*R_Z/2)",
+    "c_sharp": "C_sharp = (1 + 3*R_Z) * exp(T*R_Z/2) * (C1p*T + C2p)",
+    "c_prime": "C_prime = C_tilde * (C1p*T + C2p) + C1",
+}
 
 
 @dataclass(frozen=True)
 class LipschitzConstants:
-    """The constants entering the regularity audits."""
+    """Table of the constants entering the regularity audits.
+
+    The chain ``c_hat -> c_tilde -> c_sharp -> c_prime`` is computed once,
+    from the inputs; :meth:`table` pairs each value with its formula.
+    """
 
     horizon: float
     r_z: float
     c1: float
     c1p: float
     c2p: float
+    c_hat: float = field(init=False)
+    c_tilde: float = field(init=False)
+    c_sharp: float = field(init=False)
+    c_prime: float = field(init=False)
 
-    @property
-    def c_hat(self) -> float:
-        return _lipschitz_bundle(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)[0]
+    def __post_init__(self):
+        c_hat = float(np.exp(self.horizon * self.r_z / 2.0))
+        c_tilde = (1.0 + 3.0 * self.r_z) * c_hat
+        c_sharp = c_tilde * (self.c1p * self.horizon + self.c2p)
+        for name, value in zip(_FORMULAS, (c_hat, c_tilde, c_sharp, c_sharp + self.c1)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def c_tilde(self) -> float:
-        return _lipschitz_bundle(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)[1]
-
-    @property
-    def c_sharp(self) -> float:
-        return _lipschitz_bundle(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)[2]
-
-    @property
-    def c_prime(self) -> float:
-        return _lipschitz_bundle(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)[3]
+    def table(self) -> dict:
+        """``{name: {"value": ..., "formula": ...}}`` for each derived constant."""
+        return {name: {"value": getattr(self, name), "formula": formula}
+                for name, formula in _FORMULAS.items()}
 
 
 @dataclass
@@ -90,7 +94,9 @@ class GameSpec:
     ``c1``/``c2`` bound the costs, ``c1p``/``c2p`` are their Lipschitz
     constants in the gauge distance.  When the running cost has the form
     ``base(t, x, y) + z . y``, passing ``coupling_base`` lets the solver
-    take a faster path; it never changes results.
+    take a faster path; it never changes results.  Both paths, and the
+    lattice Hamiltonians, run the one max-min kernel ``_max_min``; the
+    derived constants come from the :class:`LipschitzConstants` table.
     """
 
     horizon: float
@@ -117,22 +123,6 @@ class GameSpec:
     def constants(self) -> LipschitzConstants:
         return LipschitzConstants(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)
 
-    @property
-    def c_hat(self) -> float:
-        return self.constants.c_hat
-
-    @property
-    def c_tilde(self) -> float:
-        return self.constants.c_tilde
-
-    @property
-    def c_sharp(self) -> float:
-        return self.constants.c_sharp
-
-    @property
-    def c_prime(self) -> float:
-        return self.constants.c_prime
-
     def spot_check(self, box: Box, n: int = 128, rng=None) -> list[str]:
         """Sampled check of the declared bounds; violations warn, not raise."""
         rng = rng or np.random.default_rng(0)
@@ -147,8 +137,8 @@ class GameSpec:
             )
         for _ in range(4):
             t = rng.random() * self.horizon
-            y = _ball_point(rng, self.r_y)
-            z = _ball_point(rng, self.r_z)
+            y = ball_points(rng, self.r_y)
+            z = ball_points(rng, self.r_z)
             fv = np.asarray(self.running_cost(t, pts, y, z), dtype=float)
             fv = np.broadcast_to(fv, (n,))
             if (np.abs(fv) > self.c1 * (1 + 1e-9) + 1e-12).any():
@@ -160,12 +150,6 @@ class GameSpec:
         for m in msgs:
             warnings.warn(m, stacklevel=3)
         return msgs
-
-
-def _ball_point(rng, radius):
-    theta = rng.random() * 2 * np.pi
-    r = radius * np.sqrt(rng.random())
-    return np.array([r * np.cos(theta), r * np.sin(theta)])
 
 
 @dataclass(frozen=True)
@@ -186,12 +170,15 @@ class ControlLattice:
         object.__setattr__(self, "points", pts)
 
 
-def _covering_radius(points: np.ndarray, radius: float,
-                     n_radial: int = 96, n_angular: int = 384) -> float:
+# polar sample grid of the covering radius; the manifest records it
+COVERING_SAMPLING = {"n_radial": 96, "n_angular": 384}
+
+
+def _covering_radius(points: np.ndarray, radius: float) -> float:
     if radius == 0.0:
         return 0.0
-    rr = np.linspace(0.0, radius, n_radial)
-    aa = np.linspace(0.0, 2 * np.pi, n_angular, endpoint=False)
+    rr = np.linspace(0.0, radius, COVERING_SAMPLING["n_radial"])
+    aa = np.linspace(0.0, 2 * np.pi, COVERING_SAMPLING["n_angular"], endpoint=False)
     r, a = np.meshgrid(rr, aa)
     samples = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=-1)
     p_sq = (points ** 2).sum(-1)
@@ -246,35 +233,45 @@ def _as_probe_arrays(t, x, lam):
     return scalar, pts, lam, t
 
 
-def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, outer_is_y):
-    scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
-    n = len(pts)
-    outer = y_lattice.points if outer_is_y else z_lattice.points
-    inner = z_lattice.points if outer_is_y else y_lattice.points
-    best = np.full(n, -np.inf if outer_is_y else np.inf)
+def _max_min(n, m_outer, m_inner, row, lower, outer_term=None):
+    """The lattice opt-opt: ``max_a min_b`` if ``lower``, else ``min_a max_b``.
+
+    ``row(a, b, out)`` writes the payoff of outer index ``a`` and inner
+    index ``b`` into ``out`` of shape ``(n,)``; ``outer_term(a)``, if
+    given, is added after the inner reduction.  Rows accumulate in place,
+    which measured faster than reducing stacked ``(m, n)`` chunks.
+    """
+    inner_opt, outer_opt = (np.minimum, np.maximum) if lower else (np.maximum, np.minimum)
+    best = np.full(n, -np.inf if lower else np.inf)
     acc = np.empty(n)
     scratch = np.empty(n)
-    for a in outer:
-        first = True
-        for b in inner:
-            y, z = (a, b) if outer_is_y else (b, a)
-            fv = np.asarray(spec.running_cost(tt, pts, y, z), dtype=float)
-            if not np.isfinite(fv).all():
-                raise NonFiniteValueError(
-                    f"running cost non-finite at t={tt}, y={y}, z={z}"
-                )
-            np.subtract(np.broadcast_to(fv, (n,)), lam2 @ z, out=scratch)
-            if first:
-                acc[:] = scratch
-                first = False
-            elif outer_is_y:
-                np.minimum(acc, scratch, out=acc)
-            else:
-                np.maximum(acc, scratch, out=acc)
-        if outer_is_y:
-            np.maximum(best, acc, out=best)
-        else:
-            np.minimum(best, acc, out=best)
+    for a in range(m_outer):
+        row(a, 0, acc)
+        for b in range(1, m_inner):
+            row(a, b, scratch)
+            inner_opt(acc, scratch, out=acc)
+        if outer_term is not None:
+            np.add(acc, outer_term(a), out=acc)
+        outer_opt(best, acc, out=best)
+    return best
+
+
+def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
+    _check_lattice(y_lattice, spec.r_y, "y")
+    _check_lattice(z_lattice, spec.r_z, "z")
+    scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
+    n = len(pts)
+    ypts, zpts = y_lattice.points, z_lattice.points
+
+    def row(a, b, out):
+        y, z = (ypts[a], zpts[b]) if lower else (ypts[b], zpts[a])
+        fv = np.asarray(spec.running_cost(tt, pts, y, z), dtype=float)
+        if not np.isfinite(fv).all():
+            raise NonFiniteValueError(f"running cost non-finite at t={tt}, y={y}, z={z}")
+        np.subtract(np.broadcast_to(fv, (n,)), lam2 @ z, out=out)
+
+    sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
+    best = _max_min(n, *sizes, row, lower)
     return float(best[0]) if scalar else best
 
 
@@ -284,15 +281,11 @@ def lower_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
     Accepts batched probes: ``x`` of shape ``(n, 3)`` with ``t`` and
     ``lam`` broadcasting.  Ties resolve to the first lattice index.
     """
-    _check_lattice(y_lattice, spec.r_y, "y")
-    _check_lattice(z_lattice, spec.r_z, "z")
     return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, True)
 
 
 def upper_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
     """Exact ``min_z max_y (F(t,x,y,z) - lam . z)`` over the lattices."""
-    _check_lattice(y_lattice, spec.r_y, "y")
-    _check_lattice(z_lattice, spec.r_z, "z")
     return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, False)
 
 
@@ -314,9 +307,8 @@ def isaacs_gap(spec: GameSpec, probes, y_lattice, z_lattice) -> IsaacsReport:
     hi = upper_hamiltonian(spec, t, x, lam, y_lattice, z_lattice)
     gaps = np.atleast_1d(hi - lo)
     k = int(np.argmax(gaps))
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    lam2 = np.broadcast_to(np.asarray(lam, dtype=float), (len(pts), 2))
-    tt = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
+    _, pts, lam2, tt = _as_probe_arrays(t, x, lam)
+    tt = np.broadcast_to(tt, (len(pts),))
     witness = (float(tt[k]), pts[k].copy(), lam2[k].copy())
     return IsaacsReport(float(gaps[k]), witness, gaps)
 
@@ -328,45 +320,23 @@ def _optimize_nodes(spec, t, h, nodes, W, y_lattice, z_lattice, which):
     """
     n = len(nodes)
     ypts, zpts = y_lattice.points, z_lattice.points
-    if which == "lower" and spec.coupling_base is not None:
+    lower = which == "lower"
+    sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
+    if lower and spec.coupling_base is not None:
         offs = h * (zpts @ ypts.T)  # (mz, my)
-        best = np.full(n, -np.inf)
-        acc = np.empty(n)
-        scratch = np.empty(n)
-        for yi in range(len(ypts)):
-            np.add(W[0], offs[0, yi], out=acc)
-            for j in range(1, len(zpts)):
-                np.add(W[j], offs[j, yi], out=scratch)
-                np.minimum(acc, scratch, out=acc)
-            base = h * np.asarray(spec.coupling_base(t, nodes, ypts[yi]), dtype=float)
-            np.add(acc, base, out=acc)
-            np.maximum(best, acc, out=best)
-        return best
 
-    outer_is_y = which == "lower"
-    outer = ypts if outer_is_y else zpts
-    inner = zpts if outer_is_y else ypts
-    best = np.full(n, -np.inf if outer_is_y else np.inf)
-    acc = np.empty(n)
-    scratch = np.empty(n)
-    for ai, a in enumerate(outer):
-        first = True
-        for bi, b in enumerate(inner):
-            y, z, zi = (a, b, bi) if outer_is_y else (b, a, ai)
-            fv = h * np.asarray(spec.running_cost(t, nodes, y, z), dtype=float)
-            np.add(W[zi], fv, out=scratch)
-            if first:
-                acc[:] = scratch
-                first = False
-            elif outer_is_y:
-                np.minimum(acc, scratch, out=acc)
-            else:
-                np.maximum(acc, scratch, out=acc)
-        if outer_is_y:
-            np.maximum(best, acc, out=best)
-        else:
-            np.minimum(best, acc, out=best)
-    return best
+        def base(yi):
+            return h * np.asarray(spec.coupling_base(t, nodes, ypts[yi]), dtype=float)
+
+        return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
+                        True, base)
+
+    def row(a, b, out):
+        yi, zi = (a, b) if lower else (b, a)
+        fv = h * np.asarray(spec.running_cost(t, nodes, ypts[yi], zpts[zi]), dtype=float)
+        np.add(W[zi], fv, out=out)
+
+    return _max_min(n, *sizes, row, lower)
 
 
 def backward_induction(
@@ -641,13 +611,12 @@ def lipschitz_audit(
     coords = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
     times = V.times
 
-    def witness_at(flat_idx, shape, k_same, axis=None):
+    def witness_at(flat_idx, shape, axis):
         idx = np.unravel_index(flat_idx, shape)
         k = idx[0]
         a = list(idx[1:])
         b = list(idx[1:])
-        if axis is not None:
-            b[axis] += 1
+        b[axis] += 1
         return ((float(times[k]), coords[tuple(a)]),
                 (float(times[k]), coords[tuple(b)]))
 
@@ -664,7 +633,7 @@ def lipschitz_audit(
         k = int(np.argmax(ratios))
         if ratios.reshape(-1)[k] > worst_sp:
             worst_sp = float(ratios.reshape(-1)[k])
-            wit_sp = witness_at(k, ratios.shape, None, axis=axis)
+            wit_sp = witness_at(k, ratios.shape, axis)
 
     # random same-time pairs
     def sample_idx(count):

@@ -23,6 +23,7 @@ __all__ = [
     "interp_values",
     "sample_field",
     "certify_region",
+    "refinement_sup_diffs",
     "write_grid_csv",
     "write_grid_binary",
     "read_grid_binary",
@@ -247,6 +248,26 @@ class ValueGrid:
         data = np.stack(slices)
         region = certify_region(box, r_z, horizon)
         return cls(box, times, data, region, np.ones_like(data, dtype=bool))
+
+
+def refinement_sup_diffs(levels: list[ValueGrid]) -> list[float]:
+    """Sup differences between consecutive levels of a refinement ladder.
+
+    Each level refines the previous one by integer strides in time and
+    space; level ``i + 1`` is sampled at level ``i``'s nodes, and the
+    comparison is restricted to the coarsest level's certified nodes.
+    """
+    coarse_region = levels[0].region_index_bounds()
+    diffs = []
+    for a, b in zip(levels, levels[1:]):
+        stride_t = (len(b.times) - 1) // (len(a.times) - 1)
+        stride_x = (b.counts[0] - 1) // (a.counts[0] - 1)
+        sub_b = b.data[::stride_t, ::stride_x, ::stride_x, ::stride_x]
+        scale = (a.counts[0] - 1) // (levels[0].counts[0] - 1)
+        sl = tuple(slice(s.start * scale, (s.stop - 1) * scale + 1, scale)
+                   for s in coarse_region)
+        diffs.append(float(np.abs((a.data - sub_b)[(slice(None),) + sl]).max()))
+    return diffs
 
 
 # ---------------------------------------------------------------------------

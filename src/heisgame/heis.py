@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "IDENTITY",
     "Box",
+    "ball_points",
     "group_mul",
     "inverse",
     "dilate",
@@ -123,6 +124,16 @@ class Box:
         for k in range(8):
             out[k] = [hi[i] if (k >> i) & 1 else lo[i] for i in range(3)]
         return out
+
+
+def ball_points(rng: np.random.Generator, radius: float, shape=()) -> np.ndarray:
+    """Uniform points in the closed plane ball of ``radius``, shape ``shape + (2,)``.
+
+    Draws all angles, then all radii; ``shape=()`` gives one point.
+    """
+    theta = rng.random(shape) * 2 * np.pi
+    r = radius * np.sqrt(rng.random(shape))
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
 def eval_field(f: Callable, pts: np.ndarray) -> np.ndarray:

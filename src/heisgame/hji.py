@@ -28,6 +28,7 @@ from .grids import Grid3, ValueGrid
 from .game import (
     ControlLattice,
     GameSpec,
+    LipschitzConstants,
     backward_induction,
     lower_hamiltonian,
 )
@@ -101,13 +102,12 @@ class HjiProblem:
 
 
 def derived_radii(p: HjiProblem) -> tuple[float, float]:
-    """Control radii ``(r_y, r_z)`` induced by the problem constants."""
-    k = p.lip_y
-    r_z = k
-    r_y = (1.0 + 3.0 * k) * float(np.exp(p.horizon * k / 2.0)) * (
-        p.d1p * p.horizon + p.c2p
-    )
-    return r_y, r_z
+    """Control radii ``(r_y, r_z)`` induced by the problem constants.
+
+    ``r_y`` is the table's ``c_sharp`` at ``r_z = K``, ``c1p = d1p``.
+    """
+    r_z = p.lip_y
+    return LipschitzConstants(p.horizon, r_z, 0.0, p.d1p, p.c2p).c_sharp, r_z
 
 
 def build_game(p: HjiProblem) -> GameSpec:

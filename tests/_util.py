@@ -3,7 +3,7 @@
 import numpy as np
 
 from heisgame.catalog import make_hamiltonian, make_terminal
-from heisgame.heis import Box
+from heisgame.heis import Box, ball_points
 from heisgame.hji import HjiProblem, build_game, derived_radii
 
 DEFAULT_BOX = Box([-4.0, -4.0, -8.0], [4.0, 4.0, 8.0])
@@ -21,12 +21,6 @@ def canonical_problem(box=DEFAULT_BOX, horizon=1.0):
     return problem, build_game(problem)
 
 
-def ball_batch(rng, radius, shape):
-    theta = rng.random(shape) * 2 * np.pi
-    r = radius * np.sqrt(rng.random(shape))
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-
-
 def batch_controls(rng, n, radius, segments=4, t_end=1.0):
     """Random piecewise-constant controls sharing a segment count.
 
@@ -36,7 +30,7 @@ def batch_controls(rng, n, radius, segments=4, t_end=1.0):
     gaps = rng.random((n, segments)) + 0.05
     cum = np.cumsum(gaps, axis=1)
     breaks = cum / cum[:, -1:] * t_end
-    values = ball_batch(rng, radius, (n, segments))
+    values = ball_points(rng, radius, (n, segments))
     return breaks, values
 
 

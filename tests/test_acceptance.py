@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, ball_batch, batch_controls, batch_trajectory
+from _util import DEFAULT_BOX, batch_controls, batch_trajectory
 
 from heisgame.heis import (
     Box,
     IDENTITY,
+    ball_points,
     dist_g,
     gauge,
     group_mul,
@@ -27,7 +28,7 @@ from heisgame.flow import (
     integrate,
     rk4_reference,
 )
-from heisgame.grids import Grid3, ValueGrid, sample_field
+from heisgame.grids import Grid3, ValueGrid, refinement_sup_diffs, sample_field
 from heisgame.game import (
     backward_induction,
     brute_force_value,
@@ -213,7 +214,7 @@ def test_criterion_08_hamiltonian_identity(canonical):
     n = 1000
     pts = DEFAULT_BOX.sample(n, rng)
     ts = rng.random(n) * problem.horizon
-    lams = ball_batch(rng, spec.r_y, n)
+    lams = ball_points(rng, spec.r_y, n)
     errors = []
     for rings in (2, 4, 8):
         y_lat = make_lattice(spec.r_y, rings, 8)
@@ -242,9 +243,9 @@ def test_criterion_09_lipschitz_audit(canonical, ladder_solutions):
         ratios[name] = {r.quantity: r for r in reports}
     base_sp = ratios["base"]["spatial_ratio_vs_c_sharp"]
     base_st = ratios["base"]["space_time_ratio_vs_c_prime"]
-    assert spec.c_sharp == pytest.approx(4 * np.exp(0.5), rel=1e-12)
-    assert base_sp.worst_ratio <= spec.c_sharp * (1 + slack)
-    assert base_st.worst_ratio <= spec.c_prime * (1 + slack)
+    assert spec.constants.c_sharp == pytest.approx(4 * np.exp(0.5), rel=1e-12)
+    assert base_sp.worst_ratio <= spec.constants.c_sharp * (1 + slack)
+    assert base_st.worst_ratio <= spec.constants.c_prime * (1 + slack)
 
     def excess(rep):
         return max(0.0, rep.worst_ratio - rep.constant)
@@ -264,11 +265,11 @@ def test_criterion_09_lipschitz_audit(canonical, ladder_solutions):
     rep2 = [r for r in lipschitz_audit(v2, big.constants,
                                        rng=np.random.default_rng(109))
             if r.quantity == "spatial_ratio_vs_c_sharp"][0]
-    assert big.c_sharp == pytest.approx(spec.c_sharp, rel=1e-12)
+    assert big.constants.c_sharp == pytest.approx(spec.constants.c_sharp, rel=1e-12)
     assert rep2.passed == base_sp.passed
     report(9, f"spatial ratio {base_sp.worst_ratio:.3f} <= "
-              f"{spec.c_sharp:.5f}*1.15; space-time {base_st.worst_ratio:.3f} <= "
-              f"{spec.c_prime:.5f}*1.15; doubled R_Y keeps pass status")
+              f"{spec.constants.c_sharp:.5f}*1.15; space-time {base_st.worst_ratio:.3f} <= "
+              f"{spec.constants.c_prime:.5f}*1.15; doubled R_Y keeps pass status")
 
 
 def test_criterion_10_closed_form_solutions():
@@ -304,18 +305,7 @@ def test_criterion_10_closed_form_solutions():
 
 
 def test_criterion_11_convergence_and_runtime(ladder_solutions, baseline_solution):
-    levels = ladder_solutions
-    coarse_region = levels[0].region_index_bounds()
-    diffs = []
-    for i in range(2):
-        a, b = levels[i], levels[i + 1]
-        st = (len(b.times) - 1) // (len(a.times) - 1)
-        sx = (b.counts[0] - 1) // (a.counts[0] - 1)
-        sub_b = b.data[::st, ::sx, ::sx, ::sx]
-        scale = (a.counts[0] - 1) // (levels[0].counts[0] - 1)
-        sl = tuple(slice(s.start * scale, (s.stop - 1) * scale + 1, scale)
-                   for s in coarse_region)
-        diffs.append(float(np.abs((a.data - sub_b)[(slice(None),) + sl]).max()))
+    diffs = refinement_sup_diffs(ladder_solutions)
     ratio = diffs[0] / diffs[1]
     assert ratio >= 1.5
     assert baseline_solution.seconds <= 600.0

@@ -1,16 +1,19 @@
+import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, ball_batch
+from _util import DEFAULT_BOX
 
-from heisgame.heis import Box, gauge
+from heisgame.heis import Box, ball_points, gauge
 from heisgame.flow import exact_step
 from heisgame.grids import Grid3, sample_field
 from heisgame.game import (
     GameSpec,
     LipschitzConstants,
+    NonFiniteValueError,
     backward_induction,
     brute_force_value,
     dpp_residual,
@@ -20,7 +23,9 @@ from heisgame.game import (
     make_lattice,
     upper_hamiltonian,
 )
+from heisgame.scenario import load_scenario
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMALL_BOX = Box([-4, -4, -8], [4, 4, 8])
 SMALL_COUNTS = (9, 9, 17)
 
@@ -113,7 +118,7 @@ class TestHamiltonians:
         spec = simple_spec(lambda t, x, y, z: c, const_field(0.0),
                            r_y=2.0, r_z=1.0, c1=abs(c))
         rng = np.random.default_rng(0)
-        for lam in ball_batch(rng, 2.0, 16):
+        for lam in ball_points(rng, 2.0, 16):
             lo = lower_hamiltonian(spec, 0.0, np.zeros(3), lam, self.Y, self.Z)
             hi = upper_hamiltonian(spec, 0.0, np.zeros(3), lam, self.Y, self.Z)
             target = c - 1.0 * np.linalg.norm(lam)
@@ -129,7 +134,7 @@ class TestHamiltonians:
         spec = simple_spec(cost, const_field(0.0), r_y=2.0, r_z=1.0, c1=10.0)
         rng = np.random.default_rng(1)
         pts = SMALL_BOX.sample(32, rng)
-        lams = ball_batch(rng, 2.0, 32)
+        lams = ball_points(rng, 2.0, 32)
         lo = lower_hamiltonian(spec, 0.0, pts, lams, self.Y, self.Z)
         hi = upper_hamiltonian(spec, 0.0, pts, lams, self.Y, self.Z)
         assert (hi >= lo - 1e-12).all()
@@ -138,7 +143,7 @@ class TestHamiltonians:
         spec = coupling_spec()
         rng = np.random.default_rng(2)
         pts = SMALL_BOX.sample(8, rng)
-        lams = ball_batch(rng, 2.0, 8)
+        lams = ball_points(rng, 2.0, 8)
         ts = rng.random(8)
         batch = lower_hamiltonian(spec, ts, pts, lams, self.Y, self.Z)
         for i in range(8):
@@ -155,11 +160,19 @@ class TestHamiltonians:
         coarse = make_lattice(2.0, 2, 8)
         fine = make_lattice(2.0, 4, 8)
         rng = np.random.default_rng(3)
-        lams = ball_batch(rng, 2.0, 24)
+        lams = ball_points(rng, 2.0, 24)
         for lam in lams:
             h1 = lower_hamiltonian(spec, 0.0, np.zeros(3), lam, coarse, self.Z)
             h2 = lower_hamiltonian(spec, 0.0, np.zeros(3), lam, fine, self.Z)
             assert h2 >= h1 - 1e-12
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("hamiltonian", [lower_hamiltonian, upper_hamiltonian])
+    def test_non_finite_cost_raises(self, hamiltonian, bad):
+        cost = lambda t, x, y, z: bad if z[0] > 0.5 else 0.0
+        spec = simple_spec(cost, const_field(0.0), r_y=2.0, r_z=1.0)
+        with pytest.raises(NonFiniteValueError, match="running cost non-finite"):
+            hamiltonian(spec, 0.0, np.zeros(3), np.zeros(2), self.Y, self.Z)
 
 
 class TestIsaacsGap:
@@ -168,7 +181,7 @@ class TestIsaacsGap:
                            r_y=2.0, r_z=1.0, c1=2.0)
         Y, Z = make_lattice(2.0, 2, 8), make_lattice(1.0, 2, 8)
         rng = np.random.default_rng(4)
-        probes = (rng.random(64), SMALL_BOX.sample(64, rng), ball_batch(rng, 2.0, 64))
+        probes = (rng.random(64), SMALL_BOX.sample(64, rng), ball_points(rng, 2.0, 64))
         rep = isaacs_gap(spec, probes, Y, Z)
         assert rep.max_gap <= 1e-12
 
@@ -177,7 +190,7 @@ class TestIsaacsGap:
         Y, Z = make_lattice(2.0, 4, 8), make_lattice(1.0, 4, 8)
         rng = np.random.default_rng(5)
         n = 1000
-        probes = (rng.random(n), SMALL_BOX.sample(n, rng), ball_batch(rng, 2.0, n))
+        probes = (rng.random(n), SMALL_BOX.sample(n, rng), ball_points(rng, 2.0, n))
         rep = isaacs_gap(spec, probes, Y, Z)
         assert rep.max_gap <= 2 * (Y.covering_radius + Z.covering_radius)
         assert (rep.gaps >= -1e-12).all()
@@ -253,6 +266,26 @@ class TestBackwardInduction:
         v1 = backward_induction(spec, self.grid(), 3, self.Y, self.Z)
         v2 = backward_induction(spec, self.grid(), 3, self.Y, self.Z, threads=3)
         assert np.array_equal(v1.data, v2.data)
+
+    @pytest.mark.parametrize("name", ["canonical.json", "coupling-game.json", "tilted"])
+    def test_coupling_path_matches_general_path(self, name):
+        if name == "tilted":
+            # F = 2*y1 + z . y: the maximizer leaves the centre, so the
+            # z . y offsets enter the value (both scenarios pick y = 0)
+            base = lambda t, x, y: np.full(len(x), 2.0 * y[0])
+            cost = lambda t, x, y, z: base(t, x, y) + float(np.asarray(z) @ y)
+            spec = simple_spec(cost, gauge, r_y=2.0, r_z=0.5, c1=5.0, c2=20.0,
+                               coupling_base=base)
+            box, y_lat, z_lat = SMALL_BOX, make_lattice(2.0, 2, 8), make_lattice(0.5, 2, 8)
+        else:
+            sc = load_scenario(SCENARIOS / name)
+            spec, box, (y_lat, z_lat) = sc.game, sc.box, sc.make_lattices()
+        assert spec.coupling_base is not None
+        general = dataclasses.replace(spec, coupling_base=None)
+        grid = Grid3(box, np.zeros((9, 9, 17)))
+        fast = backward_induction(spec, grid, 3, y_lat, z_lat, warn_costs=False)
+        slow = backward_induction(general, grid, 3, y_lat, z_lat, warn_costs=False)
+        assert np.abs(fast.data - slow.data).max() <= 1e-12
 
     def test_upper_at_least_lower(self):
         spec = coupling_spec(r_y=1.0)

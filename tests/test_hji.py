@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, ball_batch, canonical_problem
+from _util import DEFAULT_BOX, canonical_problem
 
-from heisgame.heis import Box, gauge
+from heisgame.heis import Box, ball_points, gauge
 from heisgame.catalog import make_hamiltonian, make_terminal
 from heisgame.grids import Grid3, ValueGrid, sample_field
 from heisgame.game import make_lattice
@@ -37,7 +37,7 @@ class TestBuildGame:
         assert spec.r_y == pytest.approx(6.594885, abs=1e-6)
         assert spec.c1 == pytest.approx(problem.d1 + spec.r_z * spec.r_y)
         assert spec.c1p == problem.d1p
-        assert spec.c_sharp == pytest.approx(spec.r_y, rel=1e-12)
+        assert spec.constants.c_sharp == pytest.approx(spec.r_y, rel=1e-12)
 
     def test_zero_lipschitz_freezes_dynamics(self):
         p = constant_ham_problem(0.5)
@@ -83,7 +83,7 @@ class TestIdentity:
         y_lat = make_lattice(spec.r_y, 2, 8)
         z_lat = make_lattice(0.0)
         rng = np.random.default_rng(1)
-        lams = ball_batch(rng, spec.r_y, 32)
+        lams = ball_points(rng, spec.r_y, 32)
         probes = (rng.random(32), BOX.sample(32, rng), lams)
         rep = hamiltonian_identity_check(p, spec, y_lat, z_lat, probes)
         # K = 0 collapses the z-ball: H_minus = -c exactly at every probe
@@ -247,7 +247,7 @@ class TestInitialTrace:
         u = baseline_solution.value.reversed_time()
         rep = uniqueness_initial_trace(u, spec)
         assert rep.ok
-        assert rep.sup_gap <= spec.c_prime * u.dt * 1.15
+        assert rep.sup_gap <= spec.constants.c_prime * u.dt * 1.15
 
 
 def test_spot_check_warns_on_wrong_y_modulus():
