@@ -38,7 +38,7 @@ from .game import (
     lipschitz_audit,
     make_lattice,
 )
-from .hji import hamiltonian_identity_check, uniqueness_initial_trace
+from .hji import covering_error_bound, hamiltonian_identity_check, uniqueness_initial_trace
 from .scenario import Scenario
 
 __all__ = ["CheckResult", "run_verification", "random_control", "sample_counts"]
@@ -217,11 +217,12 @@ def check_shifted_start(n: int, rng: np.random.Generator) -> CheckResult:
 # scenario-level battery
 # ---------------------------------------------------------------------------
 
-def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
+def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[CheckResult]:
     """Full battery on a scenario; heavier checks reuse one baseline solve.
 
-    Sample sizes come from the scenario's ``verify`` section, with
-    defaults sized for an interactive run.
+    ``y_lat``, ``z_lat`` are the scenario's lattices.  Sample sizes come
+    from the scenario's ``verify`` section, with defaults sized for an
+    interactive run.
     """
     cfg = sc.verify
     counts = sample_counts(cfg)
@@ -249,21 +250,20 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
         {"asserted": declared, "sampled_pass": bool(conv.passed)},
     ))
 
-    y_lat, z_lat = sc.make_lattices()
     template = Grid3(sc.box, np.zeros(sc.counts))
+    y9 = make_lattice(sc.game.r_y, 1, 8)
 
     # oracle equivalence, frozen dynamics (r_z = 0): grid-free recursion is exact
     frozen = dataclasses.replace(sc.game, r_z=0.0)
     coarse = Grid3(sc.box, np.zeros((9, 9, 9)))
-    y_small = make_lattice(sc.game.r_y, 1, 8)
     z_zero = make_lattice(0.0)
-    v_frozen = backward_induction(frozen, coarse, 3, y_small, z_zero,
+    v_frozen = backward_induction(frozen, coarse, 3, y9, z_zero,
                                   warn_costs=False)
     nodes = coarse.node_coordinates()
     pick = np.linspace(0, len(nodes) - 1, 27).astype(int)
     worst = 0.0
     for idx in pick:
-        bf = brute_force_value(frozen, nodes[idx], 3, y_small, z_zero)
+        bf = brute_force_value(frozen, nodes[idx], 3, y9, z_zero)
         worst = max(worst, abs(bf - float(v_frozen.data[0].reshape(-1)[idx])))
     results.append(CheckResult(
         "oracle_equivalence_frozen",
@@ -274,7 +274,6 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
     # oracle equivalence with motion: small N, small lattices; the 5e-2
     # tolerance is calibrated at the 33x33x65 resolution, which a coarser
     # scenario can request through verify.oracle_counts
-    y9 = make_lattice(sc.game.r_y, 1, 8)
     z9 = make_lattice(sc.game.r_z, 1, 8)
     oracle_counts = tuple(cfg.get("oracle_counts", sc.counts))
     v3 = backward_induction(sc.game, Grid3(sc.box, np.zeros(oracle_counts)),
@@ -332,9 +331,7 @@ def run_verification(sc: Scenario, threads: int = 0) -> list[CheckResult]:
     gap = isaacs_gap(sc.game, (ts, pts, lams), y_lat, z_lat)
     cov = y_lat.covering_radius + z_lat.covering_radius
     if sc.kind == "hji":
-        k_lip = sc.problem.lip_y
-        gap_bound = 2 * ((k_lip + 1) * z_lat.covering_radius
-                         + (k_lip + sc.game.r_z) * y_lat.covering_radius)
+        gap_bound = 2 * covering_error_bound(sc.problem, sc.game, y_lat, z_lat)
         asserted = True
     elif sc.meta.get("running_cost", {}).get("name") == "coupling":
         gap_bound = 2 * cov

@@ -121,7 +121,7 @@ def _solve_scenario(sc: Scenario, threads: int):
     y_lat, z_lat = sc.make_lattices()
     template = Grid3(sc.box, np.zeros(sc.counts))
     v = backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
-                           which="lower", sign="minus", threads=threads)
+                           which="lower", threads=threads)
     if sc.kind == "hji":
         v = v.reversed_time()
     return v, y_lat, z_lat
@@ -153,9 +153,9 @@ def _cmd_verify(args) -> int:
     sc = _load(args)
     outdir = _resolve_outdir(args, sc)
     certify_region(sc.box, sc.game.r_z, sc.horizon)
-    results = run_verification(sc, threads=args.threads)
-    outdir.mkdir(parents=True, exist_ok=True)
     y_lat, z_lat = sc.make_lattices()
+    results = run_verification(sc, y_lat, z_lat, threads=args.threads)
+    outdir.mkdir(parents=True, exist_ok=True)
     bundle = {
         "manifest": _manifest(sc, y_lat, z_lat, "verify"),
         "checks": [r.to_dict() for r in results],

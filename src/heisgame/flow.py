@@ -12,7 +12,7 @@ under ``-z``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -21,6 +21,7 @@ from .heis import dist_g, group_mul, horizontal_gradient, inverse, _pts
 
 __all__ = [
     "Sign",
+    "LipschitzConstants",
     "PiecewiseConstantControl",
     "Trajectory",
     "write_trajectory_csv",
@@ -336,6 +337,46 @@ def check_reach_bound(
     return ReachReport(worst <= 1 + 1e-9, worst, float(traj.times[k]), float(d.max(initial=0.0)))
 
 
+_FORMULAS = {
+    "c_hat": "C_hat = exp(T*R_Z/2)",
+    "c_tilde": "C_tilde = (1 + 3*R_Z) * exp(T*R_Z/2)",
+    "c_sharp": "C_sharp = (1 + 3*R_Z) * exp(T*R_Z/2) * (C1p*T + C2p)",
+    "c_prime": "C_prime = C_tilde * (C1p*T + C2p) + C1",
+}
+
+
+@dataclass(frozen=True)
+class LipschitzConstants:
+    """Table of the constants entering the flow bounds and regularity audits.
+
+    The chain ``c_hat -> c_tilde -> c_sharp -> c_prime`` is computed once,
+    from the inputs; :meth:`table` pairs each value with its formula.  The
+    Gronwall and shifted-start checks below read ``c_hat`` and ``c_tilde``.
+    """
+
+    horizon: float
+    r_z: float
+    c1: float
+    c1p: float
+    c2p: float
+    c_hat: float = field(init=False)
+    c_tilde: float = field(init=False)
+    c_sharp: float = field(init=False)
+    c_prime: float = field(init=False)
+
+    def __post_init__(self):
+        c_hat = float(np.exp(self.horizon * self.r_z / 2.0))
+        c_tilde = (1.0 + 3.0 * self.r_z) * c_hat
+        c_sharp = c_tilde * (self.c1p * self.horizon + self.c2p)
+        for name, value in zip(_FORMULAS, (c_hat, c_tilde, c_sharp, c_sharp + self.c1)):
+            object.__setattr__(self, name, value)
+
+    def table(self) -> dict:
+        """``{name: {"value": ..., "formula": ...}}`` for each derived constant."""
+        return {name: {"value": getattr(self, name), "formula": formula}
+                for name, formula in _FORMULAS.items()}
+
+
 @dataclass(frozen=True)
 class TranslationReport:
     max_deviation: float
@@ -371,7 +412,7 @@ def check_translation_identity(
         np.linalg.norm(traj_hat.points - translated, axis=-1).max(initial=0.0)
     )
 
-    c_hat = float(np.exp(u.t_end * r_z / 2.0))
+    c_hat = LipschitzConstants(u.t_end, r_z, 0.0, 0.0, 0.0).c_hat
     d0 = float(dist_g(xi, xi_hat))
     phi = dist_g(traj.points, traj_hat.points)
     if d0 == 0.0:
@@ -421,7 +462,7 @@ def check_shifted_start_bound(
     sep = dist_g(full.points[keep], late.points)
     max_sep = float(sep.max(initial=0.0))
 
-    c_tilde = float((1 + 3 * r_z) * np.exp(u.t_end * r_z / 2.0))
+    c_tilde = LipschitzConstants(u.t_end, r_z, 0.0, 0.0, 0.0).c_tilde
     bound = c_tilde * (float(dist_g(xi_tilde, xi)) + (tau_prime - tau))
     if bound == 0.0:
         worst = 0.0 if max_sep <= 1e-12 else np.inf

@@ -13,13 +13,14 @@ expansion of the lower recurrence reproduces the lower Hamiltonian
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .heis import Box, ball_points, dist_g, eval_field
-from .flow import Sign, exact_step
+from .flow import LipschitzConstants, exact_step
 from .grids import Grid3, ValueGrid, certify_region, interp_values
 
 __all__ = [
@@ -45,45 +46,6 @@ class NonFiniteValueError(RuntimeError):
     """A cost or value evaluation produced a non-finite number."""
 
 
-_FORMULAS = {
-    "c_hat": "C_hat = exp(T*R_Z/2)",
-    "c_tilde": "C_tilde = (1 + 3*R_Z) * exp(T*R_Z/2)",
-    "c_sharp": "C_sharp = (1 + 3*R_Z) * exp(T*R_Z/2) * (C1p*T + C2p)",
-    "c_prime": "C_prime = C_tilde * (C1p*T + C2p) + C1",
-}
-
-
-@dataclass(frozen=True)
-class LipschitzConstants:
-    """Table of the constants entering the regularity audits.
-
-    The chain ``c_hat -> c_tilde -> c_sharp -> c_prime`` is computed once,
-    from the inputs; :meth:`table` pairs each value with its formula.
-    """
-
-    horizon: float
-    r_z: float
-    c1: float
-    c1p: float
-    c2p: float
-    c_hat: float = field(init=False)
-    c_tilde: float = field(init=False)
-    c_sharp: float = field(init=False)
-    c_prime: float = field(init=False)
-
-    def __post_init__(self):
-        c_hat = float(np.exp(self.horizon * self.r_z / 2.0))
-        c_tilde = (1.0 + 3.0 * self.r_z) * c_hat
-        c_sharp = c_tilde * (self.c1p * self.horizon + self.c2p)
-        for name, value in zip(_FORMULAS, (c_hat, c_tilde, c_sharp, c_sharp + self.c1)):
-            object.__setattr__(self, name, value)
-
-    def table(self) -> dict:
-        """``{name: {"value": ..., "formula": ...}}`` for each derived constant."""
-        return {name: {"value": getattr(self, name), "formula": formula}
-                for name, formula in _FORMULAS.items()}
-
-
 @dataclass
 class GameSpec:
     """Full data of the zero-sum game.
@@ -94,9 +56,11 @@ class GameSpec:
     ``c1``/``c2`` bound the costs, ``c1p``/``c2p`` are their Lipschitz
     constants in the gauge distance.  When the running cost has the form
     ``base(t, x, y) + z . y``, passing ``coupling_base`` lets the solver
-    take a faster path; it never changes results.  Both paths, and the
-    lattice Hamiltonians, run the one max-min kernel ``_max_min``; the
-    derived constants come from the :class:`LipschitzConstants` table.
+    take a faster path; it never changes results.  Every backward step,
+    on the grid or grid-free, is one ``_backup``; it and the lattice
+    Hamiltonians run the one max-min kernel ``_max_min``.  The derived
+    constants come from the :class:`LipschitzConstants` table in
+    :mod:`heisgame.flow`.
     """
 
     horizon: float
@@ -216,11 +180,12 @@ def make_lattice(radius: float, rings: int = 4, base_angles: int = 8) -> Control
     return ControlLattice(radius, points, _covering_radius(points, radius))
 
 
-def _check_lattice(lattice: ControlLattice, radius: float, name: str):
-    if abs(lattice.radius - radius) > 1e-9 * (1 + abs(radius)):
-        raise ValueError(
-            f"{name} lattice radius {lattice.radius} does not match the game's {radius}"
-        )
+def _check_lattices(spec: GameSpec, y_lattice: ControlLattice, z_lattice: ControlLattice):
+    for name, lattice, radius in (("y", y_lattice, spec.r_y), ("z", z_lattice, spec.r_z)):
+        if abs(lattice.radius - radius) > 1e-9 * (1 + abs(radius)):
+            raise ValueError(
+                f"{name} lattice radius {lattice.radius} does not match the game's {radius}"
+            )
 
 
 def _as_probe_arrays(t, x, lam):
@@ -257,8 +222,7 @@ def _max_min(n, m_outer, m_inner, row, lower, outer_term=None):
 
 
 def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
-    _check_lattice(y_lattice, spec.r_y, "y")
-    _check_lattice(z_lattice, spec.r_z, "z")
+    _check_lattices(spec, y_lattice, z_lattice)
     scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
@@ -313,27 +277,31 @@ def isaacs_gap(spec: GameSpec, probes, y_lattice, z_lattice) -> IsaacsReport:
     return IsaacsReport(float(gaps[k]), witness, gaps)
 
 
-def _optimize_nodes(spec, t, h, nodes, W, y_lattice, z_lattice, which):
-    """One backward step on a node batch: opt-opt of ``h*F + W_z``.
+def _backup(spec, t, h, pts, cont, y_lattice, z_lattice, which):
+    """One semi-Lagrangian step on a point batch: opt-opt of ``h*F + W_z``.
 
-    ``W[j]`` holds the continuation value after stepping with ``z_j``.
+    ``W[j] = cont(x o (-h*z_j, 0))`` is the continuation value after
+    stepping with lattice point ``z_j`` under ``xdot = -f(x, z)``.
     """
-    n = len(nodes)
+    n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
+    W = np.empty((len(zpts), n))
+    for j, z in enumerate(zpts):
+        W[j] = cont(exact_step(pts, z, h, "minus"))
     lower = which == "lower"
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
     if lower and spec.coupling_base is not None:
         offs = h * (zpts @ ypts.T)  # (mz, my)
 
         def base(yi):
-            return h * np.asarray(spec.coupling_base(t, nodes, ypts[yi]), dtype=float)
+            return h * np.asarray(spec.coupling_base(t, pts, ypts[yi]), dtype=float)
 
         return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
                         True, base)
 
     def row(a, b, out):
         yi, zi = (a, b) if lower else (b, a)
-        fv = h * np.asarray(spec.running_cost(t, nodes, ypts[yi], zpts[zi]), dtype=float)
+        fv = h * np.asarray(spec.running_cost(t, pts, ypts[yi], zpts[zi]), dtype=float)
         np.add(W[zi], fv, out=out)
 
     return _max_min(n, *sizes, row, lower)
@@ -346,7 +314,6 @@ def backward_induction(
     y_lattice: ControlLattice,
     z_lattice: ControlLattice,
     which: str = "lower",
-    sign: Sign = "minus",
     threads: int = 0,
     warn_costs: bool = True,
 ) -> ValueGrid:
@@ -358,23 +325,22 @@ def backward_induction(
         lower:  V(t, x) = max_y min_z [ h*F(t, x, y, z) + V(t+h, x o (-h*z, 0)) ]
         upper:  the same with min over z outside,
 
-    interpolating the next slice trilinearly at the stepped point.  Nodes
-    whose stepped point leaves the box for some lattice ``z`` are flagged
-    untrusted; ``trusted_region`` is the reach-certified sub-box.
+    interpolating the next slice trilinearly at the stepped point.  A node
+    is flagged untrusted at a step when that step's interpolation clamps
+    its stepped point for some lattice ``z``; ``trusted_region`` is the
+    reach-certified sub-box.
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    _check_lattice(y_lattice, spec.r_y, "y")
-    _check_lattice(z_lattice, spec.r_z, "z")
+    _check_lattices(spec, y_lattice, z_lattice)
 
     box, counts = grid.box, grid.counts
     h = spec.horizon / n_steps
     times = np.linspace(0.0, spec.horizon, n_steps + 1)
     nodes = grid.node_coordinates()
     n = len(nodes)
-    mz = len(z_lattice.points)
 
     if warn_costs:
         spec.spot_check(box)
@@ -385,57 +351,39 @@ def backward_induction(
         k = int(np.argmax(~np.isfinite(g_vals)))
         raise NonFiniteValueError(f"terminal cost non-finite at node {nodes[k]}")
 
+    data = np.empty((n_steps + 1, n))
+    data[n_steps] = g_vals
+    trusted = np.ones((n_steps + 1, n), dtype=bool)
+
+    def run_block(k, sl):
+        v_next, inside = data[k + 1].reshape(counts), trusted[k, sl]
+
+        def cont(stepped):
+            vals, ok = interp_values(box, v_next, stepped)
+            np.logical_and(inside, ok, out=inside)
+            return vals
+
+        return _backup(spec, times[k], h, nodes[sl], cont, y_lattice, z_lattice, which)
+
     blocks = _node_blocks(n, threads)
-    inside_all = np.empty(n, dtype=bool)
-    for sl in blocks:
-        ok = np.ones(sl.stop - sl.start, dtype=bool)
-        for z in z_lattice.points:
-            stepped = exact_step(nodes[sl], z, h, sign)
-            ok &= box.contains(stepped)
-        inside_all[sl] = ok
-
-    data = np.empty((n_steps + 1,) + counts)
-    data[n_steps] = g_vals.reshape(counts)
-    trusted = np.empty((n_steps + 1,) + counts, dtype=bool)
-    trusted[n_steps] = True
-    for k in range(n_steps):
-        trusted[k] = inside_all.reshape(counts)
-
-    def run_block(sl, v_next, t):
-        W = np.empty((mz, sl.stop - sl.start))
-        for j, z in enumerate(z_lattice.points):
-            stepped = exact_step(nodes[sl], z, h, sign)
-            W[j], _ = interp_values(box, v_next, stepped)
-        return _optimize_nodes(spec, t, h, nodes[sl], W, y_lattice, z_lattice, which)
-
-    executor = None
+    pool = None
     if threads and threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        executor = ThreadPoolExecutor(max_workers=threads)
-    try:
-        new_flat = np.empty(n)
+        pool = ThreadPoolExecutor(max_workers=threads)
+    with pool or nullcontext():
         for k in range(n_steps - 1, -1, -1):
-            t = times[k]
-            v_next = data[k + 1]
-            if executor is not None:
-                results = executor.map(lambda sl: run_block(sl, v_next, t), blocks)
-                for sl, vals in zip(blocks, results):
-                    new_flat[sl] = vals
-            else:
-                for sl in blocks:
-                    new_flat[sl] = run_block(sl, v_next, t)
-            if not np.isfinite(new_flat).all():
-                bad = int(np.argmax(~np.isfinite(new_flat)))
+            results = (pool.map if pool else map)(lambda sl: run_block(k, sl), blocks)
+            for sl, vals in zip(blocks, results):
+                data[k, sl] = vals
+            if not np.isfinite(data[k]).all():
+                bad = int(np.argmax(~np.isfinite(data[k])))
                 raise NonFiniteValueError(
-                    f"non-finite value at t={t:.6g}, node {nodes[bad]}"
+                    f"non-finite value at t={times[k]:.6g}, node {nodes[bad]}"
                 )
-            data[k] = new_flat.reshape(counts)
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
-    return ValueGrid(box, times, data, region, trusted)
+    shape = (n_steps + 1,) + counts
+    return ValueGrid(box, times, data.reshape(shape), region, trusted.reshape(shape))
 
 
 def _node_blocks(n: int, threads: int) -> list[slice]:
@@ -446,18 +394,16 @@ def _node_blocks(n: int, threads: int) -> list[slice]:
     return [slice(k, min(k + size, n)) for k in range(0, n, size)]
 
 
-def _alternating_value(spec, pts, t_start, steps, h, y_lattice, z_lattice,
-                       which, sign, leaf):
+def _alternating_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which, leaf):
     """Grid-free alternating expansion on a point batch; ``leaf`` ends it."""
     if steps == 0:
         return np.asarray(leaf(pts), dtype=float)
-    W = np.empty((len(z_lattice.points), len(pts)))
-    for j, z in enumerate(z_lattice.points):
-        W[j] = _alternating_value(
-            spec, exact_step(pts, z, h, sign), t_start + h, steps - 1, h,
-            y_lattice, z_lattice, which, sign, leaf,
-        )
-    return _optimize_nodes(spec, t_start, h, pts, W, y_lattice, z_lattice, which)
+
+    def cont(stepped):
+        return _alternating_value(spec, stepped, t_start + h, steps - 1, h,
+                                  y_lattice, z_lattice, which, leaf)
+
+    return _backup(spec, t_start, h, pts, cont, y_lattice, z_lattice, which)
 
 
 def brute_force_value(
@@ -467,7 +413,6 @@ def brute_force_value(
     y_lattice: ControlLattice,
     z_lattice: ControlLattice,
     which: str = "lower",
-    sign: Sign = "minus",
 ) -> float:
     """Alternating max/min expansion on exact states, without any grid.
 
@@ -480,13 +425,11 @@ def brute_force_value(
         raise ValueError("size guard: n_steps must be between 1 and 3")
     if len(y_lattice.points) > 9 or len(z_lattice.points) > 9:
         raise ValueError("size guard: lattices must have at most 9 points")
-    _check_lattice(y_lattice, spec.r_y, "y")
-    _check_lattice(z_lattice, spec.r_z, "z")
+    _check_lattices(spec, y_lattice, z_lattice)
     xi = np.asarray(xi, dtype=float).reshape(1, 3)
     h = spec.horizon / n_steps
     leaf = lambda pts: eval_field(spec.terminal_cost, pts)
-    vals = _alternating_value(spec, xi, 0.0, n_steps, h,
-                              y_lattice, z_lattice, which, sign, leaf)
+    vals = _alternating_value(spec, xi, 0.0, n_steps, h, y_lattice, z_lattice, which, leaf)
     return float(vals[0])
 
 
@@ -507,7 +450,6 @@ def dpp_residual(
     sigma_steps: int = 2,
     rng=None,
     which: str = "lower",
-    sign: Sign = "minus",
 ) -> DppReport:
     """Recomputes ``V`` at probe nodes by an exact ``sigma_steps``-step
     alternating expansion off the slice at ``t + sigma`` and reports the
@@ -520,6 +462,7 @@ def dpp_residual(
     """
     if sigma_steps < 1 or sigma_steps > V.n_steps:
         raise ValueError("sigma_steps must be between 1 and n_steps")
+    _check_lattices(spec, y_lattice, z_lattice)
     sl = V.region_index_bounds()
     h = V.dt
     if isinstance(probes, int):
@@ -553,7 +496,7 @@ def dpp_residual(
         target = V.slice(k + sigma_steps)
         leaf = lambda q, tg=target: tg.interp(q)[0]
         vals = _alternating_value(spec, pts, float(V.times[k]), sigma_steps, h,
-                                  y_lattice, z_lattice, which, sign, leaf)
+                                  y_lattice, z_lattice, which, leaf)
         stored = np.array([V.data[k, i, j, l] for (_, i, j, l) in group])
         worst = max(worst, float(np.abs(vals - stored).max()))
     return DppReport(worst, len(probe_list), n_skipped, sigma_steps)

@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .heis import Box
-from .flow import Sign
 from .grids import Grid3, ValueGrid
 from .game import (
     ControlLattice,
@@ -37,6 +36,7 @@ __all__ = [
     "HjiProblem",
     "build_game",
     "hamiltonian_identity_check",
+    "covering_error_bound",
     "IdentityReport",
     "solve",
     "pde_residual",
@@ -138,6 +138,14 @@ def build_game(p: HjiProblem) -> GameSpec:
     )
 
 
+def covering_error_bound(p: HjiProblem, spec: GameSpec, y_lattice: ControlLattice,
+                         z_lattice: ControlLattice) -> float:
+    """``(K+1)*cov_z + (K+r_z)*cov_y``: the error of the lattice Hamiltonian
+    from restricting its optimizers to the lattices."""
+    k = p.lip_y
+    return (k + 1.0) * z_lattice.covering_radius + (k + spec.r_z) * y_lattice.covering_radius
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     max_error: float
@@ -155,7 +163,7 @@ def hamiltonian_identity_check(
     """Checks ``H^-(T - t, x, lam) = -Ham(t, x, lam)`` at probe triples.
 
     ``lam`` enters exactly; only the optimizers are lattice-restricted,
-    so the expected error is ``(K+1)*cov_z + (K+r_z)*cov_y``.  Probes with
+    so the expected error is :func:`covering_error_bound`.  Probes with
     ``|lam|`` beyond the y-radius are rejected: the identity only holds on
     the ``y``-ball.
     """
@@ -172,9 +180,7 @@ def hamiltonian_identity_check(
     hm = lower_hamiltonian(spec, spec.horizon - t, x, lam, y_lattice, z_lattice)
     target = np.asarray(p.hamiltonian(t, x, lam), dtype=float)
     errors = np.abs(np.atleast_1d(hm) + target)
-    k_ = p.lip_y
-    bound = (k_ + 1.0) * z_lattice.covering_radius \
-        + (k_ + spec.r_z) * y_lattice.covering_radius
+    bound = covering_error_bound(p, spec, y_lattice, z_lattice)
     return IdentityReport(float(errors.max()), float(bound), errors)
 
 
@@ -186,7 +192,6 @@ def solve(
     z_lattice: ControlLattice,
     threads: int = 0,
     warn_costs: bool = True,
-    sign: Sign = "minus",
 ) -> ValueGrid:
     """Value stack ``U`` with ``U(0, .)`` equal to the sampled datum.
 
@@ -198,7 +203,7 @@ def solve(
         p.spot_check(grid.box)
     v = backward_induction(
         spec, grid, n_steps, y_lattice, z_lattice,
-        which="lower", sign=sign, threads=threads, warn_costs=warn_costs,
+        which="lower", threads=threads, warn_costs=warn_costs,
     )
     return v.reversed_time()
 

@@ -11,6 +11,7 @@ from heisgame.heis import Box, ball_points, gauge
 from heisgame.flow import exact_step
 from heisgame.grids import Grid3, sample_field
 from heisgame.game import (
+    _node_blocks,
     GameSpec,
     LipschitzConstants,
     NonFiniteValueError,
@@ -301,6 +302,23 @@ class TestBackwardInduction:
         mid = tuple((c - 1) // 2 for c in SMALL_COUNTS)
         assert v.trusted[0][mid]
 
+    @pytest.mark.parametrize("threads", [0, 2])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_trusted_mask_matches_stepped_containment(self, which, threads):
+        spec = coupling_spec(r_y=1.0)
+        grid = Grid3(SMALL_BOX, np.zeros((33, 33, 17)))
+        nodes = grid.node_coordinates()
+        # more nodes than one threaded block, so threads=2 runs two blocks
+        assert len(_node_blocks(len(nodes), 2)) == 2
+        v = backward_induction(spec, grid, 1, self.Y, self.Z, which=which,
+                               threads=threads, warn_costs=False)
+        inside = np.ones(len(nodes), dtype=bool)
+        for z in self.Z.points:
+            inside &= SMALL_BOX.contains(exact_step(nodes, z, spec.horizon, "minus"))
+        assert inside.any() and not inside.all()
+        assert np.array_equal(v.trusted[0].reshape(-1), inside)
+        assert v.trusted[1].all()
+
     def test_spot_check_warns_on_bad_bound(self):
         spec = simple_spec(lambda t, x, y, z: 0.0, gauge, c1=1.0, c2=0.5)
         with warnings.catch_warnings(record=True) as w:
@@ -383,6 +401,12 @@ class TestDppResidual:
                            sigma_steps=2)
         assert rep.n_skipped == 2
         assert rep.n_evaluated == 0
+
+    def test_rejects_lattice_of_wrong_radius(self):
+        spec = coupling_spec(r_y=1.0)
+        v, Y, Z = self.solve_small(spec)
+        with pytest.raises(ValueError, match="z lattice radius"):
+            dpp_residual(v, spec, Y, make_lattice(0.5, 1, 8), probes=4, sigma_steps=1)
 
 
 class TestLipschitzAudit:
