@@ -354,8 +354,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
         lams = ball_points(pr, sc.game.r_y, n_id)
         rep = hamiltonian_identity_check(sc.problem, sc.game, y_lat, z_lat,
                                          (ts, pts, lams))
-        bound = 2 * (y_lat.covering_radius + z_lat.covering_radius) \
-            * (1 + sc.problem.lip_y)
+        bound = 2 * rep.expected_bound
         results.append(CheckResult(
             "hamiltonian_identity",
             "H_minus(T - t, x, lam) = -Ham(t, x, lam) on the y-ball",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .heis import Box, ball_points, dist_g, eval_field
 from .flow import LipschitzConstants, exact_step
-from .grids import Grid3, ValueGrid, certify_region, interp_values
+from .grids import Grid3, ValueGrid, certify_region, interp_stepped
 
 __all__ = [
     "GameSpec",
@@ -280,14 +280,15 @@ def isaacs_gap(spec: GameSpec, probes, y_lattice, z_lattice) -> IsaacsReport:
 def _backup(spec, t, h, pts, cont, y_lattice, z_lattice, which):
     """One semi-Lagrangian step on a point batch: opt-opt of ``h*F + W_z``.
 
-    ``W[j] = cont(x o (-h*z_j, 0))`` is the continuation value after
-    stepping with lattice point ``z_j`` under ``xdot = -f(x, z)``.
+    ``W[j] = cont(z_j)`` is the continuation value at the feet
+    ``x o (-h*z_j, 0)`` of the batch, reached with lattice point ``z_j``
+    under ``xdot = -f(x, z)``.
     """
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
     W = np.empty((len(zpts), n))
     for j, z in enumerate(zpts):
-        W[j] = cont(exact_step(pts, z, h, "minus"))
+        W[j] = cont(z)
     lower = which == "lower"
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
     if lower and spec.coupling_base is not None:
@@ -325,10 +326,14 @@ def backward_induction(
         lower:  V(t, x) = max_y min_z [ h*F(t, x, y, z) + V(t+h, x o (-h*z, 0)) ]
         upper:  the same with min over z outside,
 
-    interpolating the next slice trilinearly at the stepped point.  A node
-    is flagged untrusted at a step when that step's interpolation clamps
-    its stepped point for some lattice ``z``; ``trusted_region`` is the
-    reach-certified sub-box.
+    interpolating the next slice trilinearly at the stepped point.  The
+    group law makes the horizontal shift the same for every node and the
+    vertical one constant per x3-column, so ``interp_stepped`` lerps axis
+    by axis, bit-identical to ``interp_values`` at the ``exact_step``
+    feet.  Nodes are split into blocks of whole x1-planes, one per thread.
+    A node is flagged untrusted at a step when that step's interpolation
+    clamps its stepped point for some lattice ``z``; ``trusted_region`` is
+    the reach-certified sub-box.
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
@@ -355,17 +360,19 @@ def backward_induction(
     data[n_steps] = g_vals
     trusted = np.ones((n_steps + 1, n), dtype=bool)
 
-    def run_block(k, sl):
+    def run_block(k, planes, sl):
         v_next, inside = data[k + 1].reshape(counts), trusted[k, sl]
 
-        def cont(stepped):
-            vals, ok = interp_values(box, v_next, stepped)
+        def cont(z):
+            vals, ok = interp_stepped(box, v_next, -h * z, planes)
             np.logical_and(inside, ok, out=inside)
             return vals
 
         return _backup(spec, times[k], h, nodes[sl], cont, y_lattice, z_lattice, which)
 
-    blocks = _node_blocks(n, threads)
+    plane = counts[1] * counts[2]
+    blocks = [(pl, slice(pl.start * plane, pl.stop * plane))
+              for pl in _node_blocks(n, threads, plane)]
     pool = None
     if threads and threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -373,8 +380,8 @@ def backward_induction(
         pool = ThreadPoolExecutor(max_workers=threads)
     with pool or nullcontext():
         for k in range(n_steps - 1, -1, -1):
-            results = (pool.map if pool else map)(lambda sl: run_block(k, sl), blocks)
-            for sl, vals in zip(blocks, results):
+            results = (pool.map if pool else map)(lambda b: run_block(k, *b), blocks)
+            for (_, sl), vals in zip(blocks, results):
                 data[k, sl] = vals
             if not np.isfinite(data[k]).all():
                 bad = int(np.argmax(~np.isfinite(data[k])))
@@ -386,12 +393,16 @@ def backward_induction(
     return ValueGrid(box, times, data.reshape(shape), region, trusted.reshape(shape))
 
 
-def _node_blocks(n: int, threads: int) -> list[slice]:
-    if threads and threads > 1:
-        size = max(16384, -(-n // threads))
-    else:
-        size = 131072
-    return [slice(k, min(k + size, n)) for k in range(0, n, size)]
+def _node_blocks(n: int, threads: int, plane: int = 1) -> list[slice]:
+    """Blocks of whole planes of ``plane`` nodes, as plane-index slices.
+
+    Each block holds as close as possible to 131072 of the ``n`` nodes
+    serial, and to ``max(16384, n/threads)`` threaded.
+    """
+    size = max(16384, -(-n // threads)) if threads and threads > 1 else 131072
+    step = max(1, round(size / plane))
+    n_planes = n // plane
+    return [slice(k, min(k + step, n_planes)) for k in range(0, n_planes, step)]
 
 
 def _alternating_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which, leaf):
@@ -399,9 +410,9 @@ def _alternating_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which
     if steps == 0:
         return np.asarray(leaf(pts), dtype=float)
 
-    def cont(stepped):
-        return _alternating_value(spec, stepped, t_start + h, steps - 1, h,
-                                  y_lattice, z_lattice, which, leaf)
+    def cont(z):
+        return _alternating_value(spec, exact_step(pts, z, h, "minus"), t_start + h,
+                                  steps - 1, h, y_lattice, z_lattice, which, leaf)
 
     return _backup(spec, t_start, h, pts, cont, y_lattice, z_lattice, which)
 

@@ -21,6 +21,7 @@ __all__ = [
     "Grid3",
     "ValueGrid",
     "interp_values",
+    "interp_stepped",
     "sample_field",
     "certify_region",
     "refinement_sup_diffs",
@@ -85,22 +86,31 @@ class Grid3:
         return interp_values(self.box, self.values, p)
 
 
-def interp_values(box: Box, values: np.ndarray, pts: np.ndarray):
-    """Trilinear interpolation core shared by ``Grid3.interp`` and the solvers.
+def _axis_cells(x, lo, hi, n):
+    """Cell index, fraction and inside flag of coordinates ``x`` per axis.
 
-    ``pts`` is ``(n, 3)``; returns values and the inside-box flags.
-    Fractions within 1e-12 of a cell face snap onto it, so queries at
-    node coordinates return the stored value exactly.
+    ``n`` nodes span ``[lo, hi]``; ``x`` is clamped onto it first.  The
+    arguments broadcast, so one call serves one axis or all three.
+    Fractions within 1e-12 of a cell face snap onto it.
     """
-    trusted = ((pts >= box.lo) & (pts <= box.hi)).all(axis=-1)
-    q = np.clip(pts, box.lo, box.hi)
-    n = np.array(values.shape)
-    t = (q - box.lo) / box.extent * (n - 1)
+    inside = (x >= lo) & (x <= hi)
+    t = (np.clip(x, lo, hi) - lo) / (hi - lo) * (n - 1)
     i = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
     f = t - i
     f[f < _SNAP] = 0.0
     f[f > 1.0 - _SNAP] = 1.0
+    return i, f, inside
 
+
+def interp_values(box: Box, values: np.ndarray, pts: np.ndarray):
+    """Trilinear interpolation at arbitrary points: the core of ``Grid3.interp``.
+
+    ``pts`` is ``(n, 3)``; returns values and the inside-box flags.
+    Fractions within 1e-12 of a cell face snap onto it, so queries at
+    node coordinates return the stored value exactly.  It is the oracle
+    of :func:`interp_stepped`, the solver's path.
+    """
+    i, f, inside = _axis_cells(pts, box.lo, box.hi, np.array(values.shape))
     v = values
     i1, i2, i3 = i[:, 0], i[:, 1], i[:, 2]
     f1, f2, f3 = f[:, 0], f[:, 1], f[:, 2]
@@ -110,7 +120,39 @@ def interp_values(box: Box, values: np.ndarray, pts: np.ndarray):
     c11 = v[i1, i2 + 1, i3 + 1] * (1 - f1) + v[i1 + 1, i2 + 1, i3 + 1] * f1
     c0 = c00 * (1 - f2) + c10 * f2
     c1 = c01 * (1 - f2) + c11 * f2
-    return c0 * (1 - f3) + c1 * f3, trusted
+    return c0 * (1 - f3) + c1 * f3, inside.all(axis=-1)
+
+
+def interp_stepped(box: Box, values: np.ndarray, shift, planes: slice):
+    """Trilinear values at the feet ``node o (d1, d2, 0)`` of the nodes in
+    the x1-planes ``planes``, plus their inside-box flags (both flat, in
+    row-major node order).
+
+    By the group law the foot is ``(x1 + d1, x2 + d2, x3 + (x1*d2 - d1*x2)/2)``:
+    its x1-cell depends only on the node's plane, its x2-cell only on its
+    x2-row, and only the x3-cell varies per node.  So the lerps run axis
+    by axis on the slab, with the arithmetic and order of
+    :func:`interp_values`; the result is bit-identical to
+    ``interp_values(box, values, group_mul(nodes, (d1, d2, 0)))``.
+    """
+    d1, d2 = shift
+    n1, n2, n3 = values.shape
+    x1 = np.linspace(box.lo[0], box.hi[0], n1)[planes]
+    x2 = np.linspace(box.lo[1], box.hi[1], n2)
+    x3 = np.linspace(box.lo[2], box.hi[2], n3)
+    i1, f1, in1 = _axis_cells(x1 + d1, box.lo[0], box.hi[0], n1)
+    i2, f2, in2 = _axis_cells(x2 + d2, box.lo[1], box.hi[1], n2)
+    # group_mul's ``a3 + b3 + 0.5*(a1*b2 - b1*a2)`` term by term, for the same bits
+    lift = 0.5 * (x1[:, None] * d2 - d1 * x2[None, :])
+    i3, f3, in3 = _axis_cells((x3 + 0.0)[None, None, :] + lift[:, :, None],
+                              box.lo[2], box.hi[2], n3)
+    w1, w2 = f1[:, None, None], f2[None, :, None]
+    a = values[i1] * (1 - w1) + values[i1 + 1] * w1
+    b = a[:, i2] * (1 - w2) + a[:, i2 + 1] * w2
+    c0 = np.take_along_axis(b, i3, axis=2)
+    c1 = np.take_along_axis(b, i3 + 1, axis=2)
+    inside = in1[:, None, None] & in2[None, :, None] & in3
+    return (c0 * (1 - f3) + c1 * f3).reshape(-1), inside.reshape(-1)
 
 
 def sample_field(f: Callable, box: Box, counts) -> Grid3:
@@ -276,17 +318,21 @@ def refinement_sup_diffs(levels: list[ValueGrid]) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def write_grid_csv(grid: Grid3, path, trusted: np.ndarray | None = None) -> None:
-    nodes = grid.node_coordinates()
-    flags = (np.ones(len(nodes), dtype=bool) if trusted is None
-             else np.asarray(trusted, dtype=bool).reshape(-1))
-    table = np.column_stack([nodes, grid.values.reshape(-1), flags.astype(float)])
-    np.savetxt(
-        path,
-        table,
-        fmt="%.17g,%.17g,%.17g,%.17g,%d",
-        header="x1,x2,x3,value,trusted",
-        comments="",
-    )
+    """One ``x1,x2,x3,value,trusted`` row per node, every real in ``%.17g``.
+
+    The bytes are those of ``np.savetxt`` with that format.  Each axis
+    coordinate is formatted once, and the text is written one x1-plane
+    at a time.
+    """
+    s1, s2, s3 = (["%.17g" % x for x in ax.tolist()] for ax in grid.axes())
+    flags = (np.ones(grid.counts, dtype=bool) if trusted is None
+             else np.asarray(trusted, dtype=bool).reshape(grid.counts))
+    with open(path, "w") as fh:
+        fh.write("x1,x2,x3,value,trusted\n")
+        for i, a in enumerate(s1):
+            coords = [f"{a},{b},{c}," for b in s2 for c in s3]
+            rows = zip(coords, grid.values[i].ravel().tolist(), flags[i].ravel().tolist())
+            fh.write("".join(map("%s%.17g,%d\n".__mod__, rows)))
 
 
 def _box_json(box: Box) -> list:

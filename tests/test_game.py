@@ -319,6 +319,18 @@ class TestBackwardInduction:
         assert np.array_equal(v.trusted[0].reshape(-1), inside)
         assert v.trusted[1].all()
 
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_plane_blocks_are_invisible(self, which):
+        spec = coupling_spec(r_y=1.0)
+        grid = Grid3(SMALL_BOX, np.zeros((33, 33, 17)))
+        # an uneven split: 29 and 4 planes of 33x17 nodes
+        blocks = _node_blocks(33 * 33 * 17, 2, 33 * 17)
+        assert [b.stop - b.start for b in blocks] == [29, 4]
+        serial, threaded = (backward_induction(spec, grid, 2, self.Y, self.Z, which=which,
+                                               threads=t, warn_costs=False) for t in (0, 2))
+        assert np.array_equal(serial.data, threaded.data)
+        assert np.array_equal(serial.trusted, threaded.trusted)
+
     def test_spot_check_warns_on_bad_bound(self):
         spec = simple_spec(lambda t, x, y, z: 0.0, gauge, c1=1.0, c2=0.5)
         with warnings.catch_warnings(record=True) as w:

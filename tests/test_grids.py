@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from heisgame.heis import Box, gauge
+from heisgame.flow import exact_step
 from heisgame.grids import (
     Grid3,
     ValueGrid,
     certify_region,
+    interp_stepped,
+    interp_values,
     read_grid_binary,
     read_value_grid,
     sample_field,
@@ -68,6 +71,55 @@ class TestInterp:
         pts = BOX.sample(3000, rng)
         vals, _ = g.interp(pts)
         assert np.abs(vals - ref(pts)).max() <= 1e-11
+
+
+class TestInterpStepped:
+    """The solver's axis-wise path against the gather at ``exact_step`` feet."""
+
+    @staticmethod
+    def random_case(rng):
+        lo = rng.uniform(-3.0, 1.0, 3)
+        box = Box(lo, lo + rng.uniform(0.1, 4.0, 3))
+        values = rng.normal(size=tuple(int(c) for c in rng.integers(2, 20, 3)))
+        h = rng.uniform(0.0, 2.0)
+        z = rng.normal(size=2) * rng.choice([0.0, 0.1, 1.0, 10.0])
+        return box, values, h, z
+
+    @staticmethod
+    def oracle(box, values, h, z):
+        nodes = Grid3(box, values).node_coordinates()
+        return interp_values(box, values, exact_step(nodes, z, h, "minus"))
+
+    def test_bit_identical_to_gather(self):
+        rng = np.random.default_rng(3)
+        flags_seen = set()
+        for _ in range(120):
+            box, values, h, z = self.random_case(rng)
+            ref_v, ref_in = self.oracle(box, values, h, z)
+            v, inside = interp_stepped(box, values, -h * z, slice(0, values.shape[0]))
+            assert np.array_equal(v, ref_v)
+            assert np.array_equal(inside, ref_in)
+            flags_seen.update((bool(inside.all()), bool(inside.any())))
+        assert flags_seen == {True, False}  # feet inside and far outside the box
+
+    def test_zero_control_returns_nodal_values(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(2, 5, 3))
+        v, inside = interp_stepped(BOX, values, (0.0, 0.0), slice(0, 2))
+        assert np.array_equal(v, values.reshape(-1))
+        assert inside.all()
+
+    def test_sub_range_of_planes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            box, values, h, z = self.random_case(rng)
+            n1, plane = values.shape[0], values.shape[1] * values.shape[2]
+            a = int(rng.integers(0, n1))
+            b = int(rng.integers(a + 1, n1 + 1))
+            ref_v, ref_in = self.oracle(box, values, h, z)
+            v, inside = interp_stepped(box, values, -h * z, slice(a, b))
+            assert np.array_equal(v, ref_v[a * plane:b * plane])
+            assert np.array_equal(inside, ref_in[a * plane:b * plane])
 
 
 class TestSampleField:
@@ -183,6 +235,20 @@ class TestSerialization:
         assert [float(v) for v in first[:3]] == [-1.0, -1.0, -2.0]
         assert float(first[3]) == affine((-1, -1, -2))
         assert first[4] == "1"
+
+    def test_csv_bytes_match_savetxt(self, tmp_path):
+        box = Box([-1e300, -2.5, -1e-300], [1e300, 0.0, 3.0])
+        values = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, np.pi, -1 / 3,
+                           5e-324, 1.0, 123456789.125, -2.0]).reshape(2, 3, 2)
+        trusted = np.array([True, False] * 6).reshape(2, 3, 2)
+        g = Grid3(box, values)
+        table = np.column_stack([g.node_coordinates(), values.reshape(-1),
+                                 trusted.reshape(-1).astype(float)])
+        np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g,%.17g,%.17g,%.17g,%d",
+                   header="x1,x2,x3,value,trusted", comments="")
+        write_grid_csv(g, tmp_path / "grid.csv", trusted=trusted)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0," in (tmp_path / "grid.csv").read_bytes()
 
     def test_value_grid_roundtrip(self, tmp_path):
         vg = ValueGrid.from_function(lambda t, p: gauge(p) + t, BOX, (3, 4, 5),

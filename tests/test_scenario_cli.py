@@ -238,6 +238,19 @@ class TestVerifyCommand:
         assert by_name["oracle_equivalence_frozen"]["measured"] <= 1e-12
         assert by_name["oracle_equivalence_small_n"]["measured"] <= 1e-12
 
+    @pytest.mark.parametrize("hamiltonian", [{"name": "norm"},
+                                             {"name": "constant", "params": {"value": 0.5}}])
+    def test_identity_verdict_follows_expected_bound(self, tmp_path, hamiltonian):
+        # the constant Hamiltonian has K = r_z = 0, so its covering error is 0
+        path = write_scenario(tmp_path, dict(SMALL, hamiltonian=hamiltonian))
+        out = tmp_path / "verify-identity"
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+        bundle = json.loads((out / "verify.json").read_text())
+        check = {c["name"]: c for c in bundle["checks"]}["hamiltonian_identity"]
+        assert check["passed"]
+        assert check["constant"] == 2 * check["detail"]["expected_bound"]
+        assert (check["constant"] == 0.0) == (hamiltonian["name"] == "constant")
+
 
 class TestConvergeCommand:
     def test_exact_solution_collapses(self, tmp_path):
