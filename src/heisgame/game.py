@@ -21,7 +21,7 @@ import numpy as np
 
 from .heis import Box, ball_points, dist_g, eval_field
 from .flow import LipschitzConstants, exact_step
-from .grids import Grid3, ValueGrid, certify_region, interp_stepped
+from .grids import Grid3, StepFeet, ValueGrid, certify_region, interp_values
 
 __all__ = [
     "GameSpec",
@@ -327,10 +327,10 @@ def backward_induction(
         upper:  the same with min over z outside,
 
     interpolating the next slice trilinearly at the stepped point.  The
-    group law makes the horizontal shift the same for every node and the
-    vertical one constant per x3-column, so ``interp_stepped`` lerps axis
-    by axis, bit-identical to ``interp_values`` at the ``exact_step``
-    feet.  Nodes are split into blocks of whole x1-planes, one per thread.
+    stepped points of a block are passed as :class:`StepFeet`, so
+    ``interp_values`` lerps axis by axis without forming them, bit-identical
+    to the gather at the ``exact_step`` feet.  Nodes are split into blocks
+    of whole x1-planes, one per thread.
     A node is flagged untrusted at a step when that step's interpolation
     clamps its stepped point for some lattice ``z``; ``trusted_region`` is
     the reach-certified sub-box.
@@ -360,11 +360,14 @@ def backward_induction(
     data[n_steps] = g_vals
     trusted = np.ones((n_steps + 1, n), dtype=bool)
 
+    x1, x2, x3 = grid.axes()
+
     def run_block(k, planes, sl):
         v_next, inside = data[k + 1].reshape(counts), trusted[k, sl]
+        axes = (x1[planes], x2, x3)
 
         def cont(z):
-            vals, ok = interp_stepped(box, v_next, -h * z, planes)
+            vals, ok = interp_values(box, v_next, StepFeet(axes, -h * z))
             np.logical_and(inside, ok, out=inside)
             return vals
 
@@ -393,7 +396,7 @@ def backward_induction(
     return ValueGrid(box, times, data.reshape(shape), region, trusted.reshape(shape))
 
 
-def _node_blocks(n: int, threads: int, plane: int = 1) -> list[slice]:
+def _node_blocks(n: int, threads: int, plane: int) -> list[slice]:
     """Blocks of whole planes of ``plane`` nodes, as plane-index slices.
 
     Each block holds as close as possible to 131072 of the ``n`` nodes

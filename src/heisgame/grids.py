@@ -20,8 +20,8 @@ from .heis import Box, eval_field
 __all__ = [
     "Grid3",
     "ValueGrid",
+    "StepFeet",
     "interp_values",
-    "interp_stepped",
     "sample_field",
     "certify_region",
     "refinement_sup_diffs",
@@ -102,14 +102,39 @@ def _axis_cells(x, lo, hi, n):
     return i, f, inside
 
 
-def interp_values(box: Box, values: np.ndarray, pts: np.ndarray):
-    """Trilinear interpolation at arbitrary points: the core of ``Grid3.interp``.
+@dataclass(frozen=True)
+class StepFeet:
+    """The feet ``x o (d1, d2, 0)`` of the points ``x`` of the tensor grid
+    ``x1 × x2 × x3`` (``axes``), in row-major order, given without forming
+    them: the stepped points of one semi-Lagrangian step under a constant
+    control, with ``shift = (d1, d2)``.
 
-    ``pts`` is ``(n, 3)``; returns values and the inside-box flags.
-    Fractions within 1e-12 of a cell face snap onto it, so queries at
-    node coordinates return the stored value exactly.  It is the oracle
-    of :func:`interp_stepped`, the solver's path.
+    By the group law the foot is ``(x1 + d1, x2 + d2, x3 + (x1*d2 - d1*x2)/2)``:
+    the horizontal shift is the same for every point, and the vertical one
+    is constant along each x3-column.
     """
+
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    shift: tuple[float, float]
+
+    def __len__(self) -> int:
+        return len(self.axes[0]) * len(self.axes[1]) * len(self.axes[2])
+
+
+def interp_values(box: Box, values: np.ndarray, pts):
+    """Trilinear interpolation core shared by ``Grid3.interp`` and the solvers.
+
+    ``pts`` is an ``(n, 3)`` array or a :class:`StepFeet`; returns the
+    values and the inside-box flags, flat in the order of the points.
+    Fractions within 1e-12 of a cell face snap onto it, so queries at
+    node coordinates return the stored value exactly.  At ``StepFeet``
+    the x1-cell depends only on the plane and the x2-cell only on the row,
+    so the lerps run axis by axis on the slab and only the x3-cell is
+    gathered per point; the result is bit-identical to the same feet given
+    as an array (``exact_step`` of the nodes).
+    """
+    if isinstance(pts, StepFeet):
+        return _interp_feet(box, values, pts)
     i, f, inside = _axis_cells(pts, box.lo, box.hi, np.array(values.shape))
     v = values
     i1, i2, i3 = i[:, 0], i[:, 1], i[:, 2]
@@ -123,23 +148,10 @@ def interp_values(box: Box, values: np.ndarray, pts: np.ndarray):
     return c0 * (1 - f3) + c1 * f3, inside.all(axis=-1)
 
 
-def interp_stepped(box: Box, values: np.ndarray, shift, planes: slice):
-    """Trilinear values at the feet ``node o (d1, d2, 0)`` of the nodes in
-    the x1-planes ``planes``, plus their inside-box flags (both flat, in
-    row-major node order).
-
-    By the group law the foot is ``(x1 + d1, x2 + d2, x3 + (x1*d2 - d1*x2)/2)``:
-    its x1-cell depends only on the node's plane, its x2-cell only on its
-    x2-row, and only the x3-cell varies per node.  So the lerps run axis
-    by axis on the slab, with the arithmetic and order of
-    :func:`interp_values`; the result is bit-identical to
-    ``interp_values(box, values, group_mul(nodes, (d1, d2, 0)))``.
-    """
-    d1, d2 = shift
+def _interp_feet(box: Box, values: np.ndarray, feet: StepFeet):
+    """``interp_values`` at ``feet``, with its arithmetic in its lerp order."""
+    (x1, x2, x3), (d1, d2) = feet.axes, feet.shift
     n1, n2, n3 = values.shape
-    x1 = np.linspace(box.lo[0], box.hi[0], n1)[planes]
-    x2 = np.linspace(box.lo[1], box.hi[1], n2)
-    x3 = np.linspace(box.lo[2], box.hi[2], n3)
     i1, f1, in1 = _axis_cells(x1 + d1, box.lo[0], box.hi[0], n1)
     i2, f2, in2 = _axis_cells(x2 + d2, box.lo[1], box.hi[1], n2)
     # group_mul's ``a3 + b3 + 0.5*(a1*b2 - b1*a2)`` term by term, for the same bits

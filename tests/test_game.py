@@ -309,7 +309,7 @@ class TestBackwardInduction:
         grid = Grid3(SMALL_BOX, np.zeros((33, 33, 17)))
         nodes = grid.node_coordinates()
         # more nodes than one threaded block, so threads=2 runs two blocks
-        assert len(_node_blocks(len(nodes), 2)) == 2
+        assert len(_node_blocks(len(nodes), 2, 33 * 17)) == 2
         v = backward_induction(spec, grid, 1, self.Y, self.Z, which=which,
                                threads=threads, warn_costs=False)
         inside = np.ones(len(nodes), dtype=bool)

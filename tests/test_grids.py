@@ -5,9 +5,9 @@ from heisgame.heis import Box, gauge
 from heisgame.flow import exact_step
 from heisgame.grids import (
     Grid3,
+    StepFeet,
     ValueGrid,
     certify_region,
-    interp_stepped,
     interp_values,
     read_grid_binary,
     read_value_grid,
@@ -73,53 +73,37 @@ class TestInterp:
         assert np.abs(vals - ref(pts)).max() <= 1e-11
 
 
-class TestInterpStepped:
-    """The solver's axis-wise path against the gather at ``exact_step`` feet."""
-
-    @staticmethod
-    def random_case(rng):
-        lo = rng.uniform(-3.0, 1.0, 3)
-        box = Box(lo, lo + rng.uniform(0.1, 4.0, 3))
-        values = rng.normal(size=tuple(int(c) for c in rng.integers(2, 20, 3)))
-        h = rng.uniform(0.0, 2.0)
-        z = rng.normal(size=2) * rng.choice([0.0, 0.1, 1.0, 10.0])
-        return box, values, h, z
-
-    @staticmethod
-    def oracle(box, values, h, z):
-        nodes = Grid3(box, values).node_coordinates()
-        return interp_values(box, values, exact_step(nodes, z, h, "minus"))
+class TestInterpFeet:
+    """``interp_values`` at ``StepFeet`` against the gather at ``exact_step`` feet."""
 
     def test_bit_identical_to_gather(self):
         rng = np.random.default_rng(3)
         flags_seen = set()
-        for _ in range(120):
-            box, values, h, z = self.random_case(rng)
-            ref_v, ref_in = self.oracle(box, values, h, z)
-            v, inside = interp_stepped(box, values, -h * z, slice(0, values.shape[0]))
-            assert np.array_equal(v, ref_v)
-            assert np.array_equal(inside, ref_in)
-            flags_seen.update((bool(inside.all()), bool(inside.any())))
-        assert flags_seen == {True, False}  # feet inside and far outside the box
-
-    def test_zero_control_returns_nodal_values(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=(2, 5, 3))
-        v, inside = interp_stepped(BOX, values, (0.0, 0.0), slice(0, 2))
-        assert np.array_equal(v, values.reshape(-1))
-        assert inside.all()
-
-    def test_sub_range_of_planes(self):
-        rng = np.random.default_rng(5)
-        for _ in range(60):
-            box, values, h, z = self.random_case(rng)
+        for k in range(180):
+            lo = rng.uniform(-3.0, 1.0, 3)
+            box = Box(lo, lo + rng.uniform(0.1, 4.0, 3))
+            values = rng.normal(size=tuple(int(c) for c in rng.integers(2, 20, 3)))
+            h = rng.uniform(0.0, 2.0)
+            # z = 0 on every fifth case, feet far outside the box on large z
+            z = rng.normal(size=2) * (0.0 if k % 5 == 0 else rng.choice([0.1, 1.0, 10.0]))
+            grid = Grid3(box, values)
+            ref_v, ref_in = interp_values(box, values,
+                                          exact_step(grid.node_coordinates(), z, h, "minus"))
+            x1, x2, x3 = grid.axes()
             n1, plane = values.shape[0], values.shape[1] * values.shape[2]
             a = int(rng.integers(0, n1))
             b = int(rng.integers(a + 1, n1 + 1))
-            ref_v, ref_in = self.oracle(box, values, h, z)
-            v, inside = interp_stepped(box, values, -h * z, slice(a, b))
-            assert np.array_equal(v, ref_v[a * plane:b * plane])
-            assert np.array_equal(inside, ref_in[a * plane:b * plane])
+            for planes in (slice(0, n1), slice(a, b)):
+                feet = StepFeet((x1[planes], x2, x3), -h * z)
+                v, inside = interp_values(box, values, feet)
+                sl = slice(planes.start * plane, planes.stop * plane)
+                assert len(feet) == len(v)
+                assert np.array_equal(v, ref_v[sl])
+                assert np.array_equal(inside, ref_in[sl])
+            if not z.any():
+                assert np.array_equal(v, values[a:b].reshape(-1)) and inside.all()
+            flags_seen.update((bool(inside.all()), bool(inside.any())))
+        assert flags_seen == {True, False}  # feet inside and far outside the box
 
 
 class TestSampleField:
