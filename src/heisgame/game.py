@@ -277,18 +277,15 @@ def isaacs_gap(spec: GameSpec, probes, y_lattice, z_lattice) -> IsaacsReport:
     return IsaacsReport(float(gaps[k]), witness, gaps)
 
 
-def _backup(spec, t, h, pts, cont, y_lattice, z_lattice, which):
-    """One semi-Lagrangian step on a point batch: opt-opt of ``h*F + W_z``.
+def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
+    """One semi-Lagrangian step on a point batch: opt-opt of ``h*F + W``.
 
-    ``W[j] = cont(z_j)`` is the continuation value at the feet
-    ``x o (-h*z_j, 0)`` of the batch, reached with lattice point ``z_j``
-    under ``xdot = -f(x, z)``.
+    ``W`` of shape ``(mz, n)`` holds the continuation values, filled by the
+    caller: row ``j`` at the feet ``x o (-h*z_j, 0)`` of the batch, reached
+    with lattice point ``z_j`` under ``xdot = -f(x, z)``.
     """
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
-    W = np.empty((len(zpts), n))
-    for j, z in enumerate(zpts):
-        W[j] = cont(z)
     lower = which == "lower"
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
     if lower and spec.coupling_base is not None:
@@ -365,13 +362,11 @@ def backward_induction(
     def run_block(k, planes, sl):
         v_next, inside = data[k + 1].reshape(counts), trusted[k, sl]
         axes = (x1[planes], x2, x3)
-
-        def cont(z):
-            vals, ok = interp_values(box, v_next, StepFeet(axes, -h * z))
+        W = np.empty((len(z_lattice.points), sl.stop - sl.start))
+        for j, z in enumerate(z_lattice.points):
+            W[j], ok = interp_values(box, v_next, StepFeet(axes, -h * z))
             np.logical_and(inside, ok, out=inside)
-            return vals
-
-        return _backup(spec, times[k], h, nodes[sl], cont, y_lattice, z_lattice, which)
+        return _backup(spec, times[k], h, nodes[sl], W, y_lattice, z_lattice, which)
 
     plane = counts[1] * counts[2]
     blocks = [(pl, slice(pl.start * plane, pl.stop * plane))
@@ -396,28 +391,52 @@ def backward_induction(
     return ValueGrid(box, times, data.reshape(shape), region, trusted.reshape(shape))
 
 
+# nodes in one serial block of ``backward_induction``; also the largest
+# batch the grid-free recursion stacks at its deepest level
+_BLOCK_NODES = 131072
+
+
 def _node_blocks(n: int, threads: int, plane: int) -> list[slice]:
     """Blocks of whole planes of ``plane`` nodes, as plane-index slices.
 
-    Each block holds as close as possible to 131072 of the ``n`` nodes
-    serial, and to ``max(16384, n/threads)`` threaded.
+    Each block holds as close as possible to ``_BLOCK_NODES`` of the ``n``
+    nodes serial, and to ``max(16384, n/threads)`` threaded.
     """
-    size = max(16384, -(-n // threads)) if threads and threads > 1 else 131072
+    size = max(16384, -(-n // threads)) if threads and threads > 1 else _BLOCK_NODES
     step = max(1, round(size / plane))
     n_planes = n // plane
     return [slice(k, min(k + step, n_planes)) for k in range(0, n_planes, step)]
 
 
 def _alternating_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which, leaf):
-    """Grid-free alternating expansion on a point batch; ``leaf`` ends it."""
-    if steps == 0:
-        return np.asarray(leaf(pts), dtype=float)
+    """Grid-free alternating expansion on a point batch; ``leaf`` ends it.
 
-    def cont(z):
-        return _alternating_value(spec, exact_step(pts, z, h, "minus"), t_start + h,
-                                  steps - 1, h, y_lattice, z_lattice, which, leaf)
-
-    return _backup(spec, t_start, h, pts, cont, y_lattice, z_lattice, which)
+    Breadth-first: each level takes one ``_backup`` over its whole batch.
+    Above the leaf it steps the batch under every lattice ``z`` at once and
+    recurses once on the stacked ``(mz*n, 3)`` feet; at the leaf it steps
+    and calls ``leaf`` one ``z`` at a time, so no ``(mz, n, 3)`` feet are
+    held where the batch is largest.  The deepest batch holds
+    ``n*mz**(steps-1)`` points; where that passes ``_BLOCK_NODES``, ``pts``
+    is split into chunks, each expanded on its own.  Every operation is
+    elementwise and in the order of a depth-first recursion with one call
+    per ``z``, so the values are bit-identical to it.
+    """
+    zpts = z_lattice.points
+    chunk = max(1, _BLOCK_NODES // len(zpts) ** (steps - 1))
+    if len(pts) > chunk:
+        return np.concatenate([
+            _alternating_value(spec, pts[k:k + chunk], t_start, steps, h,
+                               y_lattice, z_lattice, which, leaf)
+            for k in range(0, len(pts), chunk)])
+    if steps == 1:
+        W = np.empty((len(zpts), len(pts)))
+        for j, z in enumerate(zpts):
+            W[j] = leaf(exact_step(pts, z, h, "minus"))
+    else:
+        feet = exact_step(pts, zpts[:, None], h, "minus")  # (mz, n, 3)
+        W = _alternating_value(spec, feet.reshape(-1, 3), t_start + h, steps - 1, h,
+                               y_lattice, z_lattice, which, leaf).reshape(feet.shape[:2])
+    return _backup(spec, t_start, h, pts, W, y_lattice, z_lattice, which)
 
 
 def brute_force_value(
@@ -432,8 +451,10 @@ def brute_force_value(
 
     Oracle for ``backward_induction``: exact whenever ``r_z = 0`` (no
     motion, no interpolation), and equal up to interpolation error
-    otherwise.  Enumeration is exponential, so ``n_steps <= 3`` and at
-    most 9 points per lattice are enforced.
+    otherwise.  Enumeration is exponential in time, and in memory as well:
+    the breadth-first expansion holds ``mz**(n_steps-1)`` points at its
+    deepest level.  So ``n_steps <= 3`` and at most 9 points per lattice
+    are enforced.
     """
     if n_steps > 3 or n_steps < 1:
         raise ValueError("size guard: n_steps must be between 1 and 3")
@@ -485,35 +506,33 @@ def dpp_residual(
         ii = rng.integers(sl[0].start, sl[0].stop, probes)
         jj = rng.integers(sl[1].start, sl[1].stop, probes)
         ll = rng.integers(sl[2].start, sl[2].stop, probes)
-        probe_list = list(zip(ks.tolist(), ii.tolist(), jj.tolist(), ll.tolist()))
         n_skipped = 0
     else:
-        probe_list, n_skipped = [], 0
+        kept, n_skipped = [], 0
         for (k, i, j, l) in probes:
             in_region = (sl[0].start <= i < sl[0].stop
                          and sl[1].start <= j < sl[1].stop
                          and sl[2].start <= l < sl[2].stop)
             if k <= V.n_steps - sigma_steps and in_region:
-                probe_list.append((k, i, j, l))
+                kept.append((k, i, j, l))
             else:
                 n_skipped += 1
-    if not probe_list:
+        ks, ii, jj, ll = np.array(kept, dtype=np.int64).reshape(-1, 4).T
+    if not len(ks):
         return DppReport(0.0, 0, n_skipped, sigma_steps)
 
     ax = V.axes()
+    pts = np.stack([ax[0][ii], ax[1][jj], ax[2][ll]], axis=-1)
+    stored = V.data[ks, ii, jj, ll]
     worst = 0.0
-    by_k: dict[int, list] = {}
-    for p in probe_list:
-        by_k.setdefault(p[0], []).append(p)
-    for k, group in by_k.items():
-        pts = np.array([[ax[0][i], ax[1][j], ax[2][l]] for (_, i, j, l) in group])
+    for k in dict.fromkeys(ks.tolist()):
+        group = ks == k
         target = V.slice(k + sigma_steps)
-        leaf = lambda q, tg=target: tg.interp(q)[0]
-        vals = _alternating_value(spec, pts, float(V.times[k]), sigma_steps, h,
+        leaf = lambda q, tg=target: interp_values(tg.box, tg.values, q)[0]
+        vals = _alternating_value(spec, pts[group], float(V.times[k]), sigma_steps, h,
                                   y_lattice, z_lattice, which, leaf)
-        stored = np.array([V.data[k, i, j, l] for (_, i, j, l) in group])
-        worst = max(worst, float(np.abs(vals - stored).max()))
-    return DppReport(worst, len(probe_list), n_skipped, sigma_steps)
+        worst = max(worst, float(np.abs(vals - stored[group]).max()))
+    return DppReport(worst, len(ks), n_skipped, sigma_steps)
 
 
 @dataclass(frozen=True)

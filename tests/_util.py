@@ -3,6 +3,8 @@
 import numpy as np
 
 from heisgame.catalog import make_hamiltonian, make_terminal
+from heisgame.flow import exact_step
+from heisgame.game import _backup
 from heisgame.heis import Box, ball_points
 from heisgame.hji import HjiProblem, build_game, derived_radii
 
@@ -62,3 +64,15 @@ def batch_trajectory(xi, breaks, values, per_segment=16, sign=1.0):
         x_prev = pts[:, -1]
         t_prev = breaks[:, j]
     return np.concatenate(all_t, axis=1), np.concatenate(all_p, axis=1)
+
+
+def depth_first_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which, leaf):
+    """The grid-free alternating expansion with one recursive call per
+    lattice ``z``: reference for the breadth-first ``_alternating_value``."""
+    if steps == 0:
+        return np.asarray(leaf(pts), dtype=float)
+    W = np.empty((len(z_lattice.points), len(pts)))
+    for j, z in enumerate(z_lattice.points):
+        W[j] = depth_first_value(spec, exact_step(pts, z, h, "minus"), t_start + h,
+                                 steps - 1, h, y_lattice, z_lattice, which, leaf)
+    return _backup(spec, t_start, h, pts, W, y_lattice, z_lattice, which)

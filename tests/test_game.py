@@ -5,13 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX
+from _util import DEFAULT_BOX, depth_first_value
 
-from heisgame.heis import Box, ball_points, gauge
+import heisgame.game as game
+from heisgame.heis import Box, ball_points, eval_field, gauge
 from heisgame.flow import exact_step
 from heisgame.grids import Grid3, sample_field
 from heisgame.game import (
+    _alternating_value,
     _node_blocks,
+    ControlLattice,
     GameSpec,
     LipschitzConstants,
     NonFiniteValueError,
@@ -419,6 +422,97 @@ class TestDppResidual:
         v, Y, Z = self.solve_small(spec)
         with pytest.raises(ValueError, match="z lattice radius"):
             dpp_residual(v, spec, Y, make_lattice(0.5, 1, 8), probes=4, sigma_steps=1)
+
+
+def one_point_lattice(radius):
+    return ControlLattice(radius, np.zeros((1, 2)), radius)
+
+
+Z_LATTICES = {1: one_point_lattice(1.0), 9: make_lattice(1.0, 1, 8),
+              81: make_lattice(1.0, 4, 8)}
+# (steps, z lattice size): 81 points only up to 2 steps
+EXPANSIONS = [(1, 1), (2, 1), (3, 1), (1, 9), (2, 9), (3, 9), (1, 81), (2, 81)]
+
+
+class TestBreadthFirstOracle:
+    """The breadth-first grid-free expansion against the depth-first one."""
+
+    Y = make_lattice(1.0, 1, 8)
+
+    @staticmethod
+    def spec(branch):
+        spec = coupling_spec(r_y=1.0)
+        return spec if branch == "coupling" else dataclasses.replace(spec, coupling_base=None)
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
+        return backward_induction(coupling_spec(r_y=1.0), grid, 3, self.Y, Z_LATTICES[9],
+                                  warn_costs=False)
+
+    @pytest.mark.parametrize("branch", ["coupling", "general"])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("steps,mz", [e for e in EXPANSIONS if e[1] <= 9])
+    def test_brute_force_bit_identical(self, branch, which, steps, mz):
+        spec = self.spec(branch)
+        Z = Z_LATTICES[mz]
+        leaf = lambda q: eval_field(spec.terminal_cost, q)
+        for xi in ([0.5, -0.25, 1.0], [-1.5, 2.0, -3.0], [0.0, 0.0, 0.0]):
+            ref = depth_first_value(spec, np.reshape(xi, (1, 3)), 0.0, steps,
+                                    spec.horizon / steps, self.Y, Z, which, leaf)
+            assert brute_force_value(spec, xi, steps, self.Y, Z, which) == ref[0]
+
+    @pytest.mark.parametrize("branch", ["coupling", "general"])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("steps,mz", EXPANSIONS)
+    def test_dpp_residual_bit_identical(self, stack, monkeypatch, branch, which, steps, mz):
+        spec = self.spec(branch)
+        real, pairs = game._alternating_value, []
+
+        def checked(*args):
+            out = real(*args)
+            pairs.append((out, depth_first_value(*args)))
+            return out
+
+        monkeypatch.setattr(game, "_alternating_value", checked)
+        rep = dpp_residual(stack, spec, self.Y, Z_LATTICES[mz], probes=12,
+                           sigma_steps=steps, rng=np.random.default_rng(13), which=which)
+        assert rep.n_evaluated == 12
+        assert len(pairs) >= steps
+        for out, ref in pairs:
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_chunks_are_invisible(self, monkeypatch, which, steps):
+        spec = coupling_spec(r_y=1.0)
+        Z = Z_LATTICES[9]
+        pts = np.column_stack([ball_points(np.random.default_rng(14), 2.0, (40,)),
+                               np.linspace(-3.0, 3.0, 40)])
+        leaf = lambda q: eval_field(spec.terminal_cost, q)
+        args = (spec, pts, 0.0, steps, spec.horizon / steps, self.Y, Z, which, leaf)
+        whole = _alternating_value(*args)
+        real, backups = game._backup, []
+        monkeypatch.setattr(game, "_backup", lambda *a: backups.append(len(a[3])) or real(*a))
+        monkeypatch.setattr(game, "_BLOCK_NODES", 50)
+        chunked = _alternating_value(*args)
+        # the 40 points never run whole, and no backup passes 50 points
+        assert len(pts) not in backups and max(backups) <= 50
+        assert np.array_equal(chunked, whole)
+
+    def test_one_leaf_call_per_z(self, monkeypatch):
+        spec = coupling_spec(r_y=1.0)
+        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
+        v = backward_induction(spec, grid, 2, self.Y, Z_LATTICES[9], warn_costs=False)
+        interp, backup, calls, backups = game.interp_values, game._backup, [], []
+        monkeypatch.setattr(game, "interp_values",
+                            lambda *a: calls.append(len(a[2])) or interp(*a))
+        monkeypatch.setattr(game, "_backup", lambda *a: backups.append(1) or backup(*a))
+        rep = dpp_residual(v, spec, self.Y, Z_LATTICES[9], probes=16, sigma_steps=2)
+        # two slices, so every probe starts at the first: one probe group
+        assert rep.n_evaluated == 16
+        assert calls == [16 * 9] * 9
+        assert len(backups) == 2
 
 
 class TestLipschitzAudit:
