@@ -5,7 +5,9 @@ embedded interpreter; library users can pass arbitrary callables instead.
 Each builder also reports the constants the audits need.  Bounds over a
 box are taken at its corners where the function is componentwise
 monotone; gauge-Lipschitz constants with no closed form are estimated by
-a sampled supremum ratio padded by 25 percent.
+a sampled supremum ratio padded by 25 percent.  A separable running cost,
+``base(t, x, y) + k(y, z)``, also returns ``base`` and the table of ``k``
+(``coupling_pair``, ``None`` for ``z . y``) for the solver's fast path.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class RunningCostModel:
     c1_of_radii: Callable[[float, float], float]
     c1p: float
     coupling_base: Callable | None
+    coupling_pair: Callable | None = None
 
 
 def _estimated_dg_lipschitz(fn: Callable, box: Box, n: int = 8192) -> float:
@@ -180,7 +183,13 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
         def fn(t, x, y, z, value=value):
             return value
 
-        return RunningCostModel(name, fn, lambda ry, rz: abs(value), 0.0, None)
+        def base(t, x, y, value=value):
+            return value
+
+        def pair(ypts, zpts):
+            return np.zeros((len(zpts), len(ypts)))
+
+        return RunningCostModel(name, fn, lambda ry, rz: abs(value), 0.0, base, pair)
     if name == "custom-affine":
         a0 = float(params.pop("a0", 0.0))
         ay = np.asarray(params.pop("ay", (0.0, 0.0)), dtype=float).reshape(2)
@@ -195,7 +204,13 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
             return abs(a0) + float(np.linalg.norm(ay)) * ry \
                 + float(np.linalg.norm(az)) * rz
 
-        return RunningCostModel(name, fn, c1, 0.0, None)
+        def base(t, x, y, a0=a0, ay=ay):
+            return a0 + float(ay @ np.asarray(y, dtype=float))
+
+        def pair(ypts, zpts, az=az):
+            return np.broadcast_to((zpts @ az)[:, None], (len(zpts), len(ypts)))
+
+        return RunningCostModel(name, fn, c1, 0.0, base, pair)
     raise KeyError(f"unknown running cost {name!r}; choose from {RUNNING_COST_NAMES}")
 
 

@@ -54,10 +54,14 @@ class GameSpec:
     shape ``(..., 3)`` (and scalar or matching-shape ``t``) with single
     plane vectors ``y``, ``z``; they broadcast over the point batch.
     ``c1``/``c2`` bound the costs, ``c1p``/``c2p`` are their Lipschitz
-    constants in the gauge distance.  When the running cost has the form
-    ``base(t, x, y) + z . y``, passing ``coupling_base`` lets the solver
-    take a faster path; it never changes results.  Every backward step,
-    on the grid or grid-free, is one ``_backup``; it and the lattice
+    constants in the gauge distance.  When the running cost is separable,
+    ``base(t, x, y) + k(y, z)``, passing ``coupling_base`` and
+    ``coupling_pair(ypts, zpts)``, the ``(mz, my)`` table of ``k`` (``None``
+    for ``z . y``), lets the lower value take a faster path.  The paths
+    round differently, the fast one as ``(W_z + h*k) + h*base`` and the
+    general one as ``W_z + h*F``, so declaring or dropping these fields
+    moves the values by ulps (the tests pin the paths to 1e-12).  Every
+    backward step, on the grid or grid-free, is one ``_backup``; it and the lattice
     Hamiltonians run the one max-min kernel ``_max_min``.  The derived
     constants come from the :class:`LipschitzConstants` table in
     :mod:`heisgame.flow`.
@@ -73,6 +77,7 @@ class GameSpec:
     c2: float
     c2p: float
     coupling_base: Callable | None = None
+    coupling_pair: Callable | None = None
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -139,6 +144,13 @@ COVERING_SAMPLING = {"n_radial": 96, "n_angular": 384}
 
 
 def _covering_radius(points: np.ndarray, radius: float) -> float:
+    """Largest distance from a polar sample of the ball to its nearest point.
+
+    Squared distances are ``(|s|^2 + |p|^2) + (-2 s.p)``, in fixed buffers
+    of 1024 samples; each row's ``min`` is taken before the clip at 0 and
+    the ``sqrt``, which are monotone and correctly rounded, so commute
+    with it exactly.
+    """
     if radius == 0.0:
         return 0.0
     rr = np.linspace(0.0, radius, COVERING_SAMPLING["n_radial"])
@@ -146,11 +158,17 @@ def _covering_radius(points: np.ndarray, radius: float) -> float:
     r, a = np.meshgrid(rr, aa)
     samples = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=-1)
     p_sq = (points ** 2).sum(-1)
+    d_sq = np.empty((1024, len(points)))
+    sums = np.empty_like(d_sq)
     worst = 0.0
-    for k in range(0, len(samples), 4096):
-        s = samples[k:k + 4096]
-        d_sq = (s ** 2).sum(-1)[:, None] + p_sq[None, :] - 2.0 * (s @ points.T)
-        worst = max(worst, float(np.sqrt(np.maximum(d_sq, 0.0).min(axis=1)).max()))
+    for k in range(0, len(samples), 1024):
+        s = samples[k:k + 1024]
+        d, sm = d_sq[:len(s)], sums[:len(s)]
+        np.matmul(s, points.T, out=d)
+        np.multiply(d, -2.0, out=d)
+        np.add((s ** 2).sum(-1)[:, None], p_sq[None, :], out=sm)
+        np.add(sm, d, out=d)
+        worst = max(worst, float(np.sqrt(np.maximum(d.min(axis=1), 0.0)).max()))
     return worst
 
 
@@ -198,25 +216,37 @@ def _as_probe_arrays(t, x, lam):
     return scalar, pts, lam, t
 
 
-def _max_min(n, m_outer, m_inner, row, lower, outer_term=None):
+def _max_min(n, m_outer, m_inner, row, lower, outer_term=None, groups=None):
     """The lattice opt-opt: ``max_a min_b`` if ``lower``, else ``min_a max_b``.
 
     ``row(a, b, out)`` writes the payoff of outer index ``a`` and inner
     index ``b`` into ``out`` of shape ``(n,)``; ``outer_term(a)``, if
-    given, is added after the inner reduction.  Rows accumulate in place,
-    which measured faster than reducing stacked ``(m, n)`` chunks.
+    given, is added after the inner reduction.  Outer indices with equal
+    labels in ``groups`` (an int array of length ``m_outer``) must have
+    equal rows: their inner reduction is computed once, from the rows of
+    the first of them, and held until the last.  The outer opt still takes
+    every ``a`` in order, so grouping never changes a bit of the result.
+    Rows accumulate in place, which measured faster than reducing stacked
+    ``(m, n)`` chunks.
     """
     inner_opt, outer_opt = (np.minimum, np.maximum) if lower else (np.maximum, np.minimum)
+    groups = range(m_outer) if groups is None else groups.tolist()
+    last = {g: a for a, g in enumerate(groups)}
     best = np.full(n, -np.inf if lower else np.inf)
-    acc = np.empty(n)
     scratch = np.empty(n)
-    for a in range(m_outer):
-        row(a, 0, acc)
-        for b in range(1, m_inner):
-            row(a, b, scratch)
-            inner_opt(acc, scratch, out=acc)
+    held = {}
+    for a, g in enumerate(groups):
+        acc = held.pop(g, None)
+        if acc is None:
+            acc = np.empty(n)
+            row(a, 0, acc)
+            for b in range(1, m_inner):
+                row(a, b, scratch)
+                inner_opt(acc, scratch, out=acc)
+        if last[g] > a:
+            held[g] = acc
         if outer_term is not None:
-            np.add(acc, outer_term(a), out=acc)
+            acc = np.add(acc, outer_term(a), out=scratch)
         outer_opt(best, acc, out=best)
     return best
 
@@ -282,20 +312,27 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
 
     ``W`` of shape ``(mz, n)`` holds the continuation values, filled by the
     caller: row ``j`` at the feet ``x o (-h*z_j, 0)`` of the batch, reached
-    with lattice point ``z_j`` under ``xdot = -f(x, z)``.
+    with lattice point ``z_j`` under ``xdot = -f(x, z)``.  For a separable
+    cost the lower value takes ``max_y [min_z (W_z + h*k(y, z)) + h*base(y)]``:
+    ``y`` whose columns of ``offs = h*k`` have equal bits share one
+    ``min_z`` (one group for a ``k`` free of ``y``; ``0.0`` and ``-0.0``
+    differ), and the cost is called only as ``base``, once per ``y``.
+    Otherwise every ``(y, z)`` pair calls ``running_cost``.
     """
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
     lower = which == "lower"
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
     if lower and spec.coupling_base is not None:
-        offs = h * (zpts @ ypts.T)  # (mz, my)
+        pair = zpts @ ypts.T if spec.coupling_pair is None else spec.coupling_pair(ypts, zpts)
+        offs = h * np.asarray(pair, dtype=float)  # (mz, my)
+        _, groups = np.unique(offs.view(np.uint64), axis=1, return_inverse=True)
 
         def base(yi):
             return h * np.asarray(spec.coupling_base(t, pts, ypts[yi]), dtype=float)
 
         return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
-                        True, base)
+                        True, base, groups.reshape(-1))
 
     def row(a, b, out):
         yi, zi = (a, b) if lower else (b, a)

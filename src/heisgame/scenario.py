@@ -233,7 +233,7 @@ def parse_scenario(data: dict) -> Scenario:
             horizon=horizon, r_y=r_y, r_z=r_z,
             running_cost=cost.fn, terminal_cost=term.fn,
             c1=c1, c1p=c1p, c2=c2, c2p=c2p,
-            coupling_base=cost.coupling_base,
+            coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair,
         )
         meta.update(
             running_cost={"name": cost_name, "params": cost_params},

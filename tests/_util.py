@@ -76,3 +76,23 @@ def depth_first_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which,
         W[j] = depth_first_value(spec, exact_step(pts, z, h, "minus"), t_start + h,
                                  steps - 1, h, y_lattice, z_lattice, which, leaf)
     return _backup(spec, t_start, h, pts, W, y_lattice, z_lattice, which)
+
+
+def covering_radius_reference(points, radius):
+    """The covering radius in 4096-sample chunks with one temporary per
+    operation: reference for ``game._covering_radius``."""
+    from heisgame.game import COVERING_SAMPLING
+
+    if radius == 0.0:
+        return 0.0
+    rr = np.linspace(0.0, radius, COVERING_SAMPLING["n_radial"])
+    aa = np.linspace(0.0, 2 * np.pi, COVERING_SAMPLING["n_angular"], endpoint=False)
+    r, a = np.meshgrid(rr, aa)
+    samples = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=-1)
+    p_sq = (points ** 2).sum(-1)
+    worst = 0.0
+    for k in range(0, len(samples), 4096):
+        s = samples[k:k + 4096]
+        d_sq = (s ** 2).sum(-1)[:, None] + p_sq[None, :] - 2.0 * (s @ points.T)
+        worst = max(worst, float(np.sqrt(np.maximum(d_sq, 0.0).min(axis=1)).max()))
+    return worst

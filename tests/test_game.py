@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, depth_first_value
+from _util import DEFAULT_BOX, covering_radius_reference, depth_first_value
 
 import heisgame.game as game
+from heisgame.catalog import make_running_cost
 from heisgame.heis import Box, ball_points, eval_field, gauge
 from heisgame.flow import exact_step
 from heisgame.grids import Grid3, sample_field
@@ -27,11 +28,12 @@ from heisgame.game import (
     make_lattice,
     upper_hamiltonian,
 )
-from heisgame.scenario import load_scenario
+from heisgame.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMALL_BOX = Box([-4, -4, -8], [4, 4, 8])
 SMALL_COUNTS = (9, 9, 17)
+AFFINE_PARAMS = {"a0": 0.25, "ay": [0.5, -0.25], "az": [0.3, 0.2]}
 
 
 def coupling_spec(r_y=2.0, r_z=1.0, horizon=1.0):
@@ -75,6 +77,28 @@ class TestMakeLattice:
         lat = make_lattice(2.0, rings=4, base_angles=8)
         assert len(lat.points) == 1 + 8 * (1 + 2 + 3 + 4)
         assert lat.covering_radius <= 0.2 * 2.0
+
+    @pytest.mark.parametrize("rings", [1, 4, 16])
+    def test_covering_radius_bit_identical(self, rings):
+        lat = make_lattice(2.0, rings, 8)
+        assert lat.covering_radius == covering_radius_reference(lat.points, 2.0)
+
+    def test_covering_radius_random_and_zero_radius(self):
+        pts = ball_points(np.random.default_rng(21), 1.5, (200,))
+        got = game._covering_radius(pts, 1.5)
+        assert got > 0 and got == covering_radius_reference(pts, 1.5)
+        assert game._covering_radius(np.zeros((1, 2)), 0.0) == 0.0
+
+    def test_covering_radius_memory(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            make_lattice(2.0, 16, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_ordering_center_then_rings(self):
         lat = make_lattice(1.0, rings=2, base_angles=4)
@@ -271,7 +295,8 @@ class TestBackwardInduction:
         v2 = backward_induction(spec, self.grid(), 3, self.Y, self.Z, threads=3)
         assert np.array_equal(v1.data, v2.data)
 
-    @pytest.mark.parametrize("name", ["canonical.json", "coupling-game.json", "tilted"])
+    @pytest.mark.parametrize("name", ["canonical.json", "coupling-game.json", "tilted",
+                                      "custom-affine", "constant"])
     def test_coupling_path_matches_general_path(self, name):
         if name == "tilted":
             # F = 2*y1 + z . y: the maximizer leaves the centre, so the
@@ -281,6 +306,13 @@ class TestBackwardInduction:
             spec = simple_spec(cost, gauge, r_y=2.0, r_z=0.5, c1=5.0, c2=20.0,
                                coupling_base=base)
             box, y_lat, z_lat = SMALL_BOX, make_lattice(2.0, 2, 8), make_lattice(0.5, 2, 8)
+        elif name in ("custom-affine", "constant"):
+            params = AFFINE_PARAMS if name == "custom-affine" else {"value": 0.75}
+            cost = make_running_cost(name, params)
+            spec = dataclasses.replace(
+                simple_spec(cost.fn, gauge, r_y=2.0, r_z=1.0, c1=2.0, c2=20.0),
+                coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair)
+            box, y_lat, z_lat = SMALL_BOX, make_lattice(2.0, 2, 8), make_lattice(1.0, 1, 8)
         else:
             sc = load_scenario(SCENARIOS / name)
             spec, box, (y_lat, z_lat) = sc.game, sc.box, sc.make_lattices()
@@ -290,6 +322,65 @@ class TestBackwardInduction:
         fast = backward_induction(spec, grid, 3, y_lat, z_lat, warn_costs=False)
         slow = backward_induction(general, grid, 3, y_lat, z_lat, warn_costs=False)
         assert np.abs(fast.data - slow.data).max() <= 1e-12
+
+    def test_grouped_pair_columns_bit_identical(self):
+        # columns 0 and 3 are equal and 2 and 4 are equal; column 1 differs
+        # from column 0 only in the sign of a zero, which the value shows
+        col = np.array([0.5, 0.0, 1.0])
+        neg = np.array([0.5, -0.0, 1.0])
+        other = np.array([0.25, -1.0, 2.0])
+        table = np.stack([col, neg, other, col, other], axis=1)
+        ypts = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]])
+        bases = {0: -1.0, 1: -0.0, 2: -2.0, 3: -3.0, 4: -4.0}
+        index = {tuple(y): i for i, y in enumerate(ypts)}
+        base = lambda t, x, y: np.full(len(x), bases[index[tuple(y)]])
+        spec = dataclasses.replace(
+            simple_spec(None, gauge), coupling_base=base,
+            coupling_pair=lambda yp, zp: table)
+        Y = ControlLattice(1.0, ypts, 1.0)
+        Z = ControlLattice(1.0, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), 1.0)
+        W = np.array([[3.0, 3.0, 3.0, 0.5], [-0.0, 1.0, -0.0, -2.0], [3.0, -7.0, 3.0, -5.0]])
+        h = 0.5
+        pts = np.zeros((W.shape[1], 3))
+        got = game._backup(spec, 0.0, h, pts, W, Y, Z, "lower")
+        ref = np.full(len(pts), -np.inf)
+        for yi, y in enumerate(ypts):
+            acc = W[0] + h * table[0, yi]
+            for zi in range(1, len(table)):
+                acc = np.minimum(acc, W[zi] + h * table[zi, yi])
+            ref = np.maximum(ref, acc + h * base(0.0, pts, y))
+        assert np.signbit(ref[0])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_separable_cost_skips_running_cost(self):
+        data = {
+            "schema": 1, "kind": "game", "horizon": 0.25,
+            "radii": {"r_y": 2.0, "r_z": 1.0},
+            "running_cost": {"name": "custom-affine", "params": AFFINE_PARAMS},
+            "terminal": {"name": "gauge"},
+            "grid": {"box": [[-4, 4], [-4, 4], [-8, 8]], "counts": list(SMALL_COUNTS)},
+            "time_steps": 2,
+            "lattice": {"y": {"rings": 2, "base_angles": 8},
+                        "z": {"rings": 1, "base_angles": 8}},
+            "seed": 0,
+        }
+        sc = parse_scenario(data)
+        y_lat, z_lat = sc.make_lattices()
+        calls = {"cost": 0, "base": 0}
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return None if fn is None else wrapped
+
+        spec = dataclasses.replace(sc.game, running_cost=counted("cost", sc.game.running_cost),
+                                   coupling_base=counted("base", sc.game.coupling_base))
+        grid = Grid3(sc.box, np.zeros(SMALL_COUNTS))
+        backward_induction(spec, grid, sc.n_steps, y_lat, z_lat, warn_costs=False)
+        # one block per step
+        assert calls["cost"] == 0
+        assert calls["base"] <= len(y_lat.points) * sc.n_steps
 
     def test_upper_at_least_lower(self):
         spec = coupling_spec(r_y=1.0)
