@@ -61,9 +61,9 @@ class GameSpec:
     round differently, the fast one as ``(W_z + h*k) + h*base`` and the
     general one as ``W_z + h*F``, so declaring or dropping these fields
     moves the values by ulps (the tests pin the paths to 1e-12).  Every
-    backward step, on the grid or grid-free, is one ``_backup``; it and the lattice
-    Hamiltonians run the one max-min kernel ``_max_min``.  The derived
-    constants come from the :class:`LipschitzConstants` table in
+    backward step, on the grid or grid-free, is one ``_backup``; it and the
+    lattice Hamiltonians run the one max-min kernel ``_max_min``.  The
+    derived constants come from the :class:`LipschitzConstants` table in
     :mod:`heisgame.flow`.
     """
 
@@ -224,27 +224,29 @@ def _max_min(n, m_outer, m_inner, row, lower, outer_term=None, groups=None):
     given, is added after the inner reduction.  Outer indices with equal
     labels in ``groups`` (an int array of length ``m_outer``) must have
     equal rows: their inner reduction is computed once, from the rows of
-    the first of them, and held until the last.  The outer opt still takes
-    every ``a`` in order, so grouping never changes a bit of the result.
-    Rows accumulate in place, which measured faster than reducing stacked
-    ``(m, n)`` chunks.
+    the first of them, and held until the last, after which its buffer is
+    reused.  The outer opt still takes every ``a`` in order, so grouping
+    never changes a bit of the result.  Rows accumulate in place, which
+    measured faster than reducing stacked ``(m, n)`` chunks.
     """
     inner_opt, outer_opt = (np.minimum, np.maximum) if lower else (np.maximum, np.minimum)
     groups = range(m_outer) if groups is None else groups.tolist()
     last = {g: a for a, g in enumerate(groups)}
     best = np.full(n, -np.inf if lower else np.inf)
     scratch = np.empty(n)
-    held = {}
+    held, spare = {}, []
     for a, g in enumerate(groups):
         acc = held.pop(g, None)
         if acc is None:
-            acc = np.empty(n)
+            acc = spare.pop() if spare else np.empty(n)
             row(a, 0, acc)
             for b in range(1, m_inner):
                 row(a, b, scratch)
                 inner_opt(acc, scratch, out=acc)
         if last[g] > a:
             held[g] = acc
+        else:
+            spare.append(acc)
         if outer_term is not None:
             acc = np.add(acc, outer_term(a), out=scratch)
         outer_opt(best, acc, out=best)
