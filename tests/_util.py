@@ -4,7 +4,7 @@ import numpy as np
 
 from heisgame.catalog import make_hamiltonian, make_terminal
 from heisgame.flow import exact_step
-from heisgame.game import _backup
+from heisgame.game import COVERING_SAMPLING, _backup
 from heisgame.heis import Box, ball_points
 from heisgame.hji import HjiProblem, build_game, derived_radii
 
@@ -81,8 +81,6 @@ def depth_first_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which,
 def covering_radius_reference(points, radius):
     """The covering radius in 4096-sample chunks with one temporary per
     operation: reference for ``game._covering_radius``."""
-    from heisgame.game import COVERING_SAMPLING
-
     if radius == 0.0:
         return 0.0
     rr = np.linspace(0.0, radius, COVERING_SAMPLING["n_radial"])

@@ -378,7 +378,7 @@ class TestBackwardInduction:
                                    coupling_base=counted("base", sc.game.coupling_base))
         grid = Grid3(sc.box, np.zeros(SMALL_COUNTS))
         backward_induction(spec, grid, sc.n_steps, y_lat, z_lat, warn_costs=False)
-        # one block per step
+        # the 9x9x17 nodes form one serial block, so one block per step
         assert calls["cost"] == 0
         assert calls["base"] <= len(y_lat.points) * sc.n_steps
 
