@@ -8,6 +8,13 @@ monotone; gauge-Lipschitz constants with no closed form are estimated by
 a sampled supremum ratio padded by 25 percent.  A separable running cost,
 ``base(t, x, y) + k(y, z)``, also returns ``base`` and the table of ``k``
 (``coupling_pair``, ``None`` for ``z . y``) for the solver's fast path.
+
+Each entry also declares the group reflections it commutes with
+(``reflections``, names from ``game.REFLECTIONS``): ``"x2"`` maps
+``(x1, x2, x3)`` to ``(x1, -x2, -x3)`` and ``y, z`` to ``(y1, -y2)``;
+``"x1"`` maps them to ``(-x1, x2, -x3)`` and ``(-y1, y2)``.  The set is
+derived from the parameters by exact zero tests, so a parameter that
+breaks a reflection drops it.
 """
 
 from __future__ import annotations
@@ -36,32 +43,52 @@ HAMILTONIAN_NAMES = ("norm", "component", "constant", "shifted-norm")
 RUNNING_COST_NAMES = ("coupling", "constant", "custom-affine")
 
 
+_BOTH = frozenset({"x1", "x2"})
+
+
+def _reflections(x1: bool, x2: bool) -> frozenset:
+    """The names of the reflections whose zero tests hold."""
+    return frozenset(name for name, ok in (("x1", x1), ("x2", x2)) if ok)
+
+
 @dataclass(frozen=True)
 class TerminalCost:
+    """A terminal cost or initial datum ``g(x)``; ``reflections`` are those
+    with ``g(s(x)) = g(x)``."""
+
     name: str
     fn: Callable
     c2: float
     c2p: float
     h_convex: bool
+    reflections: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
 class HamiltonianModel:
+    """A Hamiltonian ``Ham(t, x, y)``; ``reflections`` are those with
+    ``Ham(t, s(x), r(y)) = Ham(t, x, y)``."""
+
     name: str
     fn: Callable
     lip_y: float
     d1p: float
     d1_of_radius: Callable[[float], float]
+    reflections: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
 class RunningCostModel:
+    """A running cost ``F(t, x, y, z)``; ``reflections`` are those with
+    ``F(t, s(x), r(y), r(z)) = F(t, x, y, z)``."""
+
     name: str
     fn: Callable
     c1_of_radii: Callable[[float, float], float]
     c1p: float
     coupling_base: Callable | None
     coupling_pair: Callable | None = None
+    reflections: frozenset = frozenset()
 
 
 def _estimated_dg_lipschitz(fn: Callable, box: Box, n: int = 8192) -> float:
@@ -87,7 +114,7 @@ def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
     params = dict(params or {})
     if name == "gauge":
         c2 = float(gauge(box.corners()).max())
-        return TerminalCost(name, gauge, c2, 1.0, True)
+        return TerminalCost(name, gauge, c2, 1.0, True, _BOTH)
     if name == "euclidean-norm-squared-truncated":
         corners_sq = float((box.corners() ** 2).sum(-1).max())
         cap = float(params.pop("cap", corners_sq))
@@ -97,7 +124,7 @@ def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
             x = np.asarray(x, dtype=float)
             return np.minimum((x * x).sum(-1), cap)
 
-        return TerminalCost(name, fn, cap, _estimated_dg_lipschitz(fn, box), False)
+        return TerminalCost(name, fn, cap, _estimated_dg_lipschitz(fn, box), False, _BOTH)
     if name == "affine":
         a = np.asarray(params.pop("a", (1.0, 0.0, 0.0)), dtype=float).reshape(3)
         b = float(params.pop("b", 0.0))
@@ -111,7 +138,8 @@ def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
             c2p = float(np.hypot(a[0], a[1]))
         else:
             c2p = _estimated_dg_lipschitz(fn, box)
-        return TerminalCost(name, fn, c2, c2p, True)
+        return TerminalCost(name, fn, c2, c2p, True,
+                            _reflections(a[0] == a[2] == 0.0, a[1] == a[2] == 0.0))
     if name == "constant":
         value = float(params.pop("value", 0.0))
         _no_extra(name, params)
@@ -120,7 +148,7 @@ def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
             x = np.asarray(x, dtype=float)
             return np.full(x.shape[:-1], value)
 
-        return TerminalCost(name, fn, abs(value), 0.0, True)
+        return TerminalCost(name, fn, abs(value), 0.0, True, _BOTH)
     raise KeyError(f"unknown terminal cost {name!r}; choose from {TERMINAL_NAMES}")
 
 
@@ -132,14 +160,14 @@ def make_hamiltonian(name: str, params: dict | None) -> HamiltonianModel:
         def fn(t, x, y):
             return np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
 
-        return HamiltonianModel(name, fn, 1.0, 0.0, lambda ry: ry)
+        return HamiltonianModel(name, fn, 1.0, 0.0, lambda ry: ry, _BOTH)
     if name == "component":
         _no_extra(name, params)
 
         def fn(t, x, y):
             return np.asarray(y, dtype=float)[..., 0]
 
-        return HamiltonianModel(name, fn, 1.0, 0.0, lambda ry: ry)
+        return HamiltonianModel(name, fn, 1.0, 0.0, lambda ry: ry, frozenset({"x2"}))
     if name == "constant":
         value = float(params.pop("value", 0.0))
         _no_extra(name, params)
@@ -148,7 +176,7 @@ def make_hamiltonian(name: str, params: dict | None) -> HamiltonianModel:
             y = np.asarray(y, dtype=float)
             return np.full(y.shape[:-1], value)
 
-        return HamiltonianModel(name, fn, 0.0, 0.0, lambda ry: abs(value))
+        return HamiltonianModel(name, fn, 0.0, 0.0, lambda ry: abs(value), _BOTH)
     if name == "shifted-norm":
         shift = np.asarray(params.pop("shift", (0.0, 0.0)), dtype=float).reshape(2)
         offset = float(params.pop("offset", 0.0))
@@ -158,7 +186,8 @@ def make_hamiltonian(name: str, params: dict | None) -> HamiltonianModel:
             return np.linalg.norm(np.asarray(y, dtype=float) - shift, axis=-1) + offset
 
         d1 = lambda ry: ry + float(np.linalg.norm(shift)) + abs(offset)
-        return HamiltonianModel(name, fn, 1.0, 0.0, d1)
+        return HamiltonianModel(name, fn, 1.0, 0.0, d1,
+                                _reflections(shift[0] == 0.0, shift[1] == 0.0))
     raise KeyError(f"unknown Hamiltonian {name!r}; choose from {HAMILTONIAN_NAMES}")
 
 
@@ -175,7 +204,8 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
             z = np.asarray(z, dtype=float)
             return float(z @ y) - np.linalg.norm(y)
 
-        return RunningCostModel(name, fn, lambda ry, rz: ry * rz + ry, 0.0, base)
+        return RunningCostModel(name, fn, lambda ry, rz: ry * rz + ry, 0.0, base,
+                                reflections=_BOTH)
     if name == "constant":
         value = float(params.pop("value", 0.0))
         _no_extra(name, params)
@@ -189,7 +219,7 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
         def pair(ypts, zpts):
             return np.zeros((len(zpts), len(ypts)))
 
-        return RunningCostModel(name, fn, lambda ry, rz: abs(value), 0.0, base, pair)
+        return RunningCostModel(name, fn, lambda ry, rz: abs(value), 0.0, base, pair, _BOTH)
     if name == "custom-affine":
         a0 = float(params.pop("a0", 0.0))
         ay = np.asarray(params.pop("ay", (0.0, 0.0)), dtype=float).reshape(2)
@@ -210,7 +240,8 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
         def pair(ypts, zpts, az=az):
             return np.broadcast_to((zpts @ az)[:, None], (len(zpts), len(ypts)))
 
-        return RunningCostModel(name, fn, c1, 0.0, base, pair)
+        return RunningCostModel(name, fn, c1, 0.0, base, pair, _reflections(
+            ay[0] == az[0] == 0.0, ay[1] == az[1] == 0.0))
     raise KeyError(f"unknown running cost {name!r}; choose from {RUNNING_COST_NAMES}")
 
 

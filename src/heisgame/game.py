@@ -30,6 +30,8 @@ __all__ = [
     "LipschitzConstants",
     "NonFiniteValueError",
     "make_lattice",
+    "REFLECTIONS",
+    "fundamental_domain",
     "lower_hamiltonian",
     "upper_hamiltonian",
     "isaacs_gap",
@@ -44,6 +46,13 @@ __all__ = [
 
 class NonFiniteValueError(RuntimeError):
     """A cost or value evaluation produced a non-finite number."""
+
+
+# the group reflections a game may declare, named by the horizontal axis they
+# flip: (x1, x2, x3) -> (x1, -x2, -x3) is "x2", (-x1, x2, -x3) is "x1"; both
+# are automorphisms of the group law and isometries of d_G.  Each entry is
+# the reflection's action on the plane of y, z and of the horizontal step.
+REFLECTIONS = {"x1": (-1.0, 1.0), "x2": (1.0, -1.0)}
 
 
 @dataclass
@@ -65,6 +74,14 @@ class GameSpec:
     lattice Hamiltonians run the one max-min kernel ``_max_min``.  The
     derived constants come from the :class:`LipschitzConstants` table in
     :mod:`heisgame.flow`.
+
+    ``reflections`` names the group reflections of :data:`REFLECTIONS`
+    that both costs commute with: ``F(t, s(x), r(y), r(z)) = F(t, x, y, z)``
+    and ``G(s(x)) = G(x)``, with ``s`` the automorphism and ``r`` its
+    action on the plane.  Declaring one lets ``backward_induction`` solve
+    half the grid per reflection (see :func:`fundamental_domain`); the
+    declaration is checked on samples (:meth:`check_reflections`), never
+    assumed.  The default, none, keeps the full-grid path.
     """
 
     horizon: float
@@ -78,8 +95,14 @@ class GameSpec:
     c2p: float
     coupling_base: Callable | None = None
     coupling_pair: Callable | None = None
+    reflections: tuple[str, ...] = ()
 
     def __post_init__(self):
+        unknown = set(self.reflections) - set(REFLECTIONS)
+        if unknown:
+            raise ValueError(f"unknown reflections {sorted(unknown)}; "
+                             f"choose from {sorted(REFLECTIONS)}")
+        self.reflections = tuple(sorted(set(self.reflections)))
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.r_y < 0 or self.r_z < 0:
@@ -119,6 +142,42 @@ class GameSpec:
         for m in msgs:
             warnings.warn(m, stacklevel=3)
         return msgs
+
+    def check_reflections(self, box: Box) -> None:
+        """Sampled check of each declared reflection on both costs, at 128
+        points of ``box`` and 4 draws of ``(t, y, z)``.
+
+        Raises ``ValueError`` naming the first cost that moves by more than
+        ``1e-12 * (1 + |value|)`` under a declared reflection.
+        """
+        rng = np.random.default_rng(0)
+        n = 128
+        pts = box.sample(n, rng)
+        for name in self.reflections:
+            flip = np.array(REFLECTIONS[name])
+            point_flip = np.append(flip, -1.0)
+            pairs = [("terminal cost", eval_field(self.terminal_cost, pts),
+                      eval_field(self.terminal_cost, pts * point_flip))]
+            for _ in range(4):
+                t = rng.random() * self.horizon
+                y = ball_points(rng, self.r_y)
+                z = ball_points(rng, self.r_z)
+                pairs.append((f"running cost at t={t:.4g}, y={y}, z={z}",
+                              self.running_cost(t, pts, y, z),
+                              self.running_cost(t, pts * point_flip, y * flip, z * flip)))
+            for what, a, b in pairs:
+                a, b = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (a, b))
+                # pairs of non-finite values pass here; the solve reports them
+                with np.errstate(invalid="ignore"):
+                    gap = np.abs(a - b)
+                bad = ~(gap <= 1e-12 * (1 + np.fmin(np.abs(a), np.abs(b))))
+                bad &= np.isfinite(a) | np.isfinite(b)
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    raise ValueError(
+                        f"declared reflection {name!r} does not hold: the {what} "
+                        f"moves by {gap[k]:.6g} at x={pts[k]}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -350,6 +409,51 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     return _max_min(n, *sizes, row, lower)
 
 
+def fundamental_domain(spec: GameSpec, grid: Grid3, y_lattice: ControlLattice,
+                       z_lattice: ControlLattice) -> tuple[tuple[str, ...], tuple[int, int]]:
+    """The reflections ``backward_induction`` uses, and the first x1 and x2
+    node indices of the part of the grid it solves.
+
+    A declared reflection is used when its flipped axis and the x3 axis are
+    exactly antisymmetric (``a == -a[::-1]``) and both lattices map onto
+    themselves as point sets to 1e-12; the solved part then starts at
+    ``n // 2`` on that axis, the nodes with ``x >= 0``.  The tests run in
+    that order, so a game that declares nothing pays nothing.
+    """
+    axes = grid.axes()
+    used, starts = [], [0, 0]
+    for name in spec.reflections:
+        axis = 0 if name == "x1" else 1
+        if not all(np.array_equal(a, -a[::-1]) for a in (axes[axis], axes[2])):
+            continue
+        flip = np.array(REFLECTIONS[name])
+        if all(_maps_onto(lat.points, flip) for lat in (y_lattice, z_lattice)):
+            used.append(name)
+            starts[axis] = len(axes[axis]) // 2
+    return tuple(used), tuple(starts)
+
+
+def _maps_onto(points: np.ndarray, flip: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether every flipped point lies within ``tol`` of a lattice point."""
+    flipped = points * flip
+    for k in range(0, len(points), 64):
+        gap = np.abs(flipped[k:k + 64, None, :] - points[None, :, :]).max(-1).min(-1)
+        if (gap > tol).any():
+            return False
+    return True
+
+
+def _unfold(a: np.ndarray, s1: int, s2: int) -> None:
+    """Fill an ``(n1, n2, n3)`` slice in place from its solved part
+    ``a[s1:, s2:]``: ``(x1, -x2, -x3)`` mirrors the x2 axis, then
+    ``(-x1, x2, -x3)`` the x1 axis; a node mirrored once reads its column
+    reversed, one mirrored twice reads it as is."""
+    if s2:
+        a[s1:, :s2] = a[s1:, ::-1, ::-1][:, :s2]
+    if s1:
+        a[:s1] = a[::-1, :, ::-1][:s1]
+
+
 def backward_induction(
     spec: GameSpec,
     grid: Grid3,
@@ -376,6 +480,15 @@ def backward_induction(
     A node is flagged untrusted at a step when that step's interpolation
     clamps its stepped point for some lattice ``z``; ``trusted_region`` is
     the reach-certified sub-box.
+
+    Where the game declares reflections (``GameSpec.reflections``) that the
+    grid and lattices also have (:func:`fundamental_domain`), each step
+    solves only the nodes with ``x1 >= 0`` and/or ``x2 >= 0``, still a
+    tensor grid, and fills the rest of the slice and its trusted row by
+    mirroring (each value slice is invariant).  The values then differ from
+    the full-grid solve by ulps, since the mirrored nodes' lerps run from
+    the other side.  The declarations are checked on samples first; a wrong
+    one raises ``ValueError``.
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
@@ -384,10 +497,10 @@ def backward_induction(
     _check_lattices(spec, y_lattice, z_lattice)
 
     box, counts = grid.box, grid.counts
+    spec.check_reflections(box)
     h = spec.horizon / n_steps
     times = np.linspace(0.0, spec.horizon, n_steps + 1)
     nodes = grid.node_coordinates()
-    n = len(nodes)
 
     if warn_costs:
         spec.spot_check(box)
@@ -398,24 +511,28 @@ def backward_induction(
         k = int(np.argmax(~np.isfinite(g_vals)))
         raise NonFiniteValueError(f"terminal cost non-finite at node {nodes[k]}")
 
-    data = np.empty((n_steps + 1, n))
-    data[n_steps] = g_vals
-    trusted = np.ones((n_steps + 1, n), dtype=bool)
+    data = np.empty((n_steps + 1,) + counts)
+    data[n_steps] = g_vals.reshape(counts)
+    trusted = np.ones((n_steps + 1,) + counts, dtype=bool)
 
+    # the solved part: all of the grid, or its x1 >= 0 and/or x2 >= 0 part
+    _, (s1, s2) = fundamental_domain(spec, grid, y_lattice, z_lattice)
     x1, x2, x3 = grid.axes()
+    axes = (x1[s1:], x2[s2:], x3)
+    solved = nodes.reshape(counts + (3,))[s1:, s2:].reshape(-1, 3)
 
     def run_block(k, planes, sl):
-        v_next, inside = data[k + 1].reshape(counts), trusted[k, sl]
-        axes = (x1[planes], x2, x3)
+        block_axes = (axes[0][planes], axes[1], axes[2])
         W = np.empty((len(z_lattice.points), sl.stop - sl.start))
+        inside = np.ones(sl.stop - sl.start, dtype=bool)
         for j, z in enumerate(z_lattice.points):
-            W[j], ok = interp_values(box, v_next, StepFeet(axes, -h * z))
+            W[j], ok = interp_values(box, data[k + 1], StepFeet(block_axes, -h * z))
             np.logical_and(inside, ok, out=inside)
-        return _backup(spec, times[k], h, nodes[sl], W, y_lattice, z_lattice, which)
+        return _backup(spec, times[k], h, solved[sl], W, y_lattice, z_lattice, which), inside
 
-    plane = counts[1] * counts[2]
+    plane = len(axes[1]) * len(axes[2])
     blocks = [(pl, slice(pl.start * plane, pl.stop * plane))
-              for pl in _node_blocks(n, threads, plane)]
+              for pl in _node_blocks(len(solved), threads, plane)]
     pool = None
     if threads and threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -424,16 +541,19 @@ def backward_induction(
     with pool or nullcontext():
         for k in range(n_steps - 1, -1, -1):
             results = (pool.map if pool else map)(lambda b: run_block(k, *b), blocks)
-            for (_, sl), vals in zip(blocks, results):
-                data[k, sl] = vals
+            part, part_trusted = data[k, s1:, s2:], trusted[k, s1:, s2:]
+            for (planes, _), (vals, inside) in zip(blocks, results):
+                part[planes] = vals.reshape(-1, *part.shape[1:])
+                part_trusted[planes] = inside.reshape(-1, *part.shape[1:])
+            _unfold(data[k], s1, s2)
+            _unfold(trusted[k], s1, s2)
             if not np.isfinite(data[k]).all():
                 bad = int(np.argmax(~np.isfinite(data[k])))
                 raise NonFiniteValueError(
                     f"non-finite value at t={times[k]:.6g}, node {nodes[bad]}"
                 )
 
-    shape = (n_steps + 1,) + counts
-    return ValueGrid(box, times, data.reshape(shape), region, trusted.reshape(shape))
+    return ValueGrid(box, times, data, region, trusted)
 
 
 # nodes in one serial block of ``backward_induction``; also the largest

@@ -140,12 +140,15 @@ def eval_field(f: Callable, pts: np.ndarray) -> np.ndarray:
     """Evaluate a scalar field on an ``(n, 3)`` batch of points.
 
     Vectorized fields are called once; scalar-only callables fall back
-    to a per-point loop.
+    to a per-point loop.  The fallback runs only when the batch call
+    returns the wrong shape or raises ``TypeError`` or ``ValueError``, as
+    scalar code does on an array (``float(array)``, ``if array:``); any
+    other exception propagates from the one batch call.
     """
     pts = _pts(pts)
     try:
         vals = np.asarray(f(pts), dtype=float)
-    except Exception:
+    except (TypeError, ValueError):
         vals = None
     if vals is None or vals.shape != pts.shape[:-1]:
         vals = np.asarray([float(f(p)) for p in pts.reshape(-1, 3)], dtype=float)

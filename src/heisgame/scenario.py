@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +201,8 @@ def parse_scenario(data: dict) -> Scenario:
         r_y, _ = derived_radii(probe)
         d1 = override("d1", ham.d1_of_radius(r_y))
         problem = HjiProblem(horizon, ham.fn, init.fn, d1, d1p, lip_y, c2, c2p)
-        game = build_game(problem)
+        game = replace(build_game(problem),
+                       reflections=tuple(ham.reflections & init.reflections))
         meta.update(
             hamiltonian={"name": ham_name, "params": ham_params},
             initial={"name": init_name, "params": init_params,
@@ -234,6 +235,7 @@ def parse_scenario(data: dict) -> Scenario:
             running_cost=cost.fn, terminal_cost=term.fn,
             c1=c1, c1p=c1p, c2=c2, c2p=c2p,
             coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair,
+            reflections=tuple(cost.reflections & term.reflections),
         )
         meta.update(
             running_cost={"name": cost_name, "params": cost_params},

@@ -22,6 +22,7 @@ from heisgame.game import (
     backward_induction,
     brute_force_value,
     dpp_residual,
+    fundamental_domain,
     isaacs_gap,
     lipschitz_audit,
     lower_hamiltonian,
@@ -431,6 +432,146 @@ class TestBackwardInduction:
             warnings.simplefilter("always")
             backward_induction(spec, self.grid(), 2, self.Y, self.Z)
         assert any("c2" in str(x.message) for x in w)
+
+
+# grids whose axes linspace makes exactly antisymmetric: 2**k + 1 nodes on
+# [-4, 4] and [-8, 8], and 16 or 32 nodes at a spacing of 0.5
+SYMMETRIC_GRIDS = {
+    "17x16x33": Grid3(Box([-4, -3.75, -8], [4, 3.75, 8]), np.zeros((17, 16, 33))),
+    "16x17x32": Grid3(Box([-3.75, -4, -7.75], [3.75, 4, 7.75]), np.zeros((16, 17, 32))),
+}
+
+
+def full_path(spec, grid, y_lat, z_lat, which="lower", n_steps=3):
+    return backward_induction(dataclasses.replace(spec, reflections=()), grid, n_steps,
+                              y_lat, z_lat, which=which, warn_costs=False)
+
+
+def hji_scenario(hamiltonian, counts=(17, 17, 33), base_angles=8):
+    return parse_scenario({
+        "schema": 1, "kind": "hji", "horizon": 1.0, "hamiltonian": hamiltonian,
+        "initial": {"name": "gauge"},
+        "grid": {"box": [[-4, 4], [-4, 4], [-8, 8]], "counts": list(counts)},
+        "time_steps": 3, "lattice": {"rings": 2, "base_angles": base_angles},
+    })
+
+
+class TestReflections:
+    """The solve of the fundamental domain against the full-grid solve."""
+
+    @pytest.mark.parametrize("grid_name", SYMMETRIC_GRIDS)
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("name", ["canonical.json", "constant-hamiltonian.json",
+                                      "coupling-game.json"])
+    def test_quadrant_matches_full_grid(self, name, which, grid_name):
+        sc = load_scenario(SCENARIOS / name)
+        grid = SYMMETRIC_GRIDS[grid_name]
+        y_lat, z_lat = sc.make_lattices()
+        n1, n2, _ = grid.counts
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) \
+            == (("x1", "x2"), (n1 // 2, n2 // 2))
+        full = full_path(sc.game, grid, y_lat, z_lat, which)
+        runs = [backward_induction(sc.game, grid, 3, y_lat, z_lat, which=which,
+                                   threads=t, warn_costs=False) for t in (0, 2, 0)]
+        assert np.abs(runs[0].data - full.data).max() <= 1e-12
+        assert np.array_equal(runs[0].trusted, full.trusted)
+        # the constant Hamiltonian has R_Z = 0: nothing moves or clamps
+        assert sc.game.r_z == 0 or not full.trusted[0].all()
+        for rerun in runs[1:]:
+            assert np.array_equal(rerun.data, runs[0].data)
+            assert np.array_equal(rerun.trusted, runs[0].trusted)
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_one_reflection(self, which):
+        # y1 is odd under the x1 reflection, so only the x2 half is mirrored
+        sc = hji_scenario({"name": "component"})
+        assert sc.game.reflections == ("x2",)
+        grid = Grid3(sc.box, np.zeros(sc.counts))
+        y_lat, z_lat = sc.make_lattices()
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == (("x2",), (0, 8))
+        full = full_path(sc.game, grid, y_lat, z_lat, which)
+        half = backward_induction(sc.game, grid, 3, y_lat, z_lat, which=which,
+                                  warn_costs=False)
+        assert np.abs(half.data - full.data).max() <= 1e-12
+        assert np.array_equal(half.trusted, full.trusted)
+        # the value is not invariant under the reflection it lacks
+        assert np.abs(half.data[0] - half.data[0, ::-1, :, ::-1]).max() > 1e-3
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_several_blocks(self, monkeypatch, threads):
+        # 33x33x17 solved nodes: more than one threaded block of 16384
+        spec = dataclasses.replace(coupling_spec(r_y=1.0), reflections=("x1", "x2"))
+        grid = Grid3(SMALL_BOX, np.zeros((65, 65, 17)))
+        Y = Z = make_lattice(1.0, 1, 8)
+        assert len(_node_blocks(33 * 33 * 17, 2, 33 * 17)) == 2
+        monkeypatch.setattr(game, "_BLOCK_NODES", 5000)
+        assert len(_node_blocks(33 * 33 * 17, 0, 33 * 17)) == 4
+        full = full_path(spec, grid, Y, Z, n_steps=2)
+        quad = backward_induction(spec, grid, 2, Y, Z, threads=threads, warn_costs=False)
+        assert np.abs(quad.data - full.data).max() <= 1e-12
+        assert np.array_equal(quad.trusted, full.trusted)
+
+    @pytest.mark.parametrize("wrong", ["running", "terminal"])
+    def test_wrong_declaration_refused_before_backup(self, monkeypatch, wrong):
+        # y1 and x1 both change sign under the x1 reflection
+        cost = (lambda t, x, y, z: float(y[0])) if wrong == "running" else \
+            (lambda t, x, y, z: 0.0)
+        terminal = (lambda x: x[..., 0]) if wrong == "terminal" else const_field(0.0)
+        spec = dataclasses.replace(simple_spec(cost, terminal, c2=4.0), reflections=("x1",))
+        backups = []
+        monkeypatch.setattr(game, "_backup", lambda *a: backups.append(1))
+        with pytest.raises(ValueError, match="reflection 'x1' does not hold"):
+            backward_induction(spec, Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS)), 2,
+                               make_lattice(1.0, 1, 8), make_lattice(1.0, 1, 8))
+        assert backups == []
+
+    def test_unknown_reflection_rejected(self):
+        with pytest.raises(ValueError, match="unknown reflections"):
+            dataclasses.replace(coupling_spec(), reflections=("x3",))
+
+    def test_odd_base_angles_fall_back(self):
+        # the 5 points of the first ring are not symmetric about the x2 axis
+        sc = hji_scenario({"name": "norm"}, base_angles=5)
+        grid = Grid3(sc.box, np.zeros(sc.counts))
+        y_lat, z_lat = sc.make_lattices()
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == (("x2",), (0, 8))
+        spec = dataclasses.replace(sc.game, reflections=("x1",))
+        assert fundamental_domain(spec, grid, y_lat, z_lat) == ((), (0, 0))
+        got = backward_induction(spec, grid, 3, y_lat, z_lat, warn_costs=False)
+        full = full_path(spec, grid, y_lat, z_lat)
+        assert np.array_equal(got.data, full.data)
+        assert np.array_equal(got.trusted, full.trusted)
+
+    def test_inexact_axes_fall_back(self):
+        # linspace(-4, 4, 16) is not exactly antisymmetric
+        sc = hji_scenario({"name": "norm"}, counts=(16, 16, 33))
+        grid = Grid3(sc.box, np.zeros(sc.counts))
+        assert not np.array_equal(grid.axes()[0], -grid.axes()[0][::-1])
+        y_lat, z_lat = sc.make_lattices()
+        assert sc.game.reflections == ("x1", "x2")
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == ((), (0, 0))
+        got = backward_induction(sc.game, grid, 3, y_lat, z_lat, warn_costs=False)
+        full = full_path(sc.game, grid, y_lat, z_lat)
+        assert np.array_equal(got.data, full.data)
+        assert np.array_equal(got.trusted, full.trusted)
+
+    def test_custom_affine_declares_nothing(self):
+        sc = parse_scenario({
+            "schema": 1, "kind": "game", "horizon": 0.25,
+            "radii": {"r_y": 2.0, "r_z": 1.0},
+            "running_cost": {"name": "custom-affine", "params": AFFINE_PARAMS},
+            "terminal": {"name": "gauge"},
+            "grid": {"box": [[-4, 4], [-4, 4], [-8, 8]], "counts": list(SMALL_COUNTS)},
+            "time_steps": 2, "lattice": {"rings": 2, "base_angles": 8},
+        })
+        assert sc.game.reflections == ()
+        grid = Grid3(sc.box, np.zeros(sc.counts))
+        y_lat, z_lat = sc.make_lattices()
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == ((), (0, 0))
+        got = backward_induction(sc.game, grid, 2, y_lat, z_lat, warn_costs=False)
+        full = full_path(sc.game, grid, y_lat, z_lat, n_steps=2)
+        assert np.array_equal(got.data, full.data)
+        assert np.array_equal(got.trusted, full.trusted)
 
 
 class TestBruteForceOracle:

@@ -7,6 +7,7 @@ from heisgame.heis import (
     dilate,
     dist_g,
     euclid_gauge_sandwich,
+    eval_field,
     gauge,
     group_mul,
     h_convexity_check,
@@ -90,6 +91,33 @@ def test_dist_g_left_invariance_and_reverse_triangle():
     d2 = dist_g(group_mul(a, x), group_mul(a, y))
     assert np.abs(d1 - d2).max() <= 1e-12
     assert (np.abs(gauge(x) - gauge(y)) - d1).max() <= 1e-12
+
+
+class TestEvalField:
+    PTS = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0], [0.0, 0.0, -2.0]])
+
+    def test_scalar_only_callables_fall_back(self):
+        import math
+
+        def branchy(p):
+            return p[0] if p[2] > 0 else p[1]  # ``if array`` raises ValueError
+
+        for f, want in ((lambda p: math.hypot(p[0], p[1]) + p[2],  # TypeError
+                         np.hypot(self.PTS[:, 0], self.PTS[:, 1]) + self.PTS[:, 2]),
+                        (branchy, [1.0, 0.5, 0.0]),
+                        (lambda p: float(np.sum(p)), self.PTS.sum(-1))):  # wrong shape
+            assert np.array_equal(eval_field(f, self.PTS), want)
+
+    def test_other_errors_propagate_from_one_call(self):
+        calls = []
+
+        def f(p):
+            calls.append(len(p))
+            return p[..., 0] * (1.0 / 0.0)
+
+        with pytest.raises(ZeroDivisionError):
+            eval_field(f, self.PTS)
+        assert calls == [3]
 
 
 def test_box_validation():

@@ -177,6 +177,48 @@ class TestSolveCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
 
+    @pytest.mark.parametrize("hamiltonian,line", [
+        ("norm", "symmetry x1,x2: 425 of 1377 nodes"),
+        ("component", "symmetry x2: 765 of 1377 nodes"),
+    ])
+    def test_solve_logs_symmetry(self, tmp_path, capsys, hamiltonian, line):
+        data = dict(SMALL, grid={"box": SMALL["grid"]["box"], "counts": [9, 9, 17]},
+                    time_steps=2, hamiltonian={"name": hamiltonian})
+        out = tmp_path / "out"
+        assert main(["solve", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+        assert line in (out / "run.log").read_text().splitlines()
+
+    def test_game_without_symmetry_logs_none(self, tmp_path):
+        data = {
+            "schema": 1, "kind": "game", "horizon": 0.25,
+            "radii": {"r_y": 2.0, "r_z": 1.0},
+            "running_cost": {"name": "custom-affine",
+                             "params": {"ay": [0.5, -0.25], "az": [0.3, 0.2]}},
+            "terminal": {"name": "gauge"},
+            "grid": {"box": SMALL["grid"]["box"], "counts": [9, 9, 17]},
+            "time_steps": 2, "lattice": {"rings": 1, "base_angles": 8},
+        }
+        out = tmp_path / "out"
+        assert main(["solve", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 0
+        assert "symmetry none: 1377 of 1377 nodes" in (out / "run.log").read_text()
+
+    def test_wrong_catalog_declaration_exit_2(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import heisgame.scenario as scenario
+
+        real = scenario.make_hamiltonian
+        monkeypatch.setattr(scenario, "make_hamiltonian", lambda name, params:
+                            dataclasses.replace(real(name, params),
+                                                reflections=frozenset({"x1", "x2"})))
+        data = dict(SMALL, grid={"box": SMALL["grid"]["box"], "counts": [9, 9, 17]},
+                    time_steps=2, hamiltonian={"name": "component"})
+        out = tmp_path / "out"
+        assert main(["solve", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 2
+        assert "reflection 'x1' does not hold" in capsys.readouterr().err
+        assert not (out / "valuegrid.json").exists()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         path = self.small_scenario(tmp_path)
         target = tmp_path / "from-env"
