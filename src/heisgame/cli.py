@@ -139,14 +139,13 @@ def _cmd_solve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_value_grid(value, outdir)
     _write_json(outdir / "manifest.json", _manifest(sc, y_lat, z_lat, "solve"))
-    used, (s1, s2) = fundamental_domain(sc.game, value.slice(0), y_lat, z_lat)
-    n1, n2, n3 = sc.counts
+    domain = fundamental_domain(sc.game, value.slice(0), y_lat, z_lat)
     log = [
         f"solved {args.scenario} ({sc.kind}) in {elapsed:.2f} s",
         f"grid {sc.counts} time steps {sc.n_steps}",
         f"lattices y={len(y_lat.points)} z={len(z_lat.points)} points",
-        f"symmetry {','.join(used) or 'none'}: {(n1 - s1) * (n2 - s2) * n3}"
-        f" of {n1 * n2 * n3} nodes",
+        f"symmetry {','.join(domain.reflections) or 'none'}: {domain.nodes}"
+        f" of {value.data[0].size} nodes",
         f"outputs in {outdir}",
     ]
     (outdir / "run.log").write_text("\n".join(log) + "\n")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "NonFiniteValueError",
     "make_lattice",
     "REFLECTIONS",
+    "Domain",
     "fundamental_domain",
     "lower_hamiltonian",
     "upper_hamiltonian",
@@ -115,24 +116,29 @@ class GameSpec:
     def constants(self) -> LipschitzConstants:
         return LipschitzConstants(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)
 
+    def _cost_samples(self, box: Box, n: int, rng) -> tuple:
+        """``n`` points of ``box``, the terminal cost there, and 4 draws
+        ``(t, y, z, F(t, pts, y, z))`` of the running cost at them."""
+        pts = box.sample(n, rng)
+        draws = []
+        for _ in range(4):
+            t = rng.random() * self.horizon
+            y = ball_points(rng, self.r_y)
+            z = ball_points(rng, self.r_z)
+            draws.append((t, y, z, _on_points(self.running_cost(t, pts, y, z), n)))
+        return pts, _on_points(eval_field(self.terminal_cost, pts), n), draws
+
     def spot_check(self, box: Box, n: int = 128, rng=None) -> list[str]:
         """Sampled check of the declared bounds; violations warn, not raise."""
-        rng = rng or np.random.default_rng(0)
-        pts = box.sample(n, rng)
+        pts, gv, draws = self._cost_samples(box, n, rng or np.random.default_rng(0))
         msgs = []
-        gv = eval_field(self.terminal_cost, pts)
         if (np.abs(gv) > self.c2 * (1 + 1e-9) + 1e-12).any():
             k = int(np.argmax(np.abs(gv)))
             msgs.append(
                 f"|terminal cost| = {abs(gv[k]):.6g} exceeds c2 = {self.c2:.6g} "
                 f"at {pts[k]}"
             )
-        for _ in range(4):
-            t = rng.random() * self.horizon
-            y = ball_points(rng, self.r_y)
-            z = ball_points(rng, self.r_z)
-            fv = np.asarray(self.running_cost(t, pts, y, z), dtype=float)
-            fv = np.broadcast_to(fv, (n,))
+        for t, y, z, fv in draws:
             if (np.abs(fv) > self.c1 * (1 + 1e-9) + 1e-12).any():
                 k = int(np.argmax(np.abs(fv)))
                 msgs.append(
@@ -150,23 +156,19 @@ class GameSpec:
         Raises ``ValueError`` naming the first cost that moves by more than
         ``1e-12 * (1 + |value|)`` under a declared reflection.
         """
-        rng = np.random.default_rng(0)
+        if not self.reflections:
+            return
         n = 128
-        pts = box.sample(n, rng)
+        pts, gv, draws = self._cost_samples(box, n, np.random.default_rng(0))
         for name in self.reflections:
             flip = np.array(REFLECTIONS[name])
-            point_flip = np.append(flip, -1.0)
-            pairs = [("terminal cost", eval_field(self.terminal_cost, pts),
-                      eval_field(self.terminal_cost, pts * point_flip))]
-            for _ in range(4):
-                t = rng.random() * self.horizon
-                y = ball_points(rng, self.r_y)
-                z = ball_points(rng, self.r_z)
-                pairs.append((f"running cost at t={t:.4g}, y={y}, z={z}",
-                              self.running_cost(t, pts, y, z),
-                              self.running_cost(t, pts * point_flip, y * flip, z * flip)))
+            mirrored = pts * np.append(flip, -1.0)
+            pairs = [("terminal cost", gv, eval_field(self.terminal_cost, mirrored))]
+            pairs += [(f"running cost at t={t:.4g}, y={y}, z={z}", fv,
+                       self.running_cost(t, mirrored, y * flip, z * flip))
+                      for t, y, z, fv in draws]
             for what, a, b in pairs:
-                a, b = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (a, b))
+                b = _on_points(b, n)
                 # pairs of non-finite values pass here; the solve reports them
                 with np.errstate(invalid="ignore"):
                     gap = np.abs(a - b)
@@ -178,6 +180,11 @@ class GameSpec:
                         f"declared reflection {name!r} does not hold: the {what} "
                         f"moves by {gap[k]:.6g} at x={pts[k]}"
                     )
+
+
+def _on_points(values, n: int) -> np.ndarray:
+    """A cost evaluated on ``n`` points, as ``n`` floats (a scalar broadcasts)."""
+    return np.broadcast_to(np.asarray(values, dtype=float), (n,))
 
 
 @dataclass(frozen=True)
@@ -409,10 +416,19 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     return _max_min(n, *sizes, row, lower)
 
 
+class Domain(NamedTuple):
+    """The part of a grid that ``backward_induction`` solves: the reflections
+    it uses, the first solved x1 and x2 node indices, and the solved node
+    count."""
+
+    reflections: tuple[str, ...]
+    starts: tuple[int, int]
+    nodes: int
+
+
 def fundamental_domain(spec: GameSpec, grid: Grid3, y_lattice: ControlLattice,
-                       z_lattice: ControlLattice) -> tuple[tuple[str, ...], tuple[int, int]]:
-    """The reflections ``backward_induction`` uses, and the first x1 and x2
-    node indices of the part of the grid it solves.
+                       z_lattice: ControlLattice) -> Domain:
+    """The part of ``grid`` that ``backward_induction`` solves for ``spec``.
 
     A declared reflection is used when its flipped axis and the x3 axis are
     exactly antisymmetric (``a == -a[::-1]``) and both lattices map onto
@@ -430,7 +446,8 @@ def fundamental_domain(spec: GameSpec, grid: Grid3, y_lattice: ControlLattice,
         if all(_maps_onto(lat.points, flip) for lat in (y_lattice, z_lattice)):
             used.append(name)
             starts[axis] = len(axes[axis]) // 2
-    return tuple(used), tuple(starts)
+    (n1, n2, n3), (s1, s2) = grid.counts, starts
+    return Domain(tuple(used), (s1, s2), (n1 - s1) * (n2 - s2) * n3)
 
 
 def _maps_onto(points: np.ndarray, flip: np.ndarray, tol: float = 1e-12) -> bool:
@@ -516,7 +533,7 @@ def backward_induction(
     trusted = np.ones((n_steps + 1,) + counts, dtype=bool)
 
     # the solved part: all of the grid, or its x1 >= 0 and/or x2 >= 0 part
-    _, (s1, s2) = fundamental_domain(spec, grid, y_lattice, z_lattice)
+    s1, s2 = fundamental_domain(spec, grid, y_lattice, z_lattice).starts
     x1, x2, x3 = grid.axes()
     axes = (x1[s1:], x2[s2:], x3)
     solved = nodes.reshape(counts + (3,))[s1:, s2:].reshape(-1, 3)
@@ -524,11 +541,11 @@ def backward_induction(
     def run_block(k, planes, sl):
         block_axes = (axes[0][planes], axes[1], axes[2])
         W = np.empty((len(z_lattice.points), sl.stop - sl.start))
-        inside = np.ones(sl.stop - sl.start, dtype=bool)
+        inside = trusted[k, s1:, s2:][planes]  # all True until this step
         for j, z in enumerate(z_lattice.points):
             W[j], ok = interp_values(box, data[k + 1], StepFeet(block_axes, -h * z))
-            np.logical_and(inside, ok, out=inside)
-        return _backup(spec, times[k], h, solved[sl], W, y_lattice, z_lattice, which), inside
+            np.logical_and(inside, ok.reshape(inside.shape), out=inside)
+        return _backup(spec, times[k], h, solved[sl], W, y_lattice, z_lattice, which)
 
     plane = len(axes[1]) * len(axes[2])
     blocks = [(pl, slice(pl.start * plane, pl.stop * plane))
@@ -541,10 +558,9 @@ def backward_induction(
     with pool or nullcontext():
         for k in range(n_steps - 1, -1, -1):
             results = (pool.map if pool else map)(lambda b: run_block(k, *b), blocks)
-            part, part_trusted = data[k, s1:, s2:], trusted[k, s1:, s2:]
-            for (planes, _), (vals, inside) in zip(blocks, results):
+            part = data[k, s1:, s2:]
+            for (planes, _), vals in zip(blocks, results):
                 part[planes] = vals.reshape(-1, *part.shape[1:])
-                part_trusted[planes] = inside.reshape(-1, *part.shape[1:])
             _unfold(data[k], s1, s2)
             _unfold(trusted[k], s1, s2)
             if not np.isfinite(data[k]).all():

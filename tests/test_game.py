@@ -16,6 +16,7 @@ from heisgame.game import (
     _alternating_value,
     _node_blocks,
     ControlLattice,
+    Domain,
     GameSpec,
     LipschitzConstants,
     NonFiniteValueError,
@@ -467,9 +468,10 @@ class TestReflections:
         sc = load_scenario(SCENARIOS / name)
         grid = SYMMETRIC_GRIDS[grid_name]
         y_lat, z_lat = sc.make_lattices()
-        n1, n2, _ = grid.counts
+        n1, n2, n3 = grid.counts
+        s1, s2 = n1 // 2, n2 // 2
         assert fundamental_domain(sc.game, grid, y_lat, z_lat) \
-            == (("x1", "x2"), (n1 // 2, n2 // 2))
+            == Domain(("x1", "x2"), (s1, s2), (n1 - s1) * (n2 - s2) * n3)
         full = full_path(sc.game, grid, y_lat, z_lat, which)
         runs = [backward_induction(sc.game, grid, 3, y_lat, z_lat, which=which,
                                    threads=t, warn_costs=False) for t in (0, 2, 0)]
@@ -488,7 +490,8 @@ class TestReflections:
         assert sc.game.reflections == ("x2",)
         grid = Grid3(sc.box, np.zeros(sc.counts))
         y_lat, z_lat = sc.make_lattices()
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == (("x2",), (0, 8))
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) \
+            == Domain(("x2",), (0, 8), 17 * 9 * 33)
         full = full_path(sc.game, grid, y_lat, z_lat, which)
         half = backward_induction(sc.game, grid, 3, y_lat, z_lat, which=which,
                                   warn_costs=False)
@@ -534,9 +537,10 @@ class TestReflections:
         sc = hji_scenario({"name": "norm"}, base_angles=5)
         grid = Grid3(sc.box, np.zeros(sc.counts))
         y_lat, z_lat = sc.make_lattices()
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == (("x2",), (0, 8))
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) \
+            == Domain(("x2",), (0, 8), 17 * 9 * 33)
         spec = dataclasses.replace(sc.game, reflections=("x1",))
-        assert fundamental_domain(spec, grid, y_lat, z_lat) == ((), (0, 0))
+        assert fundamental_domain(spec, grid, y_lat, z_lat) == Domain((), (0, 0), 17 * 17 * 33)
         got = backward_induction(spec, grid, 3, y_lat, z_lat, warn_costs=False)
         full = full_path(spec, grid, y_lat, z_lat)
         assert np.array_equal(got.data, full.data)
@@ -549,7 +553,7 @@ class TestReflections:
         assert not np.array_equal(grid.axes()[0], -grid.axes()[0][::-1])
         y_lat, z_lat = sc.make_lattices()
         assert sc.game.reflections == ("x1", "x2")
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == ((), (0, 0))
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == Domain((), (0, 0), 16 * 16 * 33)
         got = backward_induction(sc.game, grid, 3, y_lat, z_lat, warn_costs=False)
         full = full_path(sc.game, grid, y_lat, z_lat)
         assert np.array_equal(got.data, full.data)
@@ -567,7 +571,7 @@ class TestReflections:
         assert sc.game.reflections == ()
         grid = Grid3(sc.box, np.zeros(sc.counts))
         y_lat, z_lat = sc.make_lattices()
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == ((), (0, 0))
+        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == Domain((), (0, 0), 9 * 9 * 17)
         got = backward_induction(sc.game, grid, 2, y_lat, z_lat, warn_costs=False)
         full = full_path(sc.game, grid, y_lat, z_lat, n_steps=2)
         assert np.array_equal(got.data, full.data)
