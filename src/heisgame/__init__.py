@@ -11,28 +11,22 @@ from .heis import (
     IDENTITY,
     Box,
     ConvexityReport,
-    SandwichReport,
     dilate,
     dist_g,
-    euclid_gauge_sandwich,
     gauge,
     group_mul,
     h_convexity_check,
-    horizontal_gradient,
     inverse,
 )
 from .flow import (
     PiecewiseConstantControl,
     Trajectory,
-    chain_rule_probe,
     check_reach_bound,
     check_shifted_start_bound,
     check_translation_identity,
     exact_step,
     integrate,
-    rk4_flow,
     rk4_reference,
-    velocity_field,
 )
 from .grids import (
     Grid3,

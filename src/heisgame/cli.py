@@ -320,6 +320,13 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="heisgame", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -329,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-        sp.add_argument("--threads", type=int, default=0,
+        sp.add_argument("--threads", type=_thread_count, default=0,
                         help="solver worker threads (0 = auto)")
 
     sp = sub.add_parser("solve", help="solve a scenario and write artifacts")
@@ -350,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("audit", help="re-audit a written value grid directory")
     sp.add_argument("valuegrid_dir")
-    sp.add_argument("--out", help="unused; audits write next to their input")
     sp.set_defaults(fn=_cmd_audit)
     return p
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
-from .heis import dist_g, group_mul, horizontal_gradient, inverse, _pts
+from .heis import dist_g, group_mul, inverse, _pts
 
 __all__ = [
     "Sign",
@@ -25,19 +25,15 @@ __all__ = [
     "PiecewiseConstantControl",
     "Trajectory",
     "write_trajectory_csv",
-    "velocity_field",
     "exact_step",
     "integrate",
     "rk4_reference",
-    "rk4_flow",
     "check_reach_bound",
     "check_translation_identity",
     "check_shifted_start_bound",
-    "chain_rule_probe",
     "ReachReport",
     "TranslationReport",
     "ShiftReport",
-    "ChainRuleProbe",
 ]
 
 Sign = Literal["plus", "minus"]
@@ -48,16 +44,6 @@ def _sign_factor(sign: Sign) -> float:
         return {"plus": 1.0, "minus": -1.0}[sign]
     except KeyError:
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}") from None
-
-
-def velocity_field(x, z) -> np.ndarray:
-    """Horizontal dynamics ``f(x, z) = (z1, z2, (z2*x1 - z1*x2)/2)``."""
-    x = _pts(x)
-    z = np.asarray(z, dtype=float)
-    z1, z2 = z[..., 0], z[..., 1]
-    third = 0.5 * (z2 * x[..., 0] - z1 * x[..., 1])
-    return np.stack([np.broadcast_to(z1, third.shape),
-                     np.broadcast_to(z2, third.shape), third], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -107,25 +93,10 @@ class PiecewiseConstantControl:
     def duration(self) -> float:
         return self.t_end - self.t0
 
-    def segment_starts(self) -> np.ndarray:
-        return np.concatenate(([self.t0], self.breakpoints[:-1]))
-
-    def value_at(self, t: float) -> np.ndarray:
-        if self.n_segments == 0:
-            raise ValueError("empty control has no values")
-        if not (self.t0 <= t <= self.t_end):
-            raise ValueError(f"time {t} outside control span [{self.t0}, {self.t_end}]")
-        idx = min(int(np.searchsorted(self.breakpoints, t, side="right")),
-                  self.n_segments - 1)
-        return self.values[idx]
-
     def max_norm(self) -> float:
         if self.n_segments == 0:
             return 0.0
         return float(np.linalg.norm(self.values, axis=-1).max())
-
-    def negated(self) -> "PiecewiseConstantControl":
-        return PiecewiseConstantControl(self.t0, self.breakpoints, -self.values)
 
     def restrict(self, tau: float) -> "PiecewiseConstantControl":
         """Restriction to ``[tau, t_end]``."""
@@ -263,37 +234,6 @@ def rk4_reference(
             points.append(np.array(x))
             t_cur = end
     return Trajectory(np.asarray(times), np.asarray(points))
-
-
-def rk4_flow(
-    xi,
-    z_of_t: Callable[[float], tuple],
-    t0: float,
-    t1: float,
-    substeps: int,
-    sign: Sign = "plus",
-) -> np.ndarray:
-    """RK4 endpoint for a time-varying velocity ``z(t)`` (smooth-control oracle)."""
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    s = _sign_factor(sign)
-    x = np.asarray(_pts(xi).reshape(3), dtype=float).copy()
-    h = (t1 - t0) / substeps
-
-    def f(t, state):
-        z1, z2 = z_of_t(t)
-        return np.array([s * z1, s * z2,
-                         0.5 * s * (z2 * state[0] - z1 * state[1])])
-
-    t = t0
-    for _ in range(substeps):
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return x
 
 
 def _require_admissible(u: PiecewiseConstantControl, radius: float):
@@ -469,37 +409,3 @@ def check_shifted_start_bound(
     else:
         worst = max_sep / bound
     return ShiftReport(worst <= 1 + 1e-9, worst, c_tilde, max_sep, bound)
-
-
-@dataclass(frozen=True)
-class ChainRuleProbe:
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def chain_rule_probe(
-    f: Callable,
-    xi,
-    z,
-    grad_h: Callable | None = None,
-    step: float = 1e-4,
-) -> ChainRuleProbe:
-    """Compares ``d/ds f(x(s))`` along the flow with ``z . grad_H f``.
-
-    The left side is a centered difference of ``f`` along the exact flow;
-    the right side uses the supplied horizontal gradient, or the numerical
-    fallback when none is given.
-    """
-    xi = _pts(xi).reshape(3)
-    z = np.asarray(z, dtype=float).reshape(2)
-    fwd = exact_step(xi, z, step)
-    bwd = exact_step(xi, -z, step)
-    vf, vb = (float(f(p)) for p in (fwd, bwd))
-    if not (math.isfinite(vf) and math.isfinite(vb)):
-        raise ValueError(f"field returned a non-finite value near {xi}")
-    lhs = (vf - vb) / (2 * step)
-    grad = np.asarray(grad_h(xi) if grad_h is not None else horizontal_gradient(f, xi),
-                      dtype=float).reshape(2)
-    rhs = float(z @ grad)
-    return ChainRuleProbe(lhs, rhs, abs(lhs - rhs))

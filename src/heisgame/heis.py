@@ -27,10 +27,7 @@ __all__ = [
     "dilate",
     "gauge",
     "dist_g",
-    "horizontal_gradient",
     "eval_field",
-    "euclid_gauge_sandwich",
-    "SandwichReport",
     "h_convexity_check",
     "ConvexityReport",
 ]
@@ -154,76 +151,6 @@ def eval_field(f: Callable, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray([float(f(p)) for p in pts.reshape(-1, 3)], dtype=float)
         vals = vals.reshape(pts.shape[:-1])
     return vals
-
-
-def horizontal_gradient(f: Callable, x, step: float | None = None) -> np.ndarray:
-    """Numerical horizontal gradient ``(X1 f, X2 f)`` at a single point.
-
-    Centered Euclidean partials with step ``1e-5 * (1 + ||x||)`` are
-    composed with the frame ``X1 = d1 - (x2/2) d3``, ``X2 = d2 + (x1/2) d3``.
-    """
-    x = _pts(x).reshape(3)
-    h = step if step is not None else 1e-5 * (1.0 + np.linalg.norm(x))
-    probes = np.repeat(x[None, :], 6, axis=0)
-    for i in range(3):
-        probes[2 * i, i] += h
-        probes[2 * i + 1, i] -= h
-    v = eval_field(f, probes)
-    if not np.isfinite(v).all():
-        bad = probes[int(np.argmax(~np.isfinite(v)))]
-        raise ValueError(f"field returned a non-finite value near {bad}")
-    d1 = (v[0] - v[1]) / (2 * h)
-    d2 = (v[2] - v[3]) / (2 * h)
-    d3 = (v[4] - v[5]) / (2 * h)
-    return np.array([d1 - 0.5 * x[1] * d3, d2 + 0.5 * x[0] * d3])
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Empirical constants for the Euclidean/gauge comparison on a box."""
-
-    c_low: float
-    c_high: float
-    witness_low: np.ndarray | None
-    witness_high: np.ndarray | None
-    n_used: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.n_used == 0
-
-
-def euclid_gauge_sandwich(
-    box: Box,
-    samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-    points: np.ndarray | None = None,
-) -> SandwichReport:
-    """Smallest empirical ``C_low``, ``C_high`` with ``||x|| <= C_low*||x||_G``
-    and ``||x||_G <= C_high*||x||^{1/2}`` over a sample of the box.
-
-    ``points`` overrides random sampling.  Points at the origin give 0/0
-    ratios and are skipped; if nothing remains the constants are reported
-    as 0 with empty witnesses.
-    """
-    if points is None:
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        rng = rng or np.random.default_rng(0)
-        points = box.sample(int(samples), rng)
-    pts = _pts(points).reshape(-1, 3)
-    enorm = np.linalg.norm(pts, axis=-1)
-    gnorm = gauge(pts)
-    keep = gnorm > 0.0
-    if not keep.any():
-        return SandwichReport(0.0, 0.0, None, None, 0)
-    pts, enorm, gnorm = pts[keep], enorm[keep], gnorm[keep]
-    r_low = enorm / gnorm
-    r_high = gnorm / np.sqrt(enorm)
-    i, j = int(np.argmax(r_low)), int(np.argmax(r_high))
-    return SandwichReport(
-        float(r_low[i]), float(r_high[j]), pts[i].copy(), pts[j].copy(), len(pts)
-    )
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,15 @@ import pytest
 
 from _util import batch_controls, batch_trajectory
 
-from heisgame.heis import IDENTITY, dist_g, gauge, group_mul
+from heisgame.heis import IDENTITY, dist_g, group_mul
 from heisgame.flow import (
     PiecewiseConstantControl,
-    chain_rule_probe,
     check_reach_bound,
     check_shifted_start_bound,
     check_translation_identity,
     exact_step,
     integrate,
-    rk4_flow,
     rk4_reference,
-    velocity_field,
 )
 
 
@@ -37,10 +34,6 @@ class TestControl:
 
     def test_value_lookup_and_restrict(self):
         u = two_segment_control()
-        assert np.allclose(u.value_at(0.0), (1, 0))
-        assert np.allclose(u.value_at(0.49), (1, 0))
-        assert np.allclose(u.value_at(0.5), (0, 1))
-        assert np.allclose(u.value_at(1.0), (0, 1))
         late = u.restrict(0.7)
         assert late.t0 == 0.7
         assert late.n_segments == 1
@@ -72,7 +65,8 @@ class TestExactStep:
         z = np.array([1.2, -0.7])
         eps = 1e-7
         fd = (exact_step(xi, z, eps) - xi) / eps
-        assert np.allclose(fd, velocity_field(xi, z), atol=1e-6)
+        f = (z[0], z[1], 0.5 * (z[1] * xi[0] - z[0] * xi[1]))
+        assert np.allclose(fd, f, atol=1e-6)
 
 
 class TestIntegrate:
@@ -98,7 +92,8 @@ class TestIntegrate:
             vals = rng.uniform(-1, 1, (m, 2))
             u = PiecewiseConstantControl(0.0, bp, vals)
             a = integrate(xi, u, "minus", samples_per_segment=8)
-            b = integrate(xi, u.negated(), "plus", samples_per_segment=8)
+            negated = PiecewiseConstantControl(u.t0, u.breakpoints, -u.values)
+            b = integrate(xi, negated, "plus", samples_per_segment=8)
             assert np.abs(a.points - b.points).max() <= 1e-15
 
     def test_left_translation_family(self):
@@ -144,15 +139,6 @@ class TestRk4:
         xi = np.array([1.0, 2.0, 3.0])
         traj = rk4_reference(xi, u, substeps=16)
         assert np.array_equal(traj.points, np.stack([xi, xi]))
-
-    def test_order_four_on_smooth_control(self):
-        # piecewise-constant flows are integrated exactly, so the order
-        # check needs a time-varying velocity
-        z = lambda t: (np.cos(3 * t), np.sin(2 * t))
-        ref = rk4_flow(IDENTITY, z, 0.0, 1.0, 4096)
-        e_coarse = np.linalg.norm(rk4_flow(IDENTITY, z, 0.0, 1.0, 32) - ref)
-        e_fine = np.linalg.norm(rk4_flow(IDENTITY, z, 0.0, 1.0, 64) - ref)
-        assert 8 <= e_coarse / e_fine <= 32
 
 
 class TestReachBound:
@@ -205,6 +191,20 @@ class TestTranslation:
             assert rep.gronwall_ratio <= 1 + 1e-9
             assert rep.c_hat == pytest.approx(np.exp(0.5))
 
+    @pytest.mark.parametrize("r", [1.0, 0.1, 0.01])
+    def test_separation_bound_fails_at_small_horizontal_offset(self, r):
+        # the flow is right multiplication, x(t) = xi o gamma(t), and right
+        # translations are not d_G-Lipschitz: for xihat = (r, 0, 0) under
+        # z = (0, 1) the separation at t = 1 is (r^4 + r^2)^(1/4), so the
+        # ratio to C_hat * r = e^(1/2) * r grows without bound as r -> 0
+        u = PiecewiseConstantControl.constant((0.0, 1.0), 0.0, 1.0)
+        rep = check_translation_identity((0.0, 0.0, 0.0), (r, 0.0, 0.0), u)
+        closed_form = (r**4 + r**2) ** 0.25 / (r * np.exp(0.5))
+        assert rep.gronwall_ratio == pytest.approx(closed_form, rel=1e-12)
+        if r < 1.0:
+            assert rep.gronwall_ratio > 1.0
+            assert not rep.ok
+
 
 class TestShiftedStart:
     def test_degenerate_is_zero(self):
@@ -239,31 +239,3 @@ class TestShiftedStart:
         u = two_segment_control()
         with pytest.raises(ValueError):
             check_shifted_start_bound(IDENTITY, IDENTITY, 0.25, 0.5, u, 1.0)
-
-
-class TestChainRule:
-    def test_vertical_coordinate(self):
-        f = lambda p: np.asarray(p, dtype=float)[..., 2]
-        grad = lambda p: np.array([-0.5 * p[1], 0.5 * p[0]])
-        rep = chain_rule_probe(f, (1.0, 0.0, 0.0), (0.0, 1.0), grad_h=grad)
-        assert rep.rhs == pytest.approx(0.5, abs=1e-12)
-        assert rep.gap <= 1e-8
-
-    def test_constant_field(self):
-        f = lambda p: 7.0
-        rep = chain_rule_probe(f, (0.3, 0.4, 0.5), (1.0, 1.0),
-                               grad_h=lambda p: np.zeros(2))
-        assert rep.lhs == 0.0 and rep.rhs == 0.0
-
-    def test_first_coordinate_exact_rhs(self):
-        f = lambda p: np.asarray(p, dtype=float)[..., 0]
-        z = np.array([0.7, -0.3])
-        rep = chain_rule_probe(f, (0.1, 0.2, 0.3), z,
-                               grad_h=lambda p: np.array([1.0, 0.0]))
-        assert rep.rhs == z[0]
-        assert rep.gap <= 1e-10
-
-    def test_numerical_gradient_fallback(self):
-        f = lambda p: gauge(p) ** 2
-        rep = chain_rule_probe(f, (0.4, -0.2, 0.6), (1.0, 0.5))
-        assert rep.gap <= 1e-6

@@ -6,12 +6,10 @@ from heisgame.heis import (
     Box,
     dilate,
     dist_g,
-    euclid_gauge_sandwich,
     eval_field,
     gauge,
     group_mul,
     h_convexity_check,
-    horizontal_gradient,
     inverse,
 )
 
@@ -129,41 +127,22 @@ def test_box_validation():
     assert np.allclose(b.clip((2, 0, 0)), (1, 0, 0))
 
 
-def test_horizontal_gradient_on_vertical_coordinate():
-    # the frame moves x3 along (-x2/2, x1/2)
-    f = lambda p: np.asarray(p, dtype=float)[..., 2]
-    g = horizontal_gradient(f, (1.0, 0.0, 0.0))
-    assert np.allclose(g, (0.0, 0.5), atol=1e-8)
+def test_gauge_bounds_horizontal_and_vertical_parts():
+    # ||x||_G^4 = |x_h|^4 + x3^2, so |x_h| <= ||x||_G (equal where x3 = 0)
+    # and |x3| <= ||x||_G^2 (equal on the vertical axis); together
+    # |x| <= ||x||_G * sqrt(1 + ||x||_G^2)
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-3, 3, (100_000, 3))
+    g = gauge(pts)
+    horiz = np.hypot(pts[:, 0], pts[:, 1])
+    assert (horiz <= g * (1 + 1e-12)).all()
+    assert (np.abs(pts[:, 2]) <= g**2 * (1 + 1e-12)).all()
+    assert (np.linalg.norm(pts, axis=-1) <= g * np.sqrt(1 + g**2) * (1 + 1e-12)).all()
 
-
-class TestSandwich:
-    def test_unit_vertical_point(self):
-        box = Box([-1, -1, -1], [1, 1, 1])
-        rep = euclid_gauge_sandwich(box, points=np.array([[0.0, 0.0, 1.0]]))
-        assert rep.c_low >= 1.0 - 1e-12
-        assert rep.c_high >= 1.0 - 1e-12
-
-    def test_origin_only_degenerate(self):
-        box = Box([-1, -1, -1], [1, 1, 1])
-        rep = euclid_gauge_sandwich(box, points=np.zeros((1, 3)))
-        assert rep.degenerate
-        assert rep.c_low == 0.0 and rep.c_high == 0.0
-        assert rep.witness_low is None and rep.witness_high is None
-
-    def test_sampled_constants_cover_all_ratios(self):
-        box = Box([-1, -1, -1], [1, 1, 1])
-        rng = np.random.default_rng(6)
-        rep = euclid_gauge_sandwich(box, samples=100_000, rng=rng)
-        assert np.isfinite(rep.c_low) and np.isfinite(rep.c_high)
-        pts = box.sample(50_000, np.random.default_rng(7))
-        e = np.linalg.norm(pts, axis=-1)
-        g = gauge(pts)
-        assert (e <= rep.c_low * g * (1 + 1e-9)).mean() > 0.999
-        assert (g <= rep.c_high * np.sqrt(e) * (1 + 1e-9)).mean() > 0.999
-
-    def test_bad_samples_rejected(self):
-        with pytest.raises(ValueError):
-            euclid_gauge_sandwich(Box([-1, -1, -1], [1, 1, 1]), samples=0)
+    flat = pts * np.array([1.0, 1.0, 0.0])
+    assert np.allclose(gauge(flat), np.hypot(flat[:, 0], flat[:, 1]), rtol=1e-12, atol=0)
+    vertical = pts * np.array([0.0, 0.0, 1.0])
+    assert np.allclose(gauge(vertical) ** 2, np.abs(vertical[:, 2]), rtol=1e-12, atol=0)
 
 
 class TestHConvexity:

@@ -141,6 +141,15 @@ class TestSolveCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
+    def test_negative_threads_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(SCENARIOS / "coupling-game.json"),
+                  "--out", str(out), "--threads", "-3"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_box_too_small_for_reach_exit_2(self, tmp_path):
         data = dict(SMALL, grid={"box": [[-4, 4], [-4, 4], [-4, 4]],
                                  "counts": [9, 9, 9]})
@@ -338,6 +347,13 @@ class TestAuditCommand:
 
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["audit", str(tmp_path)]) == 2
+
+    def test_out_option_rejected(self, tmp_path):
+        # audits write next to their input, so audit takes no --out
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", str(tmp_path), "--out", "x"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "audit.json").exists()
 
 
 def test_console_script_help():
