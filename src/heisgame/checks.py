@@ -23,9 +23,9 @@ from .heis import (
 )
 from .flow import (
     PiecewiseConstantControl,
-    check_reach_bound,
-    check_shifted_start_bound,
-    check_translation_identity,
+    check_reach_bounds,
+    check_shifted_start_bounds,
+    check_translation_identities,
     integrate,
     rk4_reference,
 )
@@ -41,7 +41,7 @@ from .game import (
 from .hji import covering_error_bound, hamiltonian_identity_check, uniqueness_initial_trace
 from .scenario import Scenario
 
-__all__ = ["CheckResult", "run_verification", "random_control", "sample_counts"]
+__all__ = ["CheckResult", "run_verification", "random_control", "sample_counts", "oracle_solve"]
 
 # sample counts of the battery, each overridable in the scenario's
 # ``verify`` section; the manifest records the values in effect
@@ -61,6 +61,15 @@ SAMPLE_DEFAULTS = {
 def sample_counts(cfg: dict) -> dict:
     """The battery's sample counts: ``cfg`` overrides over the defaults."""
     return {name: int(cfg.get(name, n)) for name, n in SAMPLE_DEFAULTS.items()}
+
+
+def oracle_solve(sc: Scenario) -> tuple:
+    """Grid counts, time steps and ``y``, ``z`` lattices of the small-N
+    oracle's solve; the 5e-2 tolerance of its check is calibrated at
+    33x33x65, which a coarser scenario can request through
+    ``verify.oracle_counts``."""
+    return (tuple(sc.verify.get("oracle_counts", sc.counts)), 3,
+            make_lattice(sc.game.r_y, 1, 8), make_lattice(sc.game.r_z, 1, 8))
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,11 @@ def random_control(
         if (np.diff(np.concatenate(([t0], bp))) > 0).all():
             break
     return PiecewiseConstantControl(t0, bp, ball_points(rng, radius, m))
+
+
+def _columns(draws: list, k: int) -> list:
+    """The ``k`` columns of a list of drawn ``k``-tuples."""
+    return [list(col) for col in zip(*draws)] or [[] for _ in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +181,10 @@ def check_flow_exactness(n: int, rng: np.random.Generator,
 
 def check_reach(n: int, rng: np.random.Generator,
                 radii=(0.5, 1.0, 2.0)) -> CheckResult:
-    worst = 0.0
-    for i in range(n):
-        r_z = radii[i % len(radii)]
-        xi = rng.uniform(-2, 2, 3)
-        rep = check_reach_bound(xi, random_control(rng, r_z), r_z)
-        worst = max(worst, rep.worst_ratio)
+    r_z = [radii[i % len(radii)] for i in range(n)]
+    draws = [(rng.uniform(-2, 2, 3), random_control(rng, r)) for r in r_z]
+    rep = check_reach_bounds(*_columns(draws, 2), r_z)
+    worst = float(rep.worst_ratio.max(initial=0.0))
     return CheckResult(
         "reach_bound", "d_G(xi, x(t)) <= 3*R_Z*(t - tau)",
         1 + 1e-9, worst, worst <= 1 + 1e-9, {"n": n, "radii": list(radii)},
@@ -180,13 +192,11 @@ def check_reach(n: int, rng: np.random.Generator,
 
 
 def check_translation(n: int, rng: np.random.Generator) -> list[CheckResult]:
-    worst_dev, worst_ratio = 0.0, 0.0
-    for _ in range(n):
-        xi = rng.uniform(-2, 2, 3)
-        xi_hat = rng.uniform(-2, 2, 3)
-        rep = check_translation_identity(xi, xi_hat, random_control(rng, 1.0), r_z=1.0)
-        worst_dev = max(worst_dev, rep.max_deviation)
-        worst_ratio = max(worst_ratio, rep.gronwall_ratio)
+    draws = [(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), random_control(rng, 1.0))
+             for _ in range(n)]
+    rep = check_translation_identities(*_columns(draws, 3), r_z=1.0)
+    worst_dev = float(rep.max_deviation.max(initial=0.0))
+    worst_ratio = float(rep.gronwall_ratio.max(initial=0.0))
     return [
         CheckResult("translation_identity", "xhat(t) = xihat o xi^-1 o x(t)",
                     1e-10, worst_dev, worst_dev <= 1e-10, {"n": n}),
@@ -197,15 +207,11 @@ def check_translation(n: int, rng: np.random.Generator) -> list[CheckResult]:
 
 
 def check_shifted_start(n: int, rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        xi = rng.uniform(-2, 2, 3)
-        xi_tilde = rng.uniform(-2, 2, 3)
-        tau = 0.0
-        tau_prime = float(rng.random() * 0.9)
-        u = random_control(rng, 1.0, t0=tau, t_end=1.0)
-        rep = check_shifted_start_bound(xi, xi_tilde, tau, tau_prime, u, 1.0)
-        worst = max(worst, rep.worst_ratio)
+    draws = [(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), float(rng.random() * 0.9),
+              random_control(rng, 1.0)) for _ in range(n)]
+    xis, xi_tildes, tau_primes, controls = _columns(draws, 4)
+    rep = check_shifted_start_bounds(xis, xi_tildes, 0.0, tau_primes, controls, 1.0)
+    worst = float(rep.worst_ratio.max(initial=0.0))
     return CheckResult(
         "shifted_start_bound",
         "d_G(x(t), xtilde(t)) <= (1+3*R_Z)*exp(T*R_Z/2)*(d_G + (tau' - tau))",
@@ -251,7 +257,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     ))
 
     template = Grid3(sc.box, np.zeros(sc.counts))
-    y9 = make_lattice(sc.game.r_y, 1, 8)
+    oracle_counts, oracle_steps, y9, z9 = oracle_solve(sc)
 
     # oracle equivalence, frozen dynamics (r_z = 0): grid-free recursion is exact
     frozen = dataclasses.replace(sc.game, r_z=0.0)
@@ -271,13 +277,9 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
         1e-12, worst, worst <= 1e-12, {"nodes": len(pick)},
     ))
 
-    # oracle equivalence with motion: small N, small lattices; the 5e-2
-    # tolerance is calibrated at the 33x33x65 resolution, which a coarser
-    # scenario can request through verify.oracle_counts
-    z9 = make_lattice(sc.game.r_z, 1, 8)
-    oracle_counts = tuple(cfg.get("oracle_counts", sc.counts))
-    v3 = backward_induction(sc.game, Grid3(sc.box, np.zeros(oracle_counts)),
-                            3, y9, z9, warn_costs=False, threads=threads)
+    # oracle equivalence with motion: small N, small lattices
+    v3 = backward_induction(sc.game, Grid3(sc.box, np.zeros(oracle_counts)), oracle_steps,
+                            y9, z9, warn_costs=False, threads=threads)
     sl = v3.region_index_bounds()
     ax = v3.axes()
     n_nodes = int(cfg.get("oracle_nodes", 12))
@@ -287,12 +289,12 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
         j = rng.integers(sl[1].start, sl[1].stop)
         l = rng.integers(sl[2].start, sl[2].stop)
         p = np.array([ax[0][i], ax[1][j], ax[2][l]])
-        bf = brute_force_value(sc.game, p, 3, y9, z9)
+        bf = brute_force_value(sc.game, p, oracle_steps, y9, z9)
         worst = max(worst, abs(bf - float(v3.data[0, i, j, l])))
     results.append(CheckResult(
         "oracle_equivalence_small_n",
         "|backward induction - grid-free recursion| <= interpolation tolerance",
-        5e-2, worst, worst <= 5e-2, {"nodes": n_nodes, "time_steps": 3},
+        5e-2, worst, worst <= 5e-2, {"nodes": n_nodes, "time_steps": oracle_steps},
     ))
 
     # the baseline solve feeds the dynamic-programming and regularity audits

@@ -40,8 +40,9 @@ from .game import (
     backward_induction,
     fundamental_domain,
     lipschitz_audit,
+    solve_bytes,
 )
-from .checks import run_verification, sample_counts
+from .checks import oracle_solve, run_verification, sample_counts
 from .scenario import Scenario, ScenarioError, load_scenario
 
 __all__ = ["main"]
@@ -118,8 +119,22 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(*solves) -> None:
+    """Refuses, before any is allocated, solves whose arrays (``solve_bytes``
+    of each ``(counts, n_steps, z_points, threads)``) exceed physical memory."""
+    need, have = sum(solve_bytes(*s) for s in solves), _physical_memory()
+    if need > have:
+        raise ValueError(f"the solver arrays need about {need / 2**30:.3g} GiB, more than "
+                         f"the {have / 2**30:.3g} GiB of physical memory; use a coarser grid")
+
+
 def _solve_scenario(sc: Scenario, threads: int):
     y_lat, z_lat = sc.make_lattices()
+    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), threads))
     template = Grid3(sc.box, np.zeros(sc.counts))
     v = backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
                            which="lower", threads=threads)
@@ -158,6 +173,9 @@ def _cmd_verify(args) -> int:
     outdir = _resolve_outdir(args, sc)
     certify_region(sc.box, sc.game.r_z, sc.horizon)
     y_lat, z_lat = sc.make_lattices()
+    oracle_counts, oracle_steps, _, z9 = oracle_solve(sc)
+    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads),
+                    (oracle_counts, oracle_steps, len(z9.points), args.threads))
     results = run_verification(sc, y_lat, z_lat, threads=args.threads)
     outdir.mkdir(parents=True, exist_ok=True)
     bundle = {

@@ -11,6 +11,7 @@ under ``-z``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -31,6 +32,9 @@ __all__ = [
     "check_reach_bound",
     "check_translation_identity",
     "check_shifted_start_bound",
+    "check_reach_bounds",
+    "check_translation_identities",
+    "check_shifted_start_bounds",
     "ReachReport",
     "TranslationReport",
     "ShiftReport",
@@ -105,15 +109,6 @@ class PiecewiseConstantControl:
         keep = self.breakpoints > tau
         return PiecewiseConstantControl(tau, self.breakpoints[keep], self.values[keep])
 
-    def sample_times(self, per_segment: int = 64) -> np.ndarray:
-        """Breakpoints plus uniform interior samples, including ``t0``."""
-        parts = [np.array([self.t0])]
-        start = self.t0
-        for end in self.breakpoints:
-            parts.append(np.linspace(start, end, per_segment + 1)[1:])
-            start = end
-        return np.unique(np.concatenate(parts))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -162,32 +157,50 @@ def integrate(
     """Exact trajectory at ``t0``, all breakpoints, and any requested times."""
     xi = _pts(xi).reshape(3)
     wanted = [np.array([u.t0]), u.breakpoints]
-    if samples_per_segment > 0 and u.n_segments:
-        wanted.append(u.sample_times(samples_per_segment))
+    if samples_per_segment > 0:
+        wanted.append(_segment_times(np.array([u.t0]), u.breakpoints[None],
+                                     samples_per_segment)[0])
     if extra_times is not None:
         et = np.asarray(extra_times, dtype=float).reshape(-1)
         if len(et) and ((et < u.t0).any() or (et > u.t_end).any()):
             raise ValueError("requested sample times outside the control span")
         wanted.append(et)
     times = np.unique(np.concatenate(wanted))
-
-    points = np.empty((len(times), 3))
-    points[0] = xi
-    if u.n_segments == 0:
-        return Trajectory(times, points)
-
-    x_cur = xi
-    t_cur = u.t0
-    filled = 1
-    for end, z in zip(u.breakpoints, u.values):
-        in_seg = times[(times > t_cur) & (times <= end)]
-        if len(in_seg):
-            pts = exact_step(x_cur, z, in_seg - t_cur, sign)
-            points[filled:filled + len(in_seg)] = pts
-            filled += len(in_seg)
-        x_cur = exact_step(x_cur, z, end - t_cur, sign)
-        t_cur = end
+    points = _flow_at(xi[None], np.array([u.t0]), u.breakpoints[None], u.values[None],
+                      times[None], sign)[0]
     return Trajectory(times, points)
+
+
+def _segment_times(t0, breakpoints, per_segment: int) -> np.ndarray:
+    """``t0`` then ``linspace(start_j, b_j, per_segment + 1)[1:]`` of each
+    segment, for ``n`` controls of ``m`` segments: ``(n, 1 + m*per_segment)``."""
+    starts = np.concatenate([t0[:, None], breakpoints], axis=1)[:, :-1]
+    inner = np.linspace(starts, breakpoints, per_segment + 1, axis=-1)[..., 1:]
+    return np.concatenate([t0[:, None], inner.reshape(len(t0), -1)], axis=1)
+
+
+def _flow_at(xi, t0, breakpoints, values, times, sign: Sign = "plus") -> np.ndarray:
+    """Exact flows of ``n`` controls of ``m`` segments each at ``(n, k)`` times.
+
+    ``xi`` is ``(n, 3)``, ``t0`` ``(n,)``, ``breakpoints`` ``(n, m)`` and
+    ``values`` ``(n, m, 2)``; the times lie in each control's span.  The
+    state at each breakpoint is chained by one ``exact_step`` per segment,
+    a time in ``(b_{j-1}, b_j]`` is one ``exact_step`` from the state at
+    ``b_{j-1}``, and ``t0`` gives ``xi``.  Every operation is elementwise,
+    so a point has the same bits in any batch.
+    """
+    n, m = breakpoints.shape
+    if m == 0:
+        return np.repeat(xi[:, None], times.shape[1], axis=1)
+    starts = np.concatenate([t0[:, None], breakpoints], axis=1)
+    states = [xi]
+    for j in range(m - 1):
+        states.append(exact_step(states[-1], values[:, j], starts[:, j + 1] - starts[:, j], sign))
+    seg = (times[..., None] > breakpoints[:, None]).sum(-1)
+    rows = np.arange(n)[:, None]
+    pts = exact_step(np.stack(states, axis=1)[rows, seg], values[rows, seg],
+                     times - starts[rows, seg], sign)
+    return np.where((times == t0[:, None])[..., None], xi[:, None], pts)
 
 
 def _rk4_span(x, z1: float, z2: float, length: float, n: int):
@@ -236,15 +249,45 @@ def rk4_reference(
     return Trajectory(np.asarray(times), np.asarray(points))
 
 
-def _require_admissible(u: PiecewiseConstantControl, radius: float):
-    if u.n_segments == 0:
-        return
-    norms = np.linalg.norm(u.values, axis=-1)
-    bad = np.nonzero(norms > radius * (1 + 1e-12) + 1e-300)[0]
-    if len(bad):
-        raise ValueError(
-            f"control value outside the radius-{radius} ball at segment {int(bad[0])}"
-        )
+# samples per batched flow evaluation: keeps the batched checks'
+# temporaries at a few MB whatever the instance count
+_CHUNK_POINTS = 1 << 15
+
+
+def _batches(controls, per_segment: int, radius=None, late=None):
+    """``(idx, t0, breakpoints, values)`` of the instances with equal segment
+    counts (and equal ``late`` counts, if given), in chunks of about
+    ``_CHUNK_POINTS`` samples; with ``radius``, each control value must lie
+    in its instance's ball."""
+    keys = np.array([[u.n_segments, 0 if late is None else late[i]]
+                     for i, u in enumerate(controls)], dtype=int).reshape(-1, 2)
+    groups, inv = np.unique(keys, axis=0, return_inverse=True)
+    for g, (m, _) in enumerate(groups):
+        members = np.flatnonzero(inv.reshape(-1) == g)
+        size = max(1, _CHUNK_POINTS // (1 + m * per_segment))
+        for idx in np.split(members, range(size, len(members), size)):
+            us = [controls[i] for i in idx]
+            values = np.array([u.values for u in us]).reshape(len(us), m, 2)
+            if radius is not None:
+                r = radius[idx, None]
+                bad = np.argwhere(np.linalg.norm(values, axis=-1) > r * (1 + 1e-12) + 1e-300)
+                if len(bad):
+                    i, j = bad[0]
+                    raise ValueError(f"control value outside the radius-{r[i, 0]} ball at "
+                                     f"segment {j} of instance {idx[i]}")
+            yield (idx, np.array([u.t0 for u in us]),
+                   np.array([u.breakpoints for u in us]).reshape(len(us), m), values)
+
+
+def _ratio(num, den):
+    """``num / den``; where ``den`` is 0, 0 if ``num <= 1e-12`` and inf if not."""
+    return np.divide(num, den, out=np.where(num <= 1e-12, 0.0, np.inf), where=den != 0.0)
+
+
+def _first(report):
+    """The single instance of a batch report, with Python scalar fields."""
+    return type(report)(*(getattr(report, f.name)[0].item()
+                          for f in dataclasses.fields(report)))
 
 
 @dataclass(frozen=True)
@@ -255,26 +298,36 @@ class ReachReport:
     max_distance: float
 
 
-def check_reach_bound(
-    xi,
-    u: PiecewiseConstantControl,
-    r_z: float,
-    samples_per_segment: int = 64,
-) -> ReachReport:
+def check_reach_bound(xi, u: PiecewiseConstantControl, r_z: float,
+                      samples_per_segment: int = 64) -> ReachReport:
     """Checks ``d_G(xi, x(t)) <= 3 * r_z * (t - t0)`` along the trajectory."""
-    _require_admissible(u, r_z)
-    traj = integrate(xi, u, "plus", samples_per_segment=samples_per_segment)
-    dt = traj.times - u.t0
-    d = dist_g(traj.points, _pts(xi).reshape(3))
-    if r_z == 0.0:
-        worst = 0.0 if d.max(initial=0.0) <= 1e-12 else np.inf
-        k = int(np.argmax(d))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(dt > 0, d / (3.0 * r_z * dt), 0.0)
-        k = int(np.argmax(ratios))
-        worst = float(ratios[k])
-    return ReachReport(worst <= 1 + 1e-9, worst, float(traj.times[k]), float(d.max(initial=0.0)))
+    return _first(check_reach_bounds([xi], [u], r_z, samples_per_segment))
+
+
+def check_reach_bounds(xis, controls, r_z, samples_per_segment: int = 64) -> ReachReport:
+    """:func:`check_reach_bound` on instances ``(xis[i], controls[i], r_z[i])``
+    (``r_z`` may be a scalar); each report field is an array over them.
+
+    The samples are ``t0`` and ``samples_per_segment`` uniform times per
+    segment, the last at its breakpoint.  Instances with equal segment
+    counts are flowed together, each point bit-identical to
+    :func:`integrate`'s.
+    """
+    xis = np.asarray(xis, dtype=float).reshape(-1, 3)
+    r_z = np.broadcast_to(np.asarray(r_z, dtype=float), (len(controls),))
+    worst, witness, d_max = (np.empty(len(controls)) for _ in range(3))
+    for idx, t0, bp, vals in _batches(controls, samples_per_segment, r_z):
+        times = _segment_times(t0, bp, samples_per_segment)
+        d = dist_g(_flow_at(xis[idx], t0, bp, vals, times), xis[idx, None])
+        dt, frozen = times - t0[:, None], r_z[idx] == 0.0
+        ratios = np.divide(d, 3.0 * r_z[idx, None] * dt, out=np.zeros_like(d),
+                           where=(dt > 0) & ~frozen[:, None])
+        k = np.argmax(np.where(frozen[:, None], d, ratios), axis=1)
+        d_max[idx] = d.max(axis=1, initial=0.0)
+        worst[idx] = np.where(frozen, np.where(d_max[idx] <= 1e-12, 0.0, np.inf),
+                              ratios.max(axis=1, initial=0.0))
+        witness[idx] = np.take_along_axis(times, k[:, None], 1)[:, 0]
+    return ReachReport(worst <= 1 + 1e-9, worst, witness, d_max)
 
 
 _FORMULAS = {
@@ -325,13 +378,9 @@ class TranslationReport:
     ok: bool
 
 
-def check_translation_identity(
-    xi,
-    xi_hat,
-    u: PiecewiseConstantControl,
-    samples_per_segment: int = 64,
-    r_z: float | None = None,
-) -> TranslationReport:
+def check_translation_identity(xi, xi_hat, u: PiecewiseConstantControl,
+                               samples_per_segment: int = 64,
+                               r_z: float | None = None) -> TranslationReport:
     """Verifies ``xhat(t) = xihat o xi^{-1} o x(t)`` and the Gronwall bound.
 
     Both curves run under the same control; the separation never exceeds
@@ -341,26 +390,29 @@ def check_translation_identity(
     finite-precision integrator can hold a gauge deviation near machine
     scale.
     """
-    xi = _pts(xi).reshape(3)
-    xi_hat = _pts(xi_hat).reshape(3)
-    if r_z is None:
-        r_z = u.max_norm()
-    traj = integrate(xi, u, "plus", samples_per_segment=samples_per_segment)
-    traj_hat = integrate(xi_hat, u, "plus", samples_per_segment=samples_per_segment)
-    translated = group_mul(group_mul(xi_hat, inverse(xi)), traj.points)
-    deviation = float(
-        np.linalg.norm(traj_hat.points - translated, axis=-1).max(initial=0.0)
-    )
+    return _first(check_translation_identities([xi], [xi_hat], [u],
+                                               samples_per_segment, r_z))
 
-    c_hat = LipschitzConstants(u.t_end, r_z, 0.0, 0.0, 0.0).c_hat
-    d0 = float(dist_g(xi, xi_hat))
-    phi = dist_g(traj.points, traj_hat.points)
-    if d0 == 0.0:
-        ratio = 0.0 if phi.max(initial=0.0) <= 1e-12 else np.inf
-    else:
-        ratio = float(phi.max(initial=0.0) / (c_hat * d0))
-    ok = deviation <= 1e-10 and ratio <= 1 + 1e-9
-    return TranslationReport(deviation, ratio, c_hat, ok)
+
+def check_translation_identities(xis, xi_hats, controls, samples_per_segment: int = 64,
+                                 r_z=None) -> TranslationReport:
+    """:func:`check_translation_identity` on a batch, sampled and grouped as
+    in :func:`check_reach_bounds`; each report field is an array."""
+    xis, xi_hats = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (xis, xi_hats))
+    deviation, phi = np.empty(len(controls)), np.empty(len(controls))
+    for idx, t0, bp, vals in _batches(controls, samples_per_segment):
+        times = _segment_times(t0, bp, samples_per_segment)
+        x = _flow_at(xis[idx], t0, bp, vals, times)
+        x_hat = _flow_at(xi_hats[idx], t0, bp, vals, times)
+        translated = group_mul(group_mul(xi_hats[idx], inverse(xis[idx]))[:, None], x)
+        deviation[idx] = np.linalg.norm(x_hat - translated, axis=-1).max(axis=1, initial=0.0)
+        phi[idx] = dist_g(x, x_hat).max(axis=1, initial=0.0)
+    if r_z is None:
+        r_z = [u.max_norm() for u in controls]
+    c_hat = np.array([LipschitzConstants(u.t_end, r, 0.0, 0.0, 0.0).c_hat
+                      for u, r in zip(controls, np.broadcast_to(r_z, len(controls)))])
+    ratio = _ratio(phi, c_hat * dist_g(xis, xi_hats))
+    return TranslationReport(deviation, ratio, c_hat, (deviation <= 1e-10) & (ratio <= 1 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -372,40 +424,43 @@ class ShiftReport:
     bound: float
 
 
-def check_shifted_start_bound(
-    xi,
-    xi_tilde,
-    tau: float,
-    tau_prime: float,
-    u: PiecewiseConstantControl,
-    r_z: float,
-    samples_per_segment: int = 64,
-) -> ShiftReport:
+def check_shifted_start_bound(xi, xi_tilde, tau: float, tau_prime: float,
+                              u: PiecewiseConstantControl, r_z: float,
+                              samples_per_segment: int = 64) -> ShiftReport:
     """Compares the curve from ``(tau, xi)`` with the late start from
     ``(tau_prime, xi_tilde)`` under the restricted control.
 
     The separation on ``[tau_prime, T]`` must stay below
     ``(1 + 3*r_z) * exp(T*r_z/2) * (d_G(xi_tilde, xi) + (tau_prime - tau))``.
     """
-    if u.t0 != tau:
-        raise ValueError(f"control starts at {u.t0}, expected tau={tau}")
-    if not (tau <= tau_prime <= u.t_end):
-        raise ValueError("need tau <= tau_prime <= t_end")
-    _require_admissible(u, r_z)
-    xi = _pts(xi).reshape(3)
-    xi_tilde = _pts(xi_tilde).reshape(3)
+    return _first(check_shifted_start_bounds([xi], [xi_tilde], tau, tau_prime, [u], r_z,
+                                             samples_per_segment))
 
-    u_late = u.restrict(tau_prime)
-    late = integrate(xi_tilde, u_late, "plus", samples_per_segment=samples_per_segment)
-    full = integrate(xi, u, "plus", extra_times=late.times)
-    keep = np.searchsorted(full.times, late.times)
-    sep = dist_g(full.points[keep], late.points)
-    max_sep = float(sep.max(initial=0.0))
 
-    c_tilde = LipschitzConstants(u.t_end, r_z, 0.0, 0.0, 0.0).c_tilde
-    bound = c_tilde * (float(dist_g(xi_tilde, xi)) + (tau_prime - tau))
-    if bound == 0.0:
-        worst = 0.0 if max_sep <= 1e-12 else np.inf
-    else:
-        worst = max_sep / bound
+def check_shifted_start_bounds(xis, xi_tildes, tau, tau_primes, controls, r_z,
+                               samples_per_segment: int = 64) -> ShiftReport:
+    """:func:`check_shifted_start_bound` on a batch (``tau``, ``tau_primes``
+    and ``r_z`` may be scalars).  The late curve is sampled as in
+    :func:`check_reach_bounds` on the restricted control, the full curve at
+    the same times; each report field is an array."""
+    xis, xi_tildes = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (xis, xi_tildes))
+    tau, tau_p, r_z = (np.broadcast_to(np.asarray(a, dtype=float), (len(controls),))
+                       for a in (tau, tau_primes, r_z))
+    for i, u in enumerate(controls):
+        if u.t0 != tau[i]:
+            raise ValueError(f"control starts at {u.t0}, expected tau={tau[i]}")
+        if not (tau[i] <= tau_p[i] <= u.t_end):
+            raise ValueError("need tau <= tau_prime <= t_end")
+    late = [int((u.breakpoints > t).sum()) for u, t in zip(controls, tau_p)]
+    max_sep = np.empty(len(controls))
+    for idx, t0, bp, vals in _batches(controls, samples_per_segment, r_z, late):
+        j0 = bp.shape[1] - late[idx[0]]
+        times = _segment_times(tau_p[idx], bp[:, j0:], samples_per_segment)
+        full = _flow_at(xis[idx], t0, bp, vals, times)
+        late_pts = _flow_at(xi_tildes[idx], tau_p[idx], bp[:, j0:], vals[:, j0:], times)
+        max_sep[idx] = dist_g(full, late_pts).max(axis=1, initial=0.0)
+    c_tilde = np.array([LipschitzConstants(u.t_end, r, 0.0, 0.0, 0.0).c_tilde
+                        for u, r in zip(controls, r_z)])
+    bound = c_tilde * (dist_g(xi_tildes, xis) + (tau_p - tau))
+    worst = _ratio(max_sep, bound)
     return ShiftReport(worst <= 1 + 1e-9, worst, c_tilde, max_sep, bound)

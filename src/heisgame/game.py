@@ -12,6 +12,7 @@ expansion of the lower recurrence reproduces the lower Hamiltonian
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ __all__ = [
     "isaacs_gap",
     "IsaacsReport",
     "backward_induction",
+    "solve_bytes",
     "brute_force_value",
     "dpp_residual",
     "DppReport",
@@ -70,7 +72,10 @@ class GameSpec:
     for ``z . y``), lets the lower value take a faster path.  The paths
     round differently, the fast one as ``(W_z + h*k) + h*base`` and the
     general one as ``W_z + h*F``, so declaring or dropping these fields
-    moves the values by ulps (the tests pin the paths to 1e-12).  Every
+    moves the values by ulps (the tests pin the paths to 1e-12).  The
+    lattice Hamiltonians form ``F`` as ``base + k`` from the same fields;
+    that is bit-identical wherever ``running_cost`` rounds ``F`` as that
+    sum with the table's ``k``.  Every
     backward step, on the grid or grid-free, is one ``_backup``; it and the
     lattice Hamiltonians run the one max-min kernel ``_max_min``.  The
     derived constants come from the :class:`LipschitzConstants` table in
@@ -325,18 +330,41 @@ def _max_min(n, m_outer, m_inner, row, lower, outer_term=None, groups=None):
     return best
 
 
+def _pair_table(spec: GameSpec, ypts: np.ndarray, zpts: np.ndarray) -> np.ndarray:
+    """The ``(mz, my)`` table of ``k`` in a separable cost ``base + k``."""
+    pair = zpts @ ypts.T if spec.coupling_pair is None else spec.coupling_pair(ypts, zpts)
+    return np.asarray(pair, dtype=float)
+
+
 def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
+    """The opt-opt of the rows ``F - lam.z``.  A separable cost calls
+    ``coupling_base`` once per ``y`` and forms ``F`` as ``base_y + k_zy``;
+    any other calls ``running_cost`` once per pair."""
     _check_lattices(spec, y_lattice, z_lattice)
     scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
+    lam_z = [lam2 @ z for z in zpts]
+
+    if spec.coupling_base is not None:
+        base = np.array([np.broadcast_to(np.asarray(spec.coupling_base(tt, pts, y), dtype=float),
+                                          (n,)) for y in ypts])
+        pair = _pair_table(spec, ypts, zpts)
+        for what, a in (("base", base), ("pair", pair)):
+            if not np.isfinite(a).all():
+                raise NonFiniteValueError(f"coupling {what} non-finite at t={tt}")
+        cost = lambda yi, zi, out: np.add(base[yi], pair[zi, yi], out=out)
+    else:
+        def cost(yi, zi, out):
+            y, z = ypts[yi], zpts[zi]
+            fv = np.asarray(spec.running_cost(tt, pts, y, z), dtype=float)
+            if not np.isfinite(fv).all():
+                raise NonFiniteValueError(f"running cost non-finite at t={tt}, y={y}, z={z}")
+            return np.broadcast_to(fv, (n,))
 
     def row(a, b, out):
-        y, z = (ypts[a], zpts[b]) if lower else (ypts[b], zpts[a])
-        fv = np.asarray(spec.running_cost(tt, pts, y, z), dtype=float)
-        if not np.isfinite(fv).all():
-            raise NonFiniteValueError(f"running cost non-finite at t={tt}, y={y}, z={z}")
-        np.subtract(np.broadcast_to(fv, (n,)), lam2 @ z, out=out)
+        yi, zi = (a, b) if lower else (b, a)
+        np.subtract(cost(yi, zi, out), lam_z[zi], out=out)
 
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
     best = _max_min(n, *sizes, row, lower)
@@ -398,8 +426,7 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     lower = which == "lower"
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
     if lower and spec.coupling_base is not None:
-        pair = zpts @ ypts.T if spec.coupling_pair is None else spec.coupling_pair(ypts, zpts)
-        offs = h * np.asarray(pair, dtype=float)  # (mz, my)
+        offs = h * _pair_table(spec, ypts, zpts)  # (mz, my)
         _, groups = np.unique(offs.view(np.uint64), axis=1, return_inverse=True)
 
         def base(yi):
@@ -575,6 +602,15 @@ def backward_induction(
 # nodes in one serial block of ``backward_induction``; also the largest
 # batch the grid-free recursion stacks at its deepest level
 _BLOCK_NODES = 131072
+
+
+def solve_bytes(counts, n_steps: int, z_points: int, threads: int = 0) -> int:
+    """Bytes of the arrays ``backward_induction`` holds on a grid of ``counts``
+    nodes: the float64 value and bool trusted stacks of ``n_steps + 1``
+    slices, and the ``(z_points, block)`` ``W`` of the blocks in flight."""
+    nodes = math.prod(counts)
+    held = nodes if threads > 1 else min(nodes, _BLOCK_NODES)
+    return (n_steps + 1) * nodes * 9 + z_points * held * 8
 
 
 def _node_blocks(n: int, threads: int, plane: int) -> list[slice]:

@@ -94,3 +94,72 @@ def covering_radius_reference(points, radius):
         d_sq = (s ** 2).sum(-1)[:, None] + p_sq[None, :] - 2.0 * (s @ points.T)
         worst = max(worst, float(np.sqrt(np.maximum(d_sq, 0.0).min(axis=1)).max()))
     return worst
+
+
+def integrate_reference(xi, u, samples_per_segment=0, extra_times=None, sign="plus"):
+    """The exact flow one segment at a time: reference for the batched
+    sampler behind ``flow.integrate`` and the flow checks."""
+    xi = np.asarray(xi, dtype=float).reshape(3)
+    wanted = [np.array([u.t0]), u.breakpoints]
+    if samples_per_segment:
+        start = u.t0
+        for end in u.breakpoints:
+            wanted.append(np.linspace(start, end, samples_per_segment + 1)[1:])
+            start = end
+    if extra_times is not None:
+        wanted.append(np.asarray(extra_times, dtype=float))
+    times = np.unique(np.concatenate(wanted))
+    points = np.empty((len(times), 3))
+    points[0] = xi
+    x_cur, t_cur, filled = xi, u.t0, 1
+    for end, z in zip(u.breakpoints, u.values):
+        in_seg = times[(times > t_cur) & (times <= end)]
+        points[filled:filled + len(in_seg)] = exact_step(x_cur, z, in_seg - t_cur, sign)
+        filled += len(in_seg)
+        x_cur = exact_step(x_cur, z, end - t_cur, sign)
+        t_cur = end
+    return times, points
+
+
+def flow_checks_reference(rng, n_reach, n_translation, n_shift, radii=(0.5, 1.0, 2.0)):
+    """The battery's reach, translation and shifted-start checks with one
+    loop iteration per instance, drawing as ``checks`` does: reference for
+    the batched checks.  Returns the four measured worst values."""
+    from heisgame.checks import random_control
+    from heisgame.flow import LipschitzConstants
+    from heisgame.heis import dist_g, group_mul, inverse
+
+    reach = 0.0
+    for i in range(n_reach):
+        r_z = radii[i % len(radii)]
+        xi = rng.uniform(-2, 2, 3)
+        times, pts = integrate_reference(xi, random_control(rng, r_z), 64)
+        dt = times - times[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(dt > 0, dist_g(pts, xi) / (3.0 * r_z * dt), 0.0)
+        reach = max(reach, float(ratios.max()))
+
+    deviation, gronwall = 0.0, 0.0
+    c_hat = LipschitzConstants(1.0, 1.0, 0.0, 0.0, 0.0).c_hat
+    for _ in range(n_translation):
+        xi = rng.uniform(-2, 2, 3)
+        xi_hat = rng.uniform(-2, 2, 3)
+        u = random_control(rng, 1.0)
+        _, pts = integrate_reference(xi, u, 64)
+        _, pts_hat = integrate_reference(xi_hat, u, 64)
+        translated = group_mul(group_mul(xi_hat, inverse(xi)), pts)
+        deviation = max(deviation, float(np.linalg.norm(pts_hat - translated, axis=-1).max()))
+        gronwall = max(gronwall, float(dist_g(pts, pts_hat).max() / (c_hat * float(dist_g(xi, xi_hat)))))
+
+    shift = 0.0
+    c_tilde = LipschitzConstants(1.0, 1.0, 0.0, 0.0, 0.0).c_tilde
+    for _ in range(n_shift):
+        xi = rng.uniform(-2, 2, 3)
+        xi_tilde = rng.uniform(-2, 2, 3)
+        tau_prime = float(rng.random() * 0.9)
+        u = random_control(rng, 1.0)
+        late_t, late = integrate_reference(xi_tilde, u.restrict(tau_prime), 64)
+        full_t, full = integrate_reference(xi, u, extra_times=late_t)
+        sep = dist_g(full[np.searchsorted(full_t, late_t)], late).max()
+        shift = max(shift, sep / (c_tilde * (float(dist_g(xi_tilde, xi)) + tau_prime)))
+    return reach, deviation, gronwall, shift

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, covering_radius_reference, depth_first_value
+from _util import DEFAULT_BOX, canonical_problem, covering_radius_reference, depth_first_value
 
 import heisgame.game as game
 from heisgame.catalog import make_running_cost
@@ -202,6 +202,52 @@ class TestHamiltonians:
         cost = lambda t, x, y, z: bad if z[0] > 0.5 else 0.0
         spec = simple_spec(cost, const_field(0.0), r_y=2.0, r_z=1.0)
         with pytest.raises(NonFiniteValueError, match="running cost non-finite"):
+            hamiltonian(spec, 0.0, np.zeros(3), np.zeros(2), self.Y, self.Z)
+
+
+    @pytest.mark.parametrize("source", ["coupling_spec", "build_game"])
+    def test_separable_path_matches_general_row(self, source):
+        spec = coupling_spec() if source == "coupling_spec" else canonical_problem()[1]
+        Y, Z = make_lattice(spec.r_y), make_lattice(spec.r_z)
+        general = dataclasses.replace(spec, coupling_base=None)
+        rng = np.random.default_rng(7)
+        n = 1000
+        probes = (rng.random(n) * spec.horizon, SMALL_BOX.sample(n, rng),
+                  ball_points(rng, spec.r_y, n))
+        for hamiltonian in (lower_hamiltonian, upper_hamiltonian):
+            assert np.array_equal(hamiltonian(spec, *probes, Y, Z),
+                                  hamiltonian(general, *probes, Y, Z))
+        fast, slow = isaacs_gap(spec, probes, Y, Z), isaacs_gap(general, probes, Y, Z)
+        assert np.array_equal(fast.gaps, slow.gaps)
+        assert fast.max_gap == slow.max_gap
+
+    def test_separable_path_calls_base_once_per_y(self):
+        calls = {"cost": 0, "base": 0}
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        spec = coupling_spec()
+        spec = dataclasses.replace(spec, running_cost=counted("cost", spec.running_cost),
+                                   coupling_base=counted("base", spec.coupling_base))
+        upper_hamiltonian(spec, 0.0, SMALL_BOX.sample(5, np.random.default_rng(0)),
+                          np.zeros(2), self.Y, self.Z)
+        assert calls == {"cost": 0, "base": len(self.Y.points)}
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["base", "pair"])
+    @pytest.mark.parametrize("hamiltonian", [lower_hamiltonian, upper_hamiltonian])
+    def test_non_finite_separable_cost_raises(self, hamiltonian, where, bad):
+        base = lambda t, x, y: bad if where == "base" and y[0] > 0.5 else 0.0
+        table = np.zeros((len(self.Z.points), len(self.Y.points)))
+        table[3, 5] = bad if where == "pair" else 0.0
+        spec = dataclasses.replace(
+            simple_spec(lambda t, x, y, z: 0.0, const_field(0.0), r_y=2.0, r_z=1.0),
+            coupling_base=base, coupling_pair=lambda yp, zp: table)
+        with pytest.raises(NonFiniteValueError, match=f"coupling {where}"):
             hamiltonian(spec, 0.0, np.zeros(3), np.zeros(2), self.Y, self.Z)
 
 
@@ -775,3 +821,14 @@ class TestLipschitzAudit:
         spatial = [r for r in reports if "c_sharp" in r.quantity][0]
         assert not spatial.passed
         assert spatial.witness is not None
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_solve_bytes_counts_the_stacks_and_w(threads):
+    spec = coupling_spec()
+    Y, Z = make_lattice(spec.r_y, 1, 8), make_lattice(spec.r_z, 2, 8)
+    v = backward_induction(spec, Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS)), 2, Y, Z,
+                           warn_costs=False)
+    w = len(Z.points) * v.data[0].size * 8  # one block of every node
+    assert game.solve_bytes(SMALL_COUNTS, 2, len(Z.points), threads) \
+        == v.data.nbytes + v.trusted.nbytes + w

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heisgame.cli as cli
 from heisgame.cli import main
+from heisgame.game import solve_bytes
 from heisgame.grids import read_value_grid
 from heisgame.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -237,6 +239,33 @@ class TestSolveCommand:
         assert (target / "manifest.json").exists()
 
 
+class TestMemoryGuard:
+    HUGE = [4097, 4097, 8193]
+
+    @pytest.mark.parametrize("command,field", [("solve", "grid"), ("verify", "grid"),
+                                               ("verify", "oracle_counts")])
+    def test_beyond_physical_memory_exit_2(self, tmp_path, capsys, command, field):
+        if field == "grid":
+            data = dict(SMALL, grid={"box": SMALL["grid"]["box"], "counts": self.HUGE})
+        else:
+            data = dict(SMALL, verify=dict(SMALL["verify"], oracle_counts=self.HUGE))
+        out = tmp_path / "out"
+        assert main([command, str(write_scenario(tmp_path, data)), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "GiB" in capsys.readouterr().err
+
+    def test_verify_counts_its_oracle_solve(self, tmp_path, monkeypatch, capsys):
+        # a machine that holds the scenario's own solve but not the oracle's too
+        data = dict(SMALL, time_steps=2)
+        path = write_scenario(tmp_path, data)
+        own = solve_bytes(SMALL["grid"]["counts"], 2, 25)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: own + 1)
+        assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
+        assert not (tmp_path / "v").exists()
+        assert "physical memory" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_small_scenario_all_pass(self, tmp_path):
         path = write_scenario(tmp_path, SMALL)
@@ -258,6 +287,16 @@ class TestVerifyCommand:
         traj = (out / "sample_trajectory.csv").read_text().strip().split("\n")
         assert traj[0] == "time,x1,x2,x3"
         assert len(traj) > 2
+
+    def test_deterministic_outputs(self, tmp_path):
+        path = write_scenario(tmp_path, dict(SMALL, time_steps=2))
+        outs = [tmp_path / name for name in "abc"]
+        codes = [main(["verify", str(path), "--out", str(out), *extra])
+                 for out, extra in zip(outs, ([], [], ["--threads", "2"]))]
+        assert codes[0] == codes[1] == codes[2]
+        for name in ["verify.json", "sample_trajectory.csv"]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+            assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
     def test_underdeclared_c2p_fails(self, tmp_path):
         data = dict(SMALL, constants={"c2p": 0.1})
