@@ -7,7 +7,9 @@ box are taken at its corners where the function is componentwise
 monotone; gauge-Lipschitz constants with no closed form are estimated by
 a sampled supremum ratio padded by 25 percent.  A separable running cost,
 ``base(t, x, y) + k(y, z)``, also returns ``base`` and the table of ``k``
-(``coupling_pair``, ``None`` for ``z . y``) for the solver's fast path.
+(``coupling_pair``, ``None`` for ``z . y``) for the solver's fast path; a
+table free of ``y`` (``constant``, ``custom-affine``) lets the lower step
+reduce its ``min_z`` once for all ``y``.
 
 Each entry also declares the group reflections it commutes with
 (``reflections``, names from ``game.REFLECTIONS``): ``"x2"`` maps

@@ -39,24 +39,9 @@ from .game import (
     make_lattice,
 )
 from .hji import covering_error_bound, hamiltonian_identity_check, uniqueness_initial_trace
-from .scenario import Scenario
+from .scenario import SAMPLE_DEFAULTS, Scenario
 
 __all__ = ["CheckResult", "run_verification", "random_control", "sample_counts", "oracle_solve"]
-
-# sample counts of the battery, each overridable in the scenario's
-# ``verify`` section; the manifest records the values in effect
-SAMPLE_DEFAULTS = {
-    "group_samples": 10_000,
-    "flow_controls": 200,
-    "reach_instances": 2000,
-    "translation_instances": 2000,
-    "shift_instances": 300,
-    "dpp_probes": 48,
-    "identity_probes": 1000,
-    "isaacs_probes": 200,
-    "random_pairs": 20_000,
-}
-
 
 def sample_counts(cfg: dict) -> dict:
     """The battery's sample counts: ``cfg`` overrides over the defaults."""

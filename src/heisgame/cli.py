@@ -198,13 +198,15 @@ def _cmd_verify(args) -> int:
 
 
 def _export_sample_trajectory(sc: Scenario, path: Path) -> None:
-    """One seeded admissible trajectory as time,x1,x2,x3 rows."""
+    """One seeded admissible trajectory of ``xdot = -f(x, z)`` as
+    time,x1,x2,x3 rows."""
     from .checks import random_control
     from .flow import integrate, write_trajectory_csv
 
     rng = np.random.default_rng(sc.seed)
     u = random_control(rng, sc.game.r_z, t_end=sc.horizon)
-    traj = integrate(np.zeros(3), u, "minus", samples_per_segment=16)
+    traj = integrate(np.zeros(3), dataclasses.replace(u, values=-u.values),
+                     samples_per_segment=16)
     write_trajectory_csv(traj, path)
 
 
@@ -316,15 +318,16 @@ def _cmd_audit(args) -> int:
         print(f"cannot read value grids from {indir}: {e}", file=sys.stderr)
         return 2
     manifest = json.loads(manifest_path.read_text())
-    dc = manifest["derived_constants"]
-    consts = LipschitzConstants(
-        horizon=float(value.horizon),
-        r_z=float(dc["r_z"]["value"]),
-        c1=float(dc["c1"]["value"]),
-        c1p=float(dc["c1p"]["value"]),
-        c2p=float(dc["c2p"]["value"]),
-    )
-    if manifest["scenario"].get("kind") == "hji":
+    found = {}
+    for name in ("r_z", "c1", "c1p", "c2p"):
+        try:
+            found[name] = float(manifest["derived_constants"][name]["value"])
+        except (KeyError, TypeError, ValueError):
+            print(f"manifest.json in {indir} has no number at"
+                  f" derived_constants.{name}.value", file=sys.stderr)
+            return 2
+    consts = LipschitzConstants(float(value.horizon), **found)
+    if manifest.get("scenario", {}).get("kind") == "hji":
         value = value.reversed_time()
     reports = lipschitz_audit(value, consts,
                               rng=np.random.default_rng(manifest.get("seed", 0) + 2))

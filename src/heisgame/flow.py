@@ -1,12 +1,12 @@
 """Horizontal curves under piecewise-constant controls.
 
-A horizontal curve follows ``xdot = s * f(x, z)`` with sign ``s = +/-1``
-and ``f(x, z) = (z1, z2, (z2*x1 - z1*x2)/2)``.  For a constant control the
-flow has the closed form ``x(t) = xi o (s*t*z1, s*t*z2, 0)``: the third
+A horizontal curve follows ``xdot = f(x, z)`` with
+``f(x, z) = (z1, z2, (z2*x1 - z1*x2)/2)``.  For a constant control the
+flow has the closed form ``x(t) = xi o (t*z1, t*z2, 0)``: the third
 coordinate is affine in time, so composing exact steps over the segments
 of a piecewise-constant control integrates the curve without truncation
-error.  The minus-sign flow under ``z`` coincides with the plus-sign flow
-under ``-z``.
+error.  The game's dynamics ``xdot = -f(x, z)`` are this flow under
+``-z``, bit for bit, since ``(-h)*z == h*(-z)`` in IEEE arithmetic.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
 from .heis import dist_g, group_mul, inverse, _pts
 
 __all__ = [
-    "Sign",
     "LipschitzConstants",
     "PiecewiseConstantControl",
     "Trajectory",
@@ -39,16 +37,6 @@ __all__ = [
     "TranslationReport",
     "ShiftReport",
 ]
-
-Sign = Literal["plus", "minus"]
-
-
-def _sign_factor(sign: Sign) -> float:
-    try:
-        return {"plus": 1.0, "minus": -1.0}[sign]
-    except KeyError:
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}") from None
-
 
 @dataclass(frozen=True)
 class PiecewiseConstantControl:
@@ -130,44 +118,33 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                header="time,x1,x2,x3", comments="")
 
 
-def exact_step(xi, z, h, sign: Sign = "plus") -> np.ndarray:
-    """Endpoint of the flow from ``xi`` with constant velocity ``(+/-)z`` over ``h``.
+def exact_step(xi, z, h) -> np.ndarray:
+    """Endpoint of the flow from ``xi`` with constant velocity ``z`` over ``h``.
 
-    Closed form ``xi o (s*h*z1, s*h*z2, 0)``; ``h`` may be an array and
-    must be nonnegative.
+    Closed form ``xi o (h*z1, h*z2, 0)``; ``h`` may be an array and must be
+    nonnegative.
     """
-    s = _sign_factor(sign)
     z = np.asarray(z, dtype=float)
     h = np.asarray(h, dtype=float)
     if (h < 0).any():
         raise ValueError("step duration must be nonnegative")
-    d1 = s * h * z[..., 0]
-    d2 = s * h * z[..., 1]
+    d1 = h * z[..., 0]
+    d2 = h * z[..., 1]
     shift = np.stack([d1, d2, np.zeros_like(d1)], axis=-1)
     return group_mul(xi, shift)
 
 
-def integrate(
-    xi,
-    u: PiecewiseConstantControl,
-    sign: Sign = "plus",
-    samples_per_segment: int = 0,
-    extra_times=None,
-) -> Trajectory:
-    """Exact trajectory at ``t0``, all breakpoints, and any requested times."""
+def integrate(xi, u: PiecewiseConstantControl, samples_per_segment: int = 0) -> Trajectory:
+    """Exact trajectory at ``t0``, all breakpoints, and ``samples_per_segment``
+    uniform times per segment."""
     xi = _pts(xi).reshape(3)
     wanted = [np.array([u.t0]), u.breakpoints]
     if samples_per_segment > 0:
         wanted.append(_segment_times(np.array([u.t0]), u.breakpoints[None],
                                      samples_per_segment)[0])
-    if extra_times is not None:
-        et = np.asarray(extra_times, dtype=float).reshape(-1)
-        if len(et) and ((et < u.t0).any() or (et > u.t_end).any()):
-            raise ValueError("requested sample times outside the control span")
-        wanted.append(et)
     times = np.unique(np.concatenate(wanted))
     points = _flow_at(xi[None], np.array([u.t0]), u.breakpoints[None], u.values[None],
-                      times[None], sign)[0]
+                      times[None])[0]
     return Trajectory(times, points)
 
 
@@ -179,7 +156,7 @@ def _segment_times(t0, breakpoints, per_segment: int) -> np.ndarray:
     return np.concatenate([t0[:, None], inner.reshape(len(t0), -1)], axis=1)
 
 
-def _flow_at(xi, t0, breakpoints, values, times, sign: Sign = "plus") -> np.ndarray:
+def _flow_at(xi, t0, breakpoints, values, times) -> np.ndarray:
     """Exact flows of ``n`` controls of ``m`` segments each at ``(n, k)`` times.
 
     ``xi`` is ``(n, 3)``, ``t0`` ``(n,)``, ``breakpoints`` ``(n, m)`` and
@@ -195,11 +172,11 @@ def _flow_at(xi, t0, breakpoints, values, times, sign: Sign = "plus") -> np.ndar
     starts = np.concatenate([t0[:, None], breakpoints], axis=1)
     states = [xi]
     for j in range(m - 1):
-        states.append(exact_step(states[-1], values[:, j], starts[:, j + 1] - starts[:, j], sign))
+        states.append(exact_step(states[-1], values[:, j], starts[:, j + 1] - starts[:, j]))
     seg = (times[..., None] > breakpoints[:, None]).sum(-1)
     rows = np.arange(n)[:, None]
     pts = exact_step(np.stack(states, axis=1)[rows, seg], values[rows, seg],
-                     times - starts[rows, seg], sign)
+                     times - starts[rows, seg])
     return np.where((times == t0[:, None])[..., None], xi[:, None], pts)
 
 
@@ -218,12 +195,7 @@ def _rk4_span(x, z1: float, z2: float, length: float, n: int):
     return x1, x2, x3
 
 
-def rk4_reference(
-    xi,
-    u: PiecewiseConstantControl,
-    sign: Sign = "plus",
-    substeps: int = 100,
-) -> Trajectory:
+def rk4_reference(xi, u: PiecewiseConstantControl, substeps: int = 100) -> Trajectory:
     """Classical RK4 integration of the same dynamics, used as a test oracle.
 
     ``substeps`` sets the target step count over the whole span; steps are
@@ -231,7 +203,6 @@ def rk4_reference(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    s = _sign_factor(sign)
     xi = _pts(xi).reshape(3)
     times = [u.t0]
     points = [xi.copy()]
@@ -242,7 +213,7 @@ def rk4_reference(
         for end, z in zip(u.breakpoints, u.values):
             length = end - t_cur
             n = max(1, math.ceil(length / h_target - 1e-12))
-            x = _rk4_span(x, s * float(z[0]), s * float(z[1]), length, n)
+            x = _rk4_span(x, float(z[0]), float(z[1]), length, n)
             times.append(end)
             points.append(np.array(x))
             t_cur = end

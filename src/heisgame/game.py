@@ -69,7 +69,8 @@ class GameSpec:
     constants in the gauge distance.  When the running cost is separable,
     ``base(t, x, y) + k(y, z)``, passing ``coupling_base`` and
     ``coupling_pair(ypts, zpts)``, the ``(mz, my)`` table of ``k`` (``None``
-    for ``z . y``), lets the lower value take a faster path.  The paths
+    for ``z . y``), lets the lower value take a faster path, with one
+    ``min_z`` for all ``y`` where the table is free of ``y``.  The paths
     round differently, the fast one as ``(W_z + h*k) + h*base`` and the
     general one as ``W_z + h*F``, so declaring or dropping these fields
     moves the values by ulps (the tests pin the paths to 1e-12).  The
@@ -293,40 +294,24 @@ def _as_probe_arrays(t, x, lam):
     return scalar, pts, lam, t
 
 
-def _max_min(n, m_outer, m_inner, row, lower, outer_term=None, groups=None):
+def _max_min(n, m_outer, m_inner, row, lower, outer_term=None):
     """The lattice opt-opt: ``max_a min_b`` if ``lower``, else ``min_a max_b``.
 
     ``row(a, b, out)`` writes the payoff of outer index ``a`` and inner
     index ``b`` into ``out`` of shape ``(n,)``; ``outer_term(a)``, if
-    given, is added after the inner reduction.  Outer indices with equal
-    labels in ``groups`` (an int array of length ``m_outer``) must have
-    equal rows: their inner reduction is computed once, from the rows of
-    the first of them, and held until the last, after which its buffer is
-    reused.  The outer opt still takes every ``a`` in order, so grouping
-    never changes a bit of the result.  Rows accumulate in place, which
-    measured faster than reducing stacked ``(m, n)`` chunks.
+    given, is added after the inner reduction.  Rows accumulate in place,
+    which measured faster than reducing stacked ``(m, n)`` chunks.
     """
     inner_opt, outer_opt = (np.minimum, np.maximum) if lower else (np.maximum, np.minimum)
-    groups = range(m_outer) if groups is None else groups.tolist()
-    last = {g: a for a, g in enumerate(groups)}
     best = np.full(n, -np.inf if lower else np.inf)
-    scratch = np.empty(n)
-    held, spare = {}, []
-    for a, g in enumerate(groups):
-        acc = held.pop(g, None)
-        if acc is None:
-            acc = spare.pop() if spare else np.empty(n)
-            row(a, 0, acc)
-            for b in range(1, m_inner):
-                row(a, b, scratch)
-                inner_opt(acc, scratch, out=acc)
-        if last[g] > a:
-            held[g] = acc
-        else:
-            spare.append(acc)
-        if outer_term is not None:
-            acc = np.add(acc, outer_term(a), out=scratch)
-        outer_opt(best, acc, out=best)
+    acc, scratch = np.empty(n), np.empty(n)
+    for a in range(m_outer):
+        row(a, 0, acc)
+        for b in range(1, m_inner):
+            row(a, b, scratch)
+            inner_opt(acc, scratch, out=acc)
+        total = acc if outer_term is None else np.add(acc, outer_term(a), out=scratch)
+        outer_opt(best, total, out=best)
     return best
 
 
@@ -415,11 +400,12 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     ``W`` of shape ``(mz, n)`` holds the continuation values, filled by the
     caller: row ``j`` at the feet ``x o (-h*z_j, 0)`` of the batch, reached
     with lattice point ``z_j`` under ``xdot = -f(x, z)``.  For a separable
-    cost the lower value takes ``max_y [min_z (W_z + h*k(y, z)) + h*base(y)]``:
-    ``y`` whose columns of ``offs = h*k`` have equal bits share one
-    ``min_z`` (one group for a ``k`` free of ``y``; ``0.0`` and ``-0.0``
-    differ), and the cost is called only as ``base``, once per ``y``.
-    Otherwise every ``(y, z)`` pair calls ``running_cost``.
+    cost the lower value takes ``max_y [min_z (W_z + h*k(y, z)) + h*base(y)]``,
+    calling the cost only as ``base``, once per ``y``; where every column of
+    ``offs = h*k`` has the same bits (a ``k`` free of ``y``; ``0.0`` and
+    ``-0.0`` differ), the one ``min_z`` is reduced once, bit-identical to
+    reducing it per ``y``.  The upper value, and any cost without
+    ``coupling_base``, call ``running_cost`` once per ``(y, z)`` pair.
     """
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
@@ -427,13 +413,18 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
     if lower and spec.coupling_base is not None:
         offs = h * _pair_table(spec, ypts, zpts)  # (mz, my)
-        _, groups = np.unique(offs.view(np.uint64), axis=1, return_inverse=True)
 
         def base(yi):
             return h * np.asarray(spec.coupling_base(t, pts, ypts[yi]), dtype=float)
 
+        bits = offs.view(np.uint64)
+        if (bits == bits[:, :1]).all():
+            common = _max_min(n, 1, len(zpts),
+                              lambda _, zi, out: np.add(W[zi], offs[zi, 0], out=out), True)
+            return _max_min(n, len(ypts), 1,
+                            lambda yi, _, out: np.add(common, base(yi), out=out), True)
         return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
-                        True, base, groups.reshape(-1))
+                        True, base)
 
     def row(a, b, out):
         yi, zi = (a, b) if lower else (b, a)
@@ -477,12 +468,12 @@ def fundamental_domain(spec: GameSpec, grid: Grid3, y_lattice: ControlLattice,
     return Domain(tuple(used), (s1, s2), (n1 - s1) * (n2 - s2) * n3)
 
 
-def _maps_onto(points: np.ndarray, flip: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether every flipped point lies within ``tol`` of a lattice point."""
+def _maps_onto(points: np.ndarray, flip: np.ndarray) -> bool:
+    """Whether every flipped point lies within 1e-12 of a lattice point."""
     flipped = points * flip
     for k in range(0, len(points), 64):
         gap = np.abs(flipped[k:k + 64, None, :] - points[None, :, :]).max(-1).min(-1)
-        if (gap > tol).any():
+        if (gap > 1e-12).any():
             return False
     return True
 
@@ -648,9 +639,9 @@ def _alternating_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which
     if steps == 1:
         W = np.empty((len(zpts), len(pts)))
         for j, z in enumerate(zpts):
-            W[j] = leaf(exact_step(pts, z, h, "minus"))
+            W[j] = leaf(exact_step(pts, -z, h))
     else:
-        feet = exact_step(pts, zpts[:, None], h, "minus")  # (mz, n, 3)
+        feet = exact_step(pts, -zpts[:, None], h)  # (mz, n, 3)
         W = _alternating_value(spec, feet.reshape(-1, 3), t_start + h, steps - 1, h,
                                y_lattice, z_lattice, which, leaf).reshape(feet.shape[:2])
     return _backup(spec, t_start, h, pts, W, y_lattice, z_lattice, which)
@@ -689,7 +680,6 @@ def brute_force_value(
 class DppReport:
     max_residual: float
     n_evaluated: int
-    n_skipped: int
     sigma_steps: int
 
 
@@ -698,45 +688,30 @@ def dpp_residual(
     spec: GameSpec,
     y_lattice: ControlLattice,
     z_lattice: ControlLattice,
-    probes=64,
+    probes: int = 64,
     sigma_steps: int = 2,
     rng=None,
     which: str = "lower",
 ) -> DppReport:
-    """Recomputes ``V`` at probe nodes by an exact ``sigma_steps``-step
-    alternating expansion off the slice at ``t + sigma`` and reports the
-    worst disagreement.
+    """Recomputes ``V`` at ``probes`` nodes, sampled inside the certified
+    region, by an exact ``sigma_steps``-step alternating expansion off the
+    slice at ``t + sigma`` and reports the worst disagreement.
 
     One step reproduces the recurrence identically; two or more steps
-    expose the interpolation commutation error.  Integer ``probes`` are
-    sampled inside the certified region; explicit ``(k, i, j, l)`` probes
-    outside it are skipped and counted.
+    expose the interpolation commutation error.
     """
     if sigma_steps < 1 or sigma_steps > V.n_steps:
         raise ValueError("sigma_steps must be between 1 and n_steps")
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
     _check_lattices(spec, y_lattice, z_lattice)
     sl = V.region_index_bounds()
     h = V.dt
-    if isinstance(probes, int):
-        rng = rng or np.random.default_rng(0)
-        ks = rng.integers(0, V.n_steps - sigma_steps + 1, probes)
-        ii = rng.integers(sl[0].start, sl[0].stop, probes)
-        jj = rng.integers(sl[1].start, sl[1].stop, probes)
-        ll = rng.integers(sl[2].start, sl[2].stop, probes)
-        n_skipped = 0
-    else:
-        kept, n_skipped = [], 0
-        for (k, i, j, l) in probes:
-            in_region = (sl[0].start <= i < sl[0].stop
-                         and sl[1].start <= j < sl[1].stop
-                         and sl[2].start <= l < sl[2].stop)
-            if k <= V.n_steps - sigma_steps and in_region:
-                kept.append((k, i, j, l))
-            else:
-                n_skipped += 1
-        ks, ii, jj, ll = np.array(kept, dtype=np.int64).reshape(-1, 4).T
-    if not len(ks):
-        return DppReport(0.0, 0, n_skipped, sigma_steps)
+    rng = rng or np.random.default_rng(0)
+    ks = rng.integers(0, V.n_steps - sigma_steps + 1, probes)
+    ii = rng.integers(sl[0].start, sl[0].stop, probes)
+    jj = rng.integers(sl[1].start, sl[1].stop, probes)
+    ll = rng.integers(sl[2].start, sl[2].stop, probes)
 
     ax = V.axes()
     pts = np.stack([ax[0][ii], ax[1][jj], ax[2][ll]], axis=-1)
@@ -749,7 +724,7 @@ def dpp_residual(
         vals = _alternating_value(spec, pts[group], float(V.times[k]), sigma_steps, h,
                                   y_lattice, z_lattice, which, leaf)
         worst = max(worst, float(np.abs(vals - stored[group]).max()))
-    return DppReport(worst, len(ks), n_skipped, sigma_steps)
+    return DppReport(worst, len(ks), sigma_steps)
 
 
 @dataclass(frozen=True)

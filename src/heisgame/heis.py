@@ -166,23 +166,21 @@ def h_convexity_check(
     directions: int = 64,
     probes: int = 33,
     rng: np.random.Generator | None = None,
-    tol_scale: float = 1e-9,
-    s_max: float | None = None,
 ) -> ConvexityReport:
     """Sampled midpoint-convexity test of ``s -> g(x o (s*w1, s*w2, 0))``.
 
     Base points are drawn from the box and paired with unit horizontal
     directions; the first few lines are deterministic (origin with the
-    coordinate directions).  On each line the interior second differences
-    must be nonnegative up to ``tol_scale * (1 + |g|)``.
+    coordinate directions).  Each line spans ``|s|`` up to half the box's
+    smaller horizontal extent, and its interior second differences must be
+    nonnegative up to ``1e-9 * (1 + |g|)``.
     """
     if directions < 1:
         raise ValueError("directions must be >= 1")
     if probes < 3:
         raise ValueError("probes must be >= 3")
     rng = rng or np.random.default_rng(0)
-    if s_max is None:
-        s_max = 0.5 * float(min(box.extent[0], box.extent[1]))
+    s_max = 0.5 * float(min(box.extent[0], box.extent[1]))
 
     lines: list[tuple[np.ndarray, np.ndarray]] = []
     fixed = [
@@ -208,7 +206,7 @@ def h_convexity_check(
             bad = line_pts[int(np.argmax(~np.isfinite(v)))]
             raise ValueError(f"field returned a non-finite value at {bad}")
         viol = v[1:-1] - 0.5 * (v[:-2] + v[2:])
-        tol = tol_scale * (1.0 + np.abs(v[1:-1]))
+        tol = 1e-9 * (1.0 + np.abs(v[1:-1]))
         if (viol > tol).any():
             passed = False
         k = int(np.argmax(viol))

@@ -90,6 +90,14 @@ DEFAULT_GRID = {"box": [[-4.0, 4.0], [-4.0, 4.0], [-8.0, 8.0]],
                 "counts": [33, 33, 65]}
 
 
+def _grid_counts(counts, name: str) -> tuple[int, int, int]:
+    if (not isinstance(counts, (list, tuple)) or len(counts) != 3
+            or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 2
+                       for c in counts)):
+        raise ScenarioError(name, "must be three integers >= 2")
+    return tuple(counts)
+
+
 def _parse_grid(data: dict) -> tuple[Box, tuple[int, int, int]]:
     grid = data.get("grid", DEFAULT_GRID)
     if not isinstance(grid, dict):
@@ -104,12 +112,40 @@ def _parse_grid(data: dict) -> tuple[Box, tuple[int, int, int]]:
         raise ScenarioError(
             "grid.box", "must be three [lo, hi] pairs with lo < hi"
         ) from None
-    counts = grid["counts"]
-    if (not isinstance(counts, (list, tuple)) or len(counts) != 3
-            or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 2
-                       for c in counts)):
-        raise ScenarioError("grid.counts", "must be three integers >= 2")
-    return box, tuple(counts)
+    return box, _grid_counts(grid["counts"], "grid.counts")
+
+
+# sample counts of the verify battery, each overridable in the scenario's
+# ``verify`` section; the manifest records the values in effect
+SAMPLE_DEFAULTS = {
+    "group_samples": 10_000,
+    "flow_controls": 200,
+    "reach_instances": 2000,
+    "translation_instances": 2000,
+    "shift_instances": 300,
+    "dpp_probes": 48,
+    "identity_probes": 1000,
+    "isaacs_probes": 200,
+    "random_pairs": 20_000,
+}
+
+# the least value of each integer of the ``verify`` section; a sample count
+# below it would let its check pass without testing anything
+_VERIFY_MINIMUMS = {**dict.fromkeys([*SAMPLE_DEFAULTS, "oracle_nodes", "max_nodes",
+                                     "convexity_directions"], 1), "convexity_probes": 3}
+
+
+def _parse_verify(data: dict) -> dict:
+    cfg = data.get("verify", {})
+    if not isinstance(cfg, dict):
+        raise ScenarioError("verify", "must be an object")
+    for key, least in _VERIFY_MINIMUMS.items():
+        value = cfg.get(key, least)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ScenarioError(f"verify.{key}", f"must be an integer >= {least}, got {value!r}")
+    if "oracle_counts" in cfg:
+        _grid_counts(cfg["oracle_counts"], "verify.oracle_counts")
+    return cfg
 
 
 def _parse_lattice(data: dict) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -167,9 +203,7 @@ def parse_scenario(data: dict) -> Scenario:
     overrides = data.get("constants", {})
     if not isinstance(overrides, dict):
         raise ScenarioError("constants", "must be an object")
-    verify_cfg = data.get("verify", {})
-    if not isinstance(verify_cfg, dict):
-        raise ScenarioError("verify", "must be an object")
+    verify_cfg = _parse_verify(data)
 
     def override(name, value):
         if name not in overrides:

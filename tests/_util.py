@@ -36,7 +36,7 @@ def batch_controls(rng, n, radius, segments=4, t_end=1.0):
     return breaks, values
 
 
-def batch_trajectory(xi, breaks, values, per_segment=16, sign=1.0):
+def batch_trajectory(xi, breaks, values, per_segment=16):
     """Exact flow of many controls at once (all start at t = 0).
 
     Returns sample times ``(n, k)`` and points ``(n, k, 3)`` including
@@ -55,8 +55,8 @@ def batch_trajectory(xi, breaks, values, per_segment=16, sign=1.0):
         seg_len = breaks[:, j] - t_prev
         h = seg_len[:, None] * frac[None, :]
         z = values[:, j]
-        d1 = sign * h * z[:, None, 0]
-        d2 = sign * h * z[:, None, 1]
+        d1 = h * z[:, None, 0]
+        d2 = h * z[:, None, 1]
         shift = np.stack([d1, d2, np.zeros_like(d1)], axis=-1)
         pts = group_mul(x_prev[:, None, :], shift)
         all_t.append(t_prev[:, None] + h)
@@ -73,7 +73,7 @@ def depth_first_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which,
         return np.asarray(leaf(pts), dtype=float)
     W = np.empty((len(z_lattice.points), len(pts)))
     for j, z in enumerate(z_lattice.points):
-        W[j] = depth_first_value(spec, exact_step(pts, z, h, "minus"), t_start + h,
+        W[j] = depth_first_value(spec, exact_step(pts, -z, h), t_start + h,
                                  steps - 1, h, y_lattice, z_lattice, which, leaf)
     return _backup(spec, t_start, h, pts, W, y_lattice, z_lattice, which)
 
@@ -96,7 +96,7 @@ def covering_radius_reference(points, radius):
     return worst
 
 
-def integrate_reference(xi, u, samples_per_segment=0, extra_times=None, sign="plus"):
+def integrate_reference(xi, u, samples_per_segment=0, extra_times=None):
     """The exact flow one segment at a time: reference for the batched
     sampler behind ``flow.integrate`` and the flow checks."""
     xi = np.asarray(xi, dtype=float).reshape(3)
@@ -114,9 +114,9 @@ def integrate_reference(xi, u, samples_per_segment=0, extra_times=None, sign="pl
     x_cur, t_cur, filled = xi, u.t0, 1
     for end, z in zip(u.breakpoints, u.values):
         in_seg = times[(times > t_cur) & (times <= end)]
-        points[filled:filled + len(in_seg)] = exact_step(x_cur, z, in_seg - t_cur, sign)
+        points[filled:filled + len(in_seg)] = exact_step(x_cur, z, in_seg - t_cur)
         filled += len(in_seg)
-        x_cur = exact_step(x_cur, z, end - t_cur, sign)
+        x_cur = exact_step(x_cur, z, end - t_cur)
         t_cur = end
     return times, points
 

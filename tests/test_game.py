@@ -400,6 +400,36 @@ class TestBackwardInduction:
         assert np.signbit(ref[0])
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
+    def test_y_free_pair_table_reduces_min_z_once(self, monkeypatch):
+        # a y-free table costs mz rows for the one min_z and my for the
+        # outer max; the z.y table of coupling_spec costs a row per pair
+        rows = []
+        kernel = game._max_min
+
+        def counted(n, m_outer, m_inner, *rest):
+            rows.append(m_outer * m_inner)
+            return kernel(n, m_outer, m_inner, *rest)
+
+        monkeypatch.setattr(game, "_max_min", counted)
+        Y, Z = make_lattice(2.0, 2, 8), make_lattice(1.0, 1, 8)
+        my, mz = len(Y.points), len(Z.points)
+        W = np.random.default_rng(0).normal(size=(mz, 16))
+        pts = np.zeros((16, 3))
+        y_free = lambda yp, zp: np.broadcast_to(zp[:, :1] - 0.5, (len(zp), len(yp)))
+        for pair, expected in ((y_free, mz + my), (None, my * mz)):
+            spec = dataclasses.replace(coupling_spec(), coupling_pair=pair)
+            rows.clear()
+            got = game._backup(spec, 0.0, 0.25, pts, W, Y, Z, "lower")
+            assert sum(rows) == expected
+            table = game._pair_table(spec, Y.points, Z.points)
+            ref = np.full(len(pts), -np.inf)
+            for yi, y in enumerate(Y.points):
+                acc = W[0] + 0.25 * table[0, yi]
+                for zi in range(1, mz):
+                    acc = np.minimum(acc, W[zi] + 0.25 * table[zi, yi])
+                ref = np.maximum(ref, acc + 0.25 * spec.coupling_base(0.0, pts, y))
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_separable_cost_skips_running_cost(self):
         data = {
             "schema": 1, "kind": "game", "horizon": 0.25,
@@ -456,7 +486,7 @@ class TestBackwardInduction:
                                threads=threads, warn_costs=False)
         inside = np.ones(len(nodes), dtype=bool)
         for z in self.Z.points:
-            inside &= SMALL_BOX.contains(exact_step(nodes, z, spec.horizon, "minus"))
+            inside &= SMALL_BOX.contains(exact_step(nodes, -z, spec.horizon))
         assert inside.any() and not inside.all()
         assert np.array_equal(v.trusted[0].reshape(-1), inside)
         assert v.trusted[1].all()
@@ -652,7 +682,7 @@ class TestBruteForceOracle:
             inner = np.inf
             for z in self.Z.points:
                 val = h * spec.running_cost(0.0, xi, y, z) \
-                    + float(gauge(exact_step(xi, z, h, "minus")))
+                    + float(gauge(exact_step(xi, -z, h)))
                 inner = min(inner, val)
             best = max(best, inner)
         assert brute_force_value(spec, xi, 1, self.Y, self.Z) == pytest.approx(best, abs=1e-12)
@@ -691,13 +721,12 @@ class TestDppResidual:
                            rng=np.random.default_rng(10))
         assert rep.max_residual <= 1e-12
 
-    def test_explicit_probes_outside_region_skipped(self):
+    def test_rejects_fewer_than_one_probe(self):
         spec = coupling_spec(r_y=1.0)
         v, Y, Z = self.solve_small(spec)
-        rep = dpp_residual(v, spec, Y, Z, probes=[(0, 0, 0, 0), (9, 4, 4, 8)],
-                           sigma_steps=2)
-        assert rep.n_skipped == 2
-        assert rep.n_evaluated == 0
+        for probes in (0, -3):
+            with pytest.raises(ValueError, match="probes must be >= 1"):
+                dpp_residual(v, spec, Y, Z, probes=probes, sigma_steps=1)
 
     def test_rejects_lattice_of_wrong_radius(self):
         spec = coupling_spec(r_y=1.0)

@@ -88,7 +88,7 @@ class TestInterpFeet:
             z = rng.normal(size=2) * (0.0 if k % 5 == 0 else rng.choice([0.1, 1.0, 10.0]))
             grid = Grid3(box, values)
             ref_v, ref_in = interp_values(box, values,
-                                          exact_step(grid.node_coordinates(), z, h, "minus"))
+                                          exact_step(grid.node_coordinates(), -z, h))
             x1, x2, x3 = grid.axes()
             n1, plane = values.shape[0], values.shape[1] * values.shape[2]
             a = int(rng.integers(0, n1))

@@ -288,6 +288,20 @@ class TestVerifyCommand:
         assert traj[0] == "time,x1,x2,x3"
         assert len(traj) > 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("reach_instances", 0), ("dpp_probes", 0), ("oracle_nodes", 0),
+        ("translation_instances", -3), ("max_nodes", 0), ("convexity_directions", 0),
+        ("convexity_probes", 2), ("isaacs_probes", 2.5), ("group_samples", "10"),
+        ("random_pairs", True), ("oracle_counts", "abc"),
+        ("oracle_counts", [9.5, 9, 17]), ("oracle_counts", [9, 9, 1])])
+    def test_bad_verify_field_exit_2(self, tmp_path, capsys, field, value):
+        # each of these once ran, or passed its check without a sample
+        data = dict(SMALL, verify=dict(SMALL["verify"], **{field: value}))
+        out = tmp_path / "out"
+        assert main(["verify", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 2
+        assert f"verify.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         path = write_scenario(tmp_path, dict(SMALL, time_steps=2))
         outs = [tmp_path / name for name in "abc"]
@@ -386,6 +400,17 @@ class TestAuditCommand:
 
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["audit", str(tmp_path)]) == 2
+
+    def test_manifest_without_constant_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "solve-out"
+        assert main(["solve", str(write_scenario(tmp_path, dict(SMALL, time_steps=2))),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["derived_constants"]["c1p"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["audit", str(out)]) == 2
+        assert "derived_constants.c1p" in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
 
     def test_out_option_rejected(self, tmp_path):
         # audits write next to their input, so audit takes no --out

@@ -1,0 +1,139 @@
+"""Write the outputs of a fixed set of heisgame commands, or compare two such sets.
+
+    python3 tools/outputs.py write DIR [--checkout PATH] [--seeds N]
+    python3 tools/outputs.py diff A B
+
+``write`` runs the CLI, importing the package from ``PATH/src`` (default:
+this checkout), on every ``scenarios/*.json`` file and on the three
+benchmark workloads of ``bench/workloads.py`` at scenario seed 0: ``solve``
+at ``--threads 1`` and at ``--threads 2``, and ``verify``.  With
+``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
+scenario seeds 1 to N-1.  The scenario inputs always come from this
+checkout, so two checkouts written this way ran the same commands.  Each
+command writes to ``DIR/<scenario>/<run>``, next to an ``exit_code`` file.
+
+``diff`` lists the files that differ in bytes or exist on one side only,
+ignoring ``run.log`` (it holds wall times); for each differing ``.bin``
+grid it adds the largest absolute difference of its values.  It exits 0
+when the two sets are byte-identical and 1 otherwise.
+
+Checking that a change keeps every output byte-identical to its parent::
+
+    git archive --prefix=parent/ HEAD~1 | tar x -C /tmp
+    python3 tools/outputs.py write /tmp/out-parent --checkout /tmp/parent --seeds 32
+    python3 tools/outputs.py write /tmp/out-change --seeds 32
+    python3 tools/outputs.py diff /tmp/out-parent /tmp/out-change
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+SKIPPED = {"run.log"}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(seeds: int):
+    """``(name, scenario path or JSON dict, run, argv tail)`` of each command."""
+    jobs = []
+    inputs = [(path.stem, path) for path in sorted((REPO / "scenarios").glob("*.json"))]
+    wl = _workloads()
+    inputs += [(name, wl.scenario(template, 0)) for name, (_, template) in wl.WORKLOADS.items()]
+    for name, scenario in inputs:
+        jobs += [(name, scenario, f"solve-t{t}", ["solve", "--threads", str(t)]) for t in (1, 2)]
+        jobs.append((name, scenario, "verify", ["verify"]))
+    _, template = wl.WORKLOADS["hji-verify"]
+    jobs += [("hji-verify", wl.scenario(template, s), f"verify-seed{s:02d}", ["verify"])
+             for s in range(1, seeds)]
+    return jobs
+
+
+def write(outdir: Path, checkout: Path, seeds: int) -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(checkout.resolve() / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for name, scenario, run, (command, *flags) in _runs(seeds):
+        target = outdir / name / run
+        target.mkdir(parents=True, exist_ok=True)
+        if isinstance(scenario, dict):
+            path = target / "scenario.json"
+            path.write_text(json.dumps(scenario))
+        else:
+            path = scenario
+        proc = subprocess.run([sys.executable, "-m", "heisgame.cli", command, str(path),
+                               "--out", str(target), *flags],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True)
+        (target / "exit_code").write_text(f"{proc.returncode}\n")
+        print(f"{name}/{run}: exit {proc.returncode}", flush=True)
+        if proc.returncode not in (0, 1):
+            print(proc.stderr, file=sys.stderr)
+    return 0
+
+
+def _files(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file() and p.name not in SKIPPED}
+
+
+def _max_abs_diff(a: Path, b: Path) -> str:
+    dtype = np.uint8 if a.name.endswith(".trusted.bin") else "<f8"
+    va, vb = (np.fromfile(p, dtype=dtype).astype(float) for p in (a, b))
+    if va.shape != vb.shape:
+        return f"sizes {va.size} and {vb.size}"
+    with np.errstate(invalid="ignore"):
+        return f"max |diff| {np.nanmax(np.abs(va - vb), initial=0.0):.3g}"
+
+
+def diff(a: Path, b: Path) -> int:
+    files_a, files_b = _files(a), _files(b)
+    same = bad = 0
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            print(f"only in {a if rel in files_a else b}: {rel}")
+        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+            note = f" ({_max_abs_diff(a / rel, b / rel)})" if rel.suffix == ".bin" else ""
+            print(f"differs: {rel}{note}")
+        else:
+            same += 1
+            continue
+        bad += 1
+    print(f"{same} files byte-identical, {bad} differ or are missing (run.log ignored)")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="command", required=True)
+    w = sub.add_parser("write", help="run the commands and keep their outputs")
+    w.add_argument("dir", type=Path)
+    w.add_argument("--checkout", type=Path, default=REPO,
+                   help="checkout whose src is run (default: this one)")
+    w.add_argument("--seeds", type=int, default=1,
+                   help="scenario seeds 0..N-1 for the hji-verify workload's verify")
+    d = sub.add_parser("diff", help="compare two written directories")
+    d.add_argument("a", type=Path)
+    d.add_argument("b", type=Path)
+    args = p.parse_args(argv)
+    if args.command == "write":
+        return write(args.dir, args.checkout, args.seeds)
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
