@@ -125,22 +125,19 @@ def _physical_memory() -> int:
 
 def _require_memory(*solves) -> None:
     """Refuses, before any is allocated, solves whose arrays (``solve_bytes``
-    of each ``(counts, n_steps, z_points, threads)``) exceed physical memory."""
+    of each ``(counts, n_steps, z_points, threads, reversed_copy)``) exceed
+    physical memory."""
     need, have = sum(solve_bytes(*s) for s in solves), _physical_memory()
     if need > have:
         raise ValueError(f"the solver arrays need about {need / 2**30:.3g} GiB, more than "
                          f"the {have / 2**30:.3g} GiB of physical memory; use a coarser grid")
 
 
-def _solve_scenario(sc: Scenario, threads: int):
-    y_lat, z_lat = sc.make_lattices()
-    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), threads))
+def _solve_scenario(sc: Scenario, y_lat, z_lat, threads: int):
+    """Game-time lower value of ``sc`` on its grid."""
     template = Grid3(sc.box, np.zeros(sc.counts))
-    v = backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
-                           which="lower", threads=threads)
-    if sc.kind == "hji":
-        v = v.reversed_time()
-    return v, y_lat, z_lat
+    return backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
+                              which="lower", threads=threads)
 
 
 def _cmd_solve(args) -> int:
@@ -148,8 +145,13 @@ def _cmd_solve(args) -> int:
     outdir = _resolve_outdir(args, sc)
     # validate the truncation before burning solver time
     certify_region(sc.box, sc.game.r_z, sc.horizon)
+    hji = sc.kind == "hji"
     t0 = time.time()
-    value, y_lat, z_lat = _solve_scenario(sc, args.threads)
+    y_lat, z_lat = sc.make_lattices()
+    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads, hji))
+    value = _solve_scenario(sc, y_lat, z_lat, args.threads)
+    if hji:
+        value = value.reversed_time()
     elapsed = time.time() - t0
     outdir.mkdir(parents=True, exist_ok=True)
     write_value_grid(value, outdir)
@@ -174,7 +176,8 @@ def _cmd_verify(args) -> int:
     certify_region(sc.box, sc.game.r_z, sc.horizon)
     y_lat, z_lat = sc.make_lattices()
     oracle_counts, oracle_steps, _, z9 = oracle_solve(sc)
-    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads),
+    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads,
+                     sc.kind == "hji"),
                     (oracle_counts, oracle_steps, len(z9.points), args.threads))
     results = run_verification(sc, y_lat, z_lat, threads=args.threads)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -243,32 +246,32 @@ def _cmd_converge(args) -> int:
             print(f"level {i} has {n_nodes} nodes, beyond the cap {max_nodes}",
                   file=sys.stderr)
             return 2
-        ladders.append({
-            "counts": tuple(counts),
-            "n_steps": sc.n_steps // scale,
-            "lat_y": (rings_y // scale, base_y),
-            "lat_z": (rings_z // scale, base_z),
-        })
+        ladders.append(dataclasses.replace(
+            sc, counts=tuple(counts), n_steps=sc.n_steps // scale,
+            lattice_y=(rings_y // scale, base_y), lattice_z=(rings_z // scale, base_z),
+        ))
 
+    # every level's stacks are kept for the differences, so the whole
+    # ladder must fit before level 0 is solved
+    lattices = [level.make_lattices() for level in ladders]
+    _require_memory(*((level.counts, level.n_steps, len(z_lat.points), args.threads)
+                      for level, (_, z_lat) in zip(ladders, lattices)))
+
+    # audits and differences run on the game-time stacks: the differences
+    # compare the same pairs of slices in either time order
     solves = []
     rows = []
-    for i, lv in enumerate(ladders):
-        level_sc = dataclasses.replace(
-            sc, counts=lv["counts"], n_steps=lv["n_steps"],
-            lattice_y=lv["lat_y"], lattice_z=lv["lat_z"],
-        )
+    for i, (level, (y_lat, z_lat)) in enumerate(zip(ladders, lattices)):
         t0 = time.time()
-        value, y_lat, z_lat = _solve_scenario(level_sc, args.threads)
+        value = _solve_scenario(level, y_lat, z_lat, args.threads)
         elapsed = time.time() - t0
-        audits = lipschitz_audit(
-            value if sc.kind == "game" else value.reversed_time(),
-            sc.game.constants, rng=np.random.default_rng(sc.seed + 2),
-        )
+        audits = lipschitz_audit(value, sc.game.constants,
+                                 rng=np.random.default_rng(sc.seed + 2))
         solves.append(value)
         rows.append({
             "level": i,
-            "n1": lv["counts"][0], "n2": lv["counts"][1], "n3": lv["counts"][2],
-            "time_steps": lv["n_steps"],
+            "n1": level.counts[0], "n2": level.counts[1], "n3": level.counts[2],
+            "time_steps": level.n_steps,
             "lattice_y_points": len(y_lat.points),
             "lattice_z_points": len(z_lat.points),
             "c_sharp_ratio": audits[0].worst_ratio,

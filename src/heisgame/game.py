@@ -595,13 +595,18 @@ def backward_induction(
 _BLOCK_NODES = 131072
 
 
-def solve_bytes(counts, n_steps: int, z_points: int, threads: int = 0) -> int:
+def solve_bytes(counts, n_steps: int, z_points: int, threads: int = 0,
+                reversed_copy: bool = False) -> int:
     """Bytes of the arrays ``backward_induction`` holds on a grid of ``counts``
     nodes: the float64 value and bool trusted stacks of ``n_steps + 1``
-    slices, and the ``(z_points, block)`` ``W`` of the blocks in flight."""
+    slices, the node coordinates and terminal samples (32 B per node), and
+    the ``(z_points, block)`` ``W`` of the blocks in flight.  With
+    ``reversed_copy`` it adds the second pair of stacks that
+    ``ValueGrid.reversed_time`` makes of an HJI solve."""
     nodes = math.prod(counts)
     held = nodes if threads > 1 else min(nodes, _BLOCK_NODES)
-    return (n_steps + 1) * nodes * 9 + z_points * held * 8
+    stacks = (n_steps + 1) * nodes * 9
+    return stacks * (2 if reversed_copy else 1) + nodes * 32 + z_points * held * 8
 
 
 def _node_blocks(n: int, threads: int, plane: int) -> list[slice]:

@@ -56,6 +56,13 @@ class HjiProblem:
     Hamiltonian, ``d1p`` is its gauge-Lipschitz constant in ``x``,
     ``lip_y`` its Lipschitz constant in ``y``; ``c2``/``c2p`` describe the
     initial datum.
+
+    ``reflections`` names group reflections of ``game.REFLECTIONS`` with
+    ``Ham(t, s(x), r(y)) = Ham(t, x, y)`` and ``g(s(x)) = g(x)``, with ``s``
+    the automorphism and ``r`` its action on the plane.  The running cost
+    ``-Ham + z . y`` of :func:`build_game` then commutes with ``(s, r)``
+    too, so the game declares them as ``GameSpec.reflections``, which
+    checks the names and samples the declaration.
     """
 
     horizon: float
@@ -66,6 +73,7 @@ class HjiProblem:
     lip_y: float
     c2: float
     c2p: float
+    reflections: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -101,18 +109,18 @@ class HjiProblem:
         return msgs
 
 
-def derived_radii(p: HjiProblem) -> tuple[float, float]:
-    """Control radii ``(r_y, r_z)`` induced by the problem constants.
+def derived_radii(horizon: float, k: float, d1p: float, c2p: float) -> tuple[float, float]:
+    """Control radii ``(r_y, r_z)`` of a problem with horizon ``T``,
+    y-Lipschitz constant ``K`` and constants ``d1p``, ``c2p``.
 
     ``r_y`` is the table's ``c_sharp`` at ``r_z = K``, ``c1p = d1p``.
     """
-    r_z = p.lip_y
-    return LipschitzConstants(p.horizon, r_z, 0.0, p.d1p, p.c2p).c_sharp, r_z
+    return LipschitzConstants(horizon, k, 0.0, d1p, c2p).c_sharp, k
 
 
 def build_game(p: HjiProblem) -> GameSpec:
     """Auxiliary zero-sum game whose lower value represents the solution."""
-    r_y, r_z = derived_radii(p)
+    r_y, r_z = derived_radii(p.horizon, p.lip_y, p.d1p, p.c2p)
     horizon = p.horizon
     ham = p.hamiltonian
 
@@ -135,6 +143,7 @@ def build_game(p: HjiProblem) -> GameSpec:
         c2=p.c2,
         c2p=p.c2p,
         coupling_base=base,
+        reflections=p.reflections,
     )
 
 

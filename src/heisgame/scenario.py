@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -230,13 +230,12 @@ def parse_scenario(data: dict) -> Scenario:
         d1p = override("d1p", ham.d1p)
         c2 = override("c2", init.c2)
         c2p = override("c2p", init.c2p)
-        # d1 may depend on the y-radius, which only needs (k, d1p, c2p, T)
-        probe = HjiProblem(horizon, ham.fn, init.fn, 0.0, d1p, lip_y, c2, c2p)
-        r_y, _ = derived_radii(probe)
+        # d1 may depend on the y-radius, which only needs (T, k, d1p, c2p)
+        r_y, _ = derived_radii(horizon, lip_y, d1p, c2p)
         d1 = override("d1", ham.d1_of_radius(r_y))
-        problem = HjiProblem(horizon, ham.fn, init.fn, d1, d1p, lip_y, c2, c2p)
-        game = replace(build_game(problem),
-                       reflections=tuple(ham.reflections & init.reflections))
+        problem = HjiProblem(horizon, ham.fn, init.fn, d1, d1p, lip_y, c2, c2p,
+                             reflections=tuple(sorted(ham.reflections & init.reflections)))
+        game = build_game(problem)
         meta.update(
             hamiltonian={"name": ham_name, "params": ham_params},
             initial={"name": init_name, "params": init_params,

@@ -1,26 +1,24 @@
-"""Shared helpers: canonical problem builders and batched trajectory math."""
+"""Shared helpers: the canonical problem and batched trajectory math."""
+
+from pathlib import Path
 
 import numpy as np
 
-from heisgame.catalog import make_hamiltonian, make_terminal
 from heisgame.flow import exact_step
 from heisgame.game import COVERING_SAMPLING, _backup
 from heisgame.heis import Box, ball_points
-from heisgame.hji import HjiProblem, build_game, derived_radii
+from heisgame.scenario import load_scenario
 
 DEFAULT_BOX = Box([-4.0, -4.0, -8.0], [4.0, 4.0, 8.0])
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def canonical_problem(box=DEFAULT_BOX, horizon=1.0):
-    """Norm Hamiltonian with gauge datum: K=1, D1p=0, C2p=1."""
-    ham = make_hamiltonian("norm", None)
-    init = make_terminal("gauge", None, box)
-    probe = HjiProblem(horizon, ham.fn, init.fn, 0.0, ham.d1p, ham.lip_y,
-                       init.c2, init.c2p)
-    r_y, _ = derived_radii(probe)
-    problem = HjiProblem(horizon, ham.fn, init.fn, ham.d1_of_radius(r_y),
-                         ham.d1p, ham.lip_y, init.c2, init.c2p)
-    return problem, build_game(problem)
+def canonical_problem():
+    """Problem and game of ``scenarios/canonical.json``: norm Hamiltonian
+    with gauge datum on ``DEFAULT_BOX``, K=1, D1p=0, C2p=1, both
+    reflections declared."""
+    sc = load_scenario(SCENARIOS / "canonical.json")
+    return sc.problem, sc.game
 
 
 def batch_controls(rng, n, radius, segments=4, t_end=1.0):

@@ -1,11 +1,16 @@
 import dataclasses
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, canonical_problem, covering_radius_reference, depth_first_value
+from _util import (
+    DEFAULT_BOX,
+    SCENARIOS,
+    canonical_problem,
+    covering_radius_reference,
+    depth_first_value,
+)
 
 import heisgame.game as game
 from heisgame.catalog import make_running_cost
@@ -32,7 +37,6 @@ from heisgame.game import (
 )
 from heisgame.scenario import load_scenario, parse_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMALL_BOX = Box([-4, -4, -8], [4, 4, 8])
 SMALL_COUNTS = (9, 9, 17)
 AFFINE_PARAMS = {"a0": 0.25, "ay": [0.5, -0.25], "az": [0.3, 0.2]}
@@ -608,6 +612,12 @@ class TestReflections:
         with pytest.raises(ValueError, match="unknown reflections"):
             dataclasses.replace(coupling_spec(), reflections=("x3",))
 
+    def test_canonical_game_solves_the_quadrant(self, canonical, baseline_lattices):
+        _, spec = canonical
+        grid = Grid3(DEFAULT_BOX, np.zeros((33, 33, 65)))
+        assert fundamental_domain(spec, grid, *baseline_lattices) \
+            == Domain(("x1", "x2"), (16, 16), 18_785)
+
     def test_odd_base_angles_fall_back(self):
         # the 5 points of the first ring are not symmetric about the x2 axis
         sc = hji_scenario({"name": "norm"}, base_angles=5)
@@ -856,8 +866,13 @@ class TestLipschitzAudit:
 def test_solve_bytes_counts_the_stacks_and_w(threads):
     spec = coupling_spec()
     Y, Z = make_lattice(spec.r_y, 1, 8), make_lattice(spec.r_z, 2, 8)
-    v = backward_induction(spec, Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS)), 2, Y, Z,
-                           warn_costs=False)
+    grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
+    v = backward_induction(spec, grid, 2, Y, Z, warn_costs=False)
+    nodes = grid.node_coordinates()
+    terminal = eval_field(spec.terminal_cost, nodes)
     w = len(Z.points) * v.data[0].size * 8  # one block of every node
-    assert game.solve_bytes(SMALL_COUNTS, 2, len(Z.points), threads) \
-        == v.data.nbytes + v.trusted.nbytes + w
+    held = v.data.nbytes + v.trusted.nbytes + nodes.nbytes + terminal.nbytes + w
+    assert game.solve_bytes(SMALL_COUNTS, 2, len(Z.points), threads) == held
+    u = v.reversed_time()
+    assert game.solve_bytes(SMALL_COUNTS, 2, len(Z.points), threads, reversed_copy=True) \
+        == held + u.data.nbytes + u.trusted.nbytes

@@ -1,14 +1,16 @@
+import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, canonical_problem
+from _util import DEFAULT_BOX, SCENARIOS, canonical_problem
 
 from heisgame.heis import Box, ball_points, gauge
 from heisgame.catalog import make_hamiltonian, make_terminal
 from heisgame.grids import Grid3, ValueGrid, sample_field
-from heisgame.game import make_lattice
+from heisgame.game import GameSpec, make_lattice
 from heisgame.hji import (
     HjiProblem,
     build_game,
@@ -18,9 +20,12 @@ from heisgame.hji import (
     solve,
     uniqueness_initial_trace,
 )
+from heisgame.scenario import load_scenario
 
 BOX = Box([-4, -4, -8], [4, 4, 8])
 COUNTS = (9, 9, 17)
+HJI_SCENARIOS = [path for path in sorted(SCENARIOS.glob("*.json"))
+                 if json.loads(path.read_text())["kind"] == "hji"]
 
 
 def constant_ham_problem(c, box=BOX):
@@ -41,7 +46,7 @@ class TestBuildGame:
 
     def test_zero_lipschitz_freezes_dynamics(self):
         p = constant_ham_problem(0.5)
-        r_y, r_z = derived_radii(p)
+        r_y, r_z = derived_radii(p.horizon, p.lip_y, p.d1p, p.c2p)
         assert r_z == 0.0
         assert r_y == pytest.approx(p.d1p * p.horizon + p.c2p)
 
@@ -62,6 +67,25 @@ class TestBuildGame:
         init = make_terminal("gauge", None, BOX)
         with pytest.raises(ValueError):
             HjiProblem(1.0, ham.fn, init.fn, 1.0, 0.0, -1.0, init.c2, init.c2p)
+
+    def test_reflections_pass_through(self):
+        assert build_game(constant_ham_problem(0.5)).reflections == ()
+        p = dataclasses.replace(constant_ham_problem(0.5), reflections=("x2", "x1"))
+        assert build_game(p).reflections == ("x1", "x2")
+
+    def test_unknown_reflection_rejected(self):
+        p = dataclasses.replace(constant_ham_problem(0.5), reflections=("x3",))
+        with pytest.raises(ValueError, match="unknown reflections"):
+            build_game(p)
+
+    @pytest.mark.parametrize("path", HJI_SCENARIOS, ids=lambda path: path.name)
+    def test_scenario_game_is_built_from_its_problem(self, path):
+        sc = load_scenario(path)
+        built = build_game(sc.problem)
+        for f in dataclasses.fields(GameSpec):
+            value = getattr(sc.game, f.name)
+            if not callable(value):
+                assert value == getattr(built, f.name), f.name
 
 
 class TestIdentity:

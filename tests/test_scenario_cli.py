@@ -258,11 +258,18 @@ class TestMemoryGuard:
         # a machine that holds the scenario's own solve but not the oracle's too
         data = dict(SMALL, time_steps=2)
         path = write_scenario(tmp_path, data)
-        own = solve_bytes(SMALL["grid"]["counts"], 2, 25)
+        own = solve_bytes(SMALL["grid"]["counts"], 2, 25, reversed_copy=True)
         monkeypatch.setattr(cli, "_physical_memory", lambda: own + 1)
         assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 0
         assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
         assert not (tmp_path / "v").exists()
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_hji_solve_counts_its_reversed_copy(self, tmp_path, monkeypatch, capsys):
+        path = write_scenario(tmp_path, dict(SMALL, time_steps=2))
+        game_time = solve_bytes(SMALL["grid"]["counts"], 2, 25)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: game_time + 1)
+        assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 2
         assert "physical memory" in capsys.readouterr().err
 
 
@@ -379,6 +386,18 @@ class TestConvergeCommand:
         path = write_scenario(tmp_path, data)
         assert main(["converge", str(path), "--levels", "3",
                      "--out", str(tmp_path / "c")]) == 2
+
+    def test_memory_guard_covers_the_ladder(self, tmp_path, monkeypatch, capsys):
+        # a machine that holds the finest level's solve, but not every level at once
+        path = write_scenario(tmp_path, SMALL)
+        finest = solve_bytes(SMALL["grid"]["counts"], SMALL["time_steps"], 25)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: finest + 1)
+        solves = []
+        monkeypatch.setattr(cli, "backward_induction", lambda *a, **k: solves.append(a))
+        assert main(["converge", str(path), "--levels", "2",
+                     "--out", str(tmp_path / "c")]) == 2
+        assert solves == []
+        assert "physical memory" in capsys.readouterr().err
 
     def test_node_cap_guard(self, tmp_path):
         data = dict(SMALL)
