@@ -23,9 +23,9 @@ from .heis import (
 )
 from .flow import (
     PiecewiseConstantControl,
-    check_reach_bounds,
-    check_shifted_start_bounds,
-    check_translation_identities,
+    check_reach_bound,
+    check_shifted_start_bound,
+    check_translation_identity,
     integrate,
     rk4_reference,
 )
@@ -168,7 +168,7 @@ def check_reach(n: int, rng: np.random.Generator,
                 radii=(0.5, 1.0, 2.0)) -> CheckResult:
     r_z = [radii[i % len(radii)] for i in range(n)]
     draws = [(rng.uniform(-2, 2, 3), random_control(rng, r)) for r in r_z]
-    rep = check_reach_bounds(*_columns(draws, 2), r_z)
+    rep = check_reach_bound(*_columns(draws, 2), r_z)
     worst = float(rep.worst_ratio.max(initial=0.0))
     return CheckResult(
         "reach_bound", "d_G(xi, x(t)) <= 3*R_Z*(t - tau)",
@@ -179,7 +179,7 @@ def check_reach(n: int, rng: np.random.Generator,
 def check_translation(n: int, rng: np.random.Generator) -> list[CheckResult]:
     draws = [(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), random_control(rng, 1.0))
              for _ in range(n)]
-    rep = check_translation_identities(*_columns(draws, 3), r_z=1.0)
+    rep = check_translation_identity(*_columns(draws, 3), r_z=1.0)
     worst_dev = float(rep.max_deviation.max(initial=0.0))
     worst_ratio = float(rep.gronwall_ratio.max(initial=0.0))
     return [
@@ -195,7 +195,7 @@ def check_shifted_start(n: int, rng: np.random.Generator) -> CheckResult:
     draws = [(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), float(rng.random() * 0.9),
               random_control(rng, 1.0)) for _ in range(n)]
     xis, xi_tildes, tau_primes, controls = _columns(draws, 4)
-    rep = check_shifted_start_bounds(xis, xi_tildes, 0.0, tau_primes, controls, 1.0)
+    rep = check_shifted_start_bound(xis, xi_tildes, 0.0, tau_primes, controls, 1.0)
     worst = float(rep.worst_ratio.max(initial=0.0))
     return CheckResult(
         "shifted_start_bound",
@@ -250,12 +250,9 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     z_zero = make_lattice(0.0)
     v_frozen = backward_induction(frozen, coarse, 3, y9, z_zero,
                                   warn_costs=False)
-    nodes = coarse.node_coordinates()
-    pick = np.linspace(0, len(nodes) - 1, 27).astype(int)
-    worst = 0.0
-    for idx in pick:
-        bf = brute_force_value(frozen, nodes[idx], 3, y9, z_zero)
-        worst = max(worst, abs(bf - float(v_frozen.data[0].reshape(-1)[idx])))
+    pick = np.linspace(0, coarse.values.size - 1, 27).astype(int)
+    bf = brute_force_value(frozen, coarse.node_coordinates()[pick], 3, y9, z_zero)
+    worst = float(np.abs(bf - v_frozen.data[0].reshape(-1)[pick]).max())
     results.append(CheckResult(
         "oracle_equivalence_frozen",
         "backward induction = grid-free recursion when R_Z = 0",
@@ -268,14 +265,11 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     sl = v3.region_index_bounds()
     ax = v3.axes()
     n_nodes = int(cfg.get("oracle_nodes", 12))
-    worst = 0.0
-    for _ in range(n_nodes):
-        i = rng.integers(sl[0].start, sl[0].stop)
-        j = rng.integers(sl[1].start, sl[1].stop)
-        l = rng.integers(sl[2].start, sl[2].stop)
-        p = np.array([ax[0][i], ax[1][j], ax[2][l]])
-        bf = brute_force_value(sc.game, p, oracle_steps, y9, z9)
-        worst = max(worst, abs(bf - float(v3.data[0, i, j, l])))
+    # node by node, i, j then l: the draw order fixes which nodes a seed picks
+    idx = np.array([[rng.integers(s.start, s.stop) for s in sl] for _ in range(n_nodes)])
+    p = np.column_stack([a[i] for a, i in zip(ax, idx.T)])
+    bf = brute_force_value(sc.game, p, oracle_steps, y9, z9)
+    worst = float(np.abs(bf - v3.data[(0, *idx.T)]).max())
     results.append(CheckResult(
         "oracle_equivalence_small_n",
         "|backward induction - grid-free recursion| <= interpolation tolerance",

@@ -125,8 +125,7 @@ def _physical_memory() -> int:
 
 def _require_memory(*solves) -> None:
     """Refuses, before any is allocated, solves whose arrays (``solve_bytes``
-    of each ``(counts, n_steps, z_points, threads, reversed_copy)``) exceed
-    physical memory."""
+    of each ``(counts, n_steps, z_points, threads)``) exceed physical memory."""
     need, have = sum(solve_bytes(*s) for s in solves), _physical_memory()
     if need > have:
         raise ValueError(f"the solver arrays need about {need / 2**30:.3g} GiB, more than "
@@ -148,7 +147,7 @@ def _cmd_solve(args) -> int:
     hji = sc.kind == "hji"
     t0 = time.time()
     y_lat, z_lat = sc.make_lattices()
-    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads, hji))
+    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads))
     value = _solve_scenario(sc, y_lat, z_lat, args.threads)
     if hji:
         value = value.reversed_time()
@@ -176,8 +175,7 @@ def _cmd_verify(args) -> int:
     certify_region(sc.box, sc.game.r_z, sc.horizon)
     y_lat, z_lat = sc.make_lattices()
     oracle_counts, oracle_steps, _, z9 = oracle_solve(sc)
-    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads,
-                     sc.kind == "hji"),
+    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads),
                     (oracle_counts, oracle_steps, len(z9.points), args.threads))
     results = run_verification(sc, y_lat, z_lat, threads=args.threads)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,6 @@ error.  The game's dynamics ``xdot = -f(x, z)`` are this flow under
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +29,6 @@ __all__ = [
     "check_reach_bound",
     "check_translation_identity",
     "check_shifted_start_bound",
-    "check_reach_bounds",
-    "check_translation_identities",
-    "check_shifted_start_bounds",
     "ReachReport",
     "TranslationReport",
     "ShiftReport",
@@ -255,29 +251,18 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.where(num <= 1e-12, 0.0, np.inf), where=den != 0.0)
 
 
-def _first(report):
-    """The single instance of a batch report, with Python scalar fields."""
-    return type(report)(*(getattr(report, f.name)[0].item()
-                          for f in dataclasses.fields(report)))
-
-
 @dataclass(frozen=True)
 class ReachReport:
-    ok: bool
-    worst_ratio: float
-    witness_time: float
-    max_distance: float
+    ok: np.ndarray
+    worst_ratio: np.ndarray
+    witness_time: np.ndarray
+    max_distance: np.ndarray
 
 
-def check_reach_bound(xi, u: PiecewiseConstantControl, r_z: float,
-                      samples_per_segment: int = 64) -> ReachReport:
-    """Checks ``d_G(xi, x(t)) <= 3 * r_z * (t - t0)`` along the trajectory."""
-    return _first(check_reach_bounds([xi], [u], r_z, samples_per_segment))
-
-
-def check_reach_bounds(xis, controls, r_z, samples_per_segment: int = 64) -> ReachReport:
-    """:func:`check_reach_bound` on instances ``(xis[i], controls[i], r_z[i])``
-    (``r_z`` may be a scalar); each report field is an array over them.
+def check_reach_bound(xis, controls, r_z, samples_per_segment: int = 64) -> ReachReport:
+    """Checks ``d_G(xi, x(t)) <= 3 * r_z * (t - t0)`` along the trajectory of
+    each instance ``(xis[i], controls[i], r_z[i])`` (``r_z`` may be a
+    scalar); each report field is an array over the instances.
 
     The samples are ``t0`` and ``samples_per_segment`` uniform times per
     segment, the last at its breakpoint.  Instances with equal segment
@@ -343,32 +328,25 @@ class LipschitzConstants:
 
 @dataclass(frozen=True)
 class TranslationReport:
-    max_deviation: float
-    gronwall_ratio: float
-    c_hat: float
-    ok: bool
+    max_deviation: np.ndarray
+    gronwall_ratio: np.ndarray
+    c_hat: np.ndarray
+    ok: np.ndarray
 
 
-def check_translation_identity(xi, xi_hat, u: PiecewiseConstantControl,
-                               samples_per_segment: int = 64,
-                               r_z: float | None = None) -> TranslationReport:
-    """Verifies ``xhat(t) = xihat o xi^{-1} o x(t)`` and the Gronwall bound.
+def check_translation_identity(xis, xi_hats, controls, samples_per_segment: int = 64,
+                               r_z=None) -> TranslationReport:
+    """Verifies ``xhat(t) = xihat o xi^{-1} o x(t)`` and the Gronwall bound on
+    each instance ``(xis[i], xi_hats[i], controls[i])``, sampled and grouped
+    as in :func:`check_reach_bound`; each report field is an array.
 
     Both curves run under the same control; the separation never exceeds
-    ``exp(T * r_z / 2)`` times the initial separation.  The identity
-    deviation is measured in the Euclidean norm: the gauge of a pure
-    rounding defect is the square root of its vertical component, so no
-    finite-precision integrator can hold a gauge deviation near machine
-    scale.
+    ``exp(T * r_z / 2)`` times the initial separation (``r_z`` defaults to
+    each control's largest norm).  The identity deviation is measured in
+    the Euclidean norm: the gauge of a pure rounding defect is the square
+    root of its vertical component, so no finite-precision integrator can
+    hold a gauge deviation near machine scale.
     """
-    return _first(check_translation_identities([xi], [xi_hat], [u],
-                                               samples_per_segment, r_z))
-
-
-def check_translation_identities(xis, xi_hats, controls, samples_per_segment: int = 64,
-                                 r_z=None) -> TranslationReport:
-    """:func:`check_translation_identity` on a batch, sampled and grouped as
-    in :func:`check_reach_bounds`; each report field is an array."""
     xis, xi_hats = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (xis, xi_hats))
     deviation, phi = np.empty(len(controls)), np.empty(len(controls))
     for idx, t0, bp, vals in _batches(controls, samples_per_segment):
@@ -388,32 +366,25 @@ def check_translation_identities(xis, xi_hats, controls, samples_per_segment: in
 
 @dataclass(frozen=True)
 class ShiftReport:
-    ok: bool
-    worst_ratio: float
-    c_tilde: float
-    max_separation: float
-    bound: float
+    ok: np.ndarray
+    worst_ratio: np.ndarray
+    c_tilde: np.ndarray
+    max_separation: np.ndarray
+    bound: np.ndarray
 
 
-def check_shifted_start_bound(xi, xi_tilde, tau: float, tau_prime: float,
-                              u: PiecewiseConstantControl, r_z: float,
+def check_shifted_start_bound(xis, xi_tildes, tau, tau_primes, controls, r_z,
                               samples_per_segment: int = 64) -> ShiftReport:
-    """Compares the curve from ``(tau, xi)`` with the late start from
-    ``(tau_prime, xi_tilde)`` under the restricted control.
+    """Compares, on each instance, the curve from ``(tau, xis[i])`` with the
+    late start from ``(tau_primes[i], xi_tildes[i])`` under the restricted
+    control (``tau``, ``tau_primes`` and ``r_z`` may be scalars).
 
     The separation on ``[tau_prime, T]`` must stay below
     ``(1 + 3*r_z) * exp(T*r_z/2) * (d_G(xi_tilde, xi) + (tau_prime - tau))``.
+    The late curve is sampled as in :func:`check_reach_bound` on the
+    restricted control, the full curve at the same times; each report field
+    is an array over the instances.
     """
-    return _first(check_shifted_start_bounds([xi], [xi_tilde], tau, tau_prime, [u], r_z,
-                                             samples_per_segment))
-
-
-def check_shifted_start_bounds(xis, xi_tildes, tau, tau_primes, controls, r_z,
-                               samples_per_segment: int = 64) -> ShiftReport:
-    """:func:`check_shifted_start_bound` on a batch (``tau``, ``tau_primes``
-    and ``r_z`` may be scalars).  The late curve is sampled as in
-    :func:`check_reach_bounds` on the restricted control, the full curve at
-    the same times; each report field is an array."""
     xis, xi_tildes = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (xis, xi_tildes))
     tau, tau_p, r_z = (np.broadcast_to(np.asarray(a, dtype=float), (len(controls),))
                        for a in (tau, tau_primes, r_z))

@@ -277,14 +277,10 @@ class ValueGrid:
         return tuple(out)
 
     def reversed_time(self) -> "ValueGrid":
-        """Same stack reindexed by ``t -> horizon - t``."""
-        return ValueGrid(
-            self.box,
-            self.times.copy(),
-            self.data[::-1].copy(),
-            self.trusted_region,
-            self.trusted[::-1].copy(),
-        )
+        """Same stack reindexed by ``t -> horizon - t``: its value and trusted
+        stacks are reversed views of this one's, not copies."""
+        return ValueGrid(self.box, self.times.copy(), self.data[::-1], self.trusted_region,
+                         self.trusted[::-1])
 
     @classmethod
     def from_function(

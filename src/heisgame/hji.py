@@ -25,6 +25,7 @@ import numpy as np
 from .heis import Box
 from .grids import Grid3, ValueGrid
 from .game import (
+    AUDIT_SLACK,
     ControlLattice,
     GameSpec,
     LipschitzConstants,
@@ -305,16 +306,17 @@ class TraceReport:
     dt: float
 
 
-def uniqueness_initial_trace(U: ValueGrid, spec: GameSpec, slack: float = 0.15) -> TraceReport:
+def uniqueness_initial_trace(U: ValueGrid, spec: GameSpec) -> TraceReport:
     """Sup over certified nodes of ``|U(dt, .) - U(0, .)|``.
 
     The one-step rate is ``(c1 + 3*r_z*c2p) * dt`` (running cost plus the
-    terminal datum moved by one reach), padded by the slack factor.
+    terminal datum moved by one reach), padded by the audits' slack factor
+    ``AUDIT_SLACK``.
     """
     sl = U.region_index_bounds()
     sub0 = U.data[(0,) + sl]
     sub1 = U.data[(1,) + sl]
     gap = float(np.abs(sub1 - sub0).max())
     h = U.dt
-    bound = (spec.c1 + 3.0 * spec.r_z * spec.c2p) * h * (1 + slack)
+    bound = (spec.c1 + 3.0 * spec.r_z * spec.c2p) * h * (1 + AUDIT_SLACK)
     return TraceReport(gap, bound, gap <= bound + 1e-12, h)

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 
 from heisgame.flow import exact_step
-from heisgame.game import COVERING_SAMPLING, _backup
-from heisgame.heis import Box, ball_points
+from heisgame.game import AUDIT_SLACK, COVERING_SAMPLING, AuditReport, _backup
+from heisgame.heis import Box, ball_points, dist_g
 from heisgame.scenario import load_scenario
 
 DEFAULT_BOX = Box([-4.0, -4.0, -8.0], [4.0, 4.0, 8.0])
@@ -76,6 +76,108 @@ def depth_first_value(spec, pts, t_start, steps, h, y_lattice, z_lattice, which,
     return _backup(spec, t_start, h, pts, W, y_lattice, z_lattice, which)
 
 
+def lipschitz_audit_reference(V, constants, rng=None, n_random_pairs=20000):
+    """The audit as four blocks, each with its own scan for the largest
+    ratio and its witness: reference for ``game.lipschitz_audit``."""
+    rng = rng or np.random.default_rng(0)
+    slack = AUDIT_SLACK
+    c_sharp = constants.c_sharp
+    c_prime = constants.c_prime
+    sl = V.region_index_bounds()
+    sub = V.data[(slice(None),) + sl]
+    nt, m1, m2, m3 = sub.shape
+    if m1 * m2 * m3 < 2:
+        raise ValueError("fewer than 2 nodes inside the certified region")
+    ax = [a[s] for a, s in zip(V.axes(), sl)]
+    coords = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
+    times = V.times
+
+    def witness_at(flat_idx, shape, axis):
+        idx = np.unravel_index(flat_idx, shape)
+        k = idx[0]
+        a = list(idx[1:])
+        b = list(idx[1:])
+        b[axis] += 1
+        return ((float(times[k]), coords[tuple(a)]),
+                (float(times[k]), coords[tuple(b)]))
+
+    # same-time, axis-adjacent pairs
+    worst_sp, wit_sp = 0.0, None
+    for axis in range(3):
+        if sub.shape[axis + 1] < 2:
+            continue
+        dv = np.abs(np.diff(sub, axis=axis + 1))
+        lead = coords.take(np.arange(coords.shape[axis] - 1), axis=axis)
+        trail = coords.take(np.arange(1, coords.shape[axis]), axis=axis)
+        dg = dist_g(trail, lead)
+        ratios = dv / dg  # dg > 0 for distinct nodes
+        k = int(np.argmax(ratios))
+        if ratios.reshape(-1)[k] > worst_sp:
+            worst_sp = float(ratios.reshape(-1)[k])
+            wit_sp = witness_at(k, ratios.shape, axis)
+
+    # random same-time pairs
+    def sample_idx(count):
+        return tuple(rng.integers(0, s, count) for s in (m1, m2, m3))
+
+    npr = n_random_pairs
+    kk = rng.integers(0, nt, npr)
+    a_idx, b_idx = sample_idx(npr), sample_idx(npr)
+    pa, pb = coords[a_idx], coords[b_idx]
+    dg = dist_g(pa, pb)
+    keep = dg > 0
+    dv = np.abs(sub[(kk,) + a_idx] - sub[(kk,) + b_idx])
+    if keep.any():
+        r = dv[keep] / dg[keep]
+        k = int(np.argmax(r))
+        if r[k] > worst_sp:
+            worst_sp = float(r[k])
+            sel = np.nonzero(keep)[0][k]
+            tsel = float(times[kk[sel]])
+            wit_sp = ((tsel, pa[sel]), (tsel, pb[sel]))
+
+    # time-adjacent pairs at fixed nodes
+    worst_st, wit_st = 0.0, None
+    if nt >= 2:
+        dvt = np.abs(np.diff(sub, axis=0)) / V.dt
+        k = int(np.argmax(dvt))
+        worst_st = float(dvt.reshape(-1)[k])
+        idx = np.unravel_index(k, dvt.shape)
+        p = coords[idx[1:]]
+        wit_st = ((float(times[idx[0]]), p), (float(times[idx[0] + 1]), p))
+
+    # random space-time pairs
+    ka = rng.integers(0, nt, npr)
+    kb = rng.integers(0, nt, npr)
+    a_idx, b_idx = sample_idx(npr), sample_idx(npr)
+    pa, pb = coords[a_idx], coords[b_idx]
+    denom = np.abs(times[ka] - times[kb]) + dist_g(pa, pb)
+    keep = denom > 0
+    dv = np.abs(sub[(ka,) + a_idx] - sub[(kb,) + b_idx])
+    if keep.any():
+        r = dv[keep] / denom[keep]
+        k = int(np.argmax(r))
+        if r[k] > worst_st:
+            worst_st = float(r[k])
+            sel = np.nonzero(keep)[0][k]
+            wit_st = ((float(times[ka[sel]]), pa[sel]), (float(times[kb[sel]]), pb[sel]))
+    # spatial pairs are space-time pairs with dt = 0
+    if worst_sp > worst_st:
+        worst_st = worst_sp
+        wit_st = wit_sp
+
+    return [
+        AuditReport(
+            "spatial_ratio_vs_c_sharp", c_sharp, worst_sp, wit_sp,
+            worst_sp <= c_sharp * (1 + slack) + 1e-12, slack,
+        ),
+        AuditReport(
+            "space_time_ratio_vs_c_prime", c_prime, worst_st, wit_st,
+            worst_st <= c_prime * (1 + slack) + 1e-12, slack,
+        ),
+    ]
+
+
 def covering_radius_reference(points, radius):
     """The covering radius in 4096-sample chunks with one temporary per
     operation: reference for ``game._covering_radius``."""
@@ -125,7 +227,7 @@ def flow_checks_reference(rng, n_reach, n_translation, n_shift, radii=(0.5, 1.0,
     the batched checks.  Returns the four measured worst values."""
     from heisgame.checks import random_control
     from heisgame.flow import LipschitzConstants
-    from heisgame.heis import dist_g, group_mul, inverse
+    from heisgame.heis import group_mul, inverse
 
     reach = 0.0
     for i in range(n_reach):

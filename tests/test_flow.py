@@ -16,10 +16,7 @@ from heisgame.checks import (
 from heisgame.flow import (
     PiecewiseConstantControl,
     check_reach_bound,
-    check_reach_bounds,
     check_shifted_start_bound,
-    check_shifted_start_bounds,
-    check_translation_identities,
     check_translation_identity,
     exact_step,
     integrate,
@@ -140,20 +137,20 @@ class TestReachBound:
     def test_radial_control_ratio_one_third(self):
         r_z = 1.5
         u = PiecewiseConstantControl.constant((r_z, 0.0), 0.0, 1.0)
-        rep = check_reach_bound(IDENTITY, u, r_z)
-        assert rep.ok
-        assert rep.worst_ratio == pytest.approx(1 / 3, abs=1e-12)
+        rep = check_reach_bound([IDENTITY], [u], r_z)
+        assert rep.ok[0]
+        assert rep.worst_ratio[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_zero_control(self):
         u = PiecewiseConstantControl.constant((0.0, 0.0), 0.0, 1.0)
-        rep = check_reach_bound((1, 1, 1), u, 0.0)
-        assert rep.ok
-        assert rep.worst_ratio == 0.0
+        rep = check_reach_bound([(1, 1, 1)], [u], 0.0)
+        assert rep.ok[0]
+        assert rep.worst_ratio[0] == 0.0
 
     def test_inadmissible_control_names_segment(self):
         u = PiecewiseConstantControl(0.0, [0.5, 1.0], [[0.1, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="segment 1"):
-            check_reach_bound(IDENTITY, u, 1.0)
+            check_reach_bound([IDENTITY], [u], 1.0)
 
     def test_random_instances(self):
         rng = np.random.default_rng(3)
@@ -170,10 +167,10 @@ class TestTranslation:
     def test_same_start_zero_deviation(self):
         u = two_segment_control()
         xi = np.array([0.5, -0.5, 0.25])
-        rep = check_translation_identity(xi, xi, u)
-        assert rep.ok
-        assert rep.max_deviation == 0.0
-        assert rep.gronwall_ratio == 0.0
+        rep = check_translation_identity([xi], [xi], [u])
+        assert rep.ok[0]
+        assert rep.max_deviation[0] == 0.0
+        assert rep.gronwall_ratio[0] == 0.0
 
     def test_random_pairs(self):
         rng = np.random.default_rng(4)
@@ -181,10 +178,10 @@ class TestTranslation:
             xi, xi_hat = rng.uniform(-2, 2, (2, 3))
             breaks, values = batch_controls(rng, 1, 1.0, segments=3)
             u = PiecewiseConstantControl(0.0, breaks[0], values[0])
-            rep = check_translation_identity(xi, xi_hat, u, r_z=1.0)
-            assert rep.max_deviation <= 1e-10
-            assert rep.gronwall_ratio <= 1 + 1e-9
-            assert rep.c_hat == pytest.approx(np.exp(0.5))
+            rep = check_translation_identity([xi], [xi_hat], [u], r_z=1.0)
+            assert rep.max_deviation[0] <= 1e-10
+            assert rep.gronwall_ratio[0] <= 1 + 1e-9
+            assert rep.c_hat[0] == pytest.approx(np.exp(0.5))
 
     @pytest.mark.parametrize("r", [1.0, 0.1, 0.01])
     def test_separation_bound_fails_at_small_horizontal_offset(self, r):
@@ -193,32 +190,32 @@ class TestTranslation:
         # z = (0, 1) the separation at t = 1 is (r^4 + r^2)^(1/4), so the
         # ratio to C_hat * r = e^(1/2) * r grows without bound as r -> 0
         u = PiecewiseConstantControl.constant((0.0, 1.0), 0.0, 1.0)
-        rep = check_translation_identity((0.0, 0.0, 0.0), (r, 0.0, 0.0), u)
+        rep = check_translation_identity([(0.0, 0.0, 0.0)], [(r, 0.0, 0.0)], [u])
         closed_form = (r**4 + r**2) ** 0.25 / (r * np.exp(0.5))
-        assert rep.gronwall_ratio == pytest.approx(closed_form, rel=1e-12)
+        assert rep.gronwall_ratio[0] == pytest.approx(closed_form, rel=1e-12)
         if r < 1.0:
-            assert rep.gronwall_ratio > 1.0
-            assert not rep.ok
+            assert rep.gronwall_ratio[0] > 1.0
+            assert not rep.ok[0]
 
 
 class TestShiftedStart:
     def test_degenerate_is_zero(self):
         u = two_segment_control()
         xi = np.array([0.1, 0.2, 0.3])
-        rep = check_shifted_start_bound(xi, xi, 0.0, 0.0, u, 1.0)
-        assert rep.ok
-        assert rep.worst_ratio == 0.0
+        rep = check_shifted_start_bound([xi], [xi], 0.0, 0.0, [u], 1.0)
+        assert rep.ok[0]
+        assert rep.worst_ratio[0] == 0.0
 
     def test_reduces_to_translation_bound_when_tau_equal(self):
         u = two_segment_control()
         xi = np.array([0.1, 0.2, 0.3])
         xi_tilde = np.array([-0.4, 0.6, 0.0])
-        rep = check_shifted_start_bound(xi, xi_tilde, 0.0, 0.0, u, 1.0)
-        trans = check_translation_identity(xi, xi_tilde, u, r_z=1.0)
+        rep = check_shifted_start_bound([xi], [xi_tilde], 0.0, 0.0, [u], 1.0)
+        trans = check_translation_identity([xi], [xi_tilde], [u], r_z=1.0)
         # same curves; the shifted bound only differs by the (1 + 3 r_z) factor
-        assert rep.ok
-        assert rep.max_separation <= rep.c_tilde / trans.c_hat \
-            * trans.c_hat * dist_g(xi_tilde, xi) + 1e-12
+        assert rep.ok[0]
+        assert rep.max_separation[0] <= rep.c_tilde[0] / trans.c_hat[0] \
+            * trans.c_hat[0] * dist_g(xi_tilde, xi) + 1e-12
 
     def test_random_instances(self):
         rng = np.random.default_rng(5)
@@ -227,13 +224,13 @@ class TestShiftedStart:
             breaks, values = batch_controls(rng, 1, 1.0, segments=3)
             u = PiecewiseConstantControl(0.0, breaks[0], values[0])
             tau_prime = float(rng.random() * 0.9 * u.t_end)
-            rep = check_shifted_start_bound(xi, xi_tilde, 0.0, tau_prime, u, 1.0)
-            assert rep.ok, (xi, xi_tilde, tau_prime)
+            rep = check_shifted_start_bound([xi], [xi_tilde], 0.0, tau_prime, [u], 1.0)
+            assert rep.ok[0], (xi, xi_tilde, tau_prime)
 
     def test_control_start_mismatch_rejected(self):
         u = two_segment_control()
         with pytest.raises(ValueError):
-            check_shifted_start_bound(IDENTITY, IDENTITY, 0.25, 0.5, u, 1.0)
+            check_shifted_start_bound([IDENTITY], [IDENTITY], 0.25, 0.5, [u], 1.0)
 
 
 class TestBatchedFlow:
@@ -282,20 +279,20 @@ class TestBatchedFlow:
         tau_p[0], tau_p[3], tau_p[5] = 0.0, 0.0, 1.0
         tau_p[4] = controls[4].breakpoints[0]
 
-        batch = (check_reach_bounds(xis, controls, r_z),
-                 check_translation_identities(xis, xi_hats, controls),
-                 check_shifted_start_bounds(xis, xi_hats, 0.0, tau_p, controls, r_z))
+        batch = (check_reach_bound(xis, controls, r_z),
+                 check_translation_identity(xis, xi_hats, controls),
+                 check_shifted_start_bound(xis, xi_hats, 0.0, tau_p, controls, r_z))
         for i in range(n):
-            single = (check_reach_bound(xis[i], controls[i], r_z[i]),
-                      check_translation_identity(xis[i], xi_hats[i], controls[i]),
-                      check_shifted_start_bound(xis[i], xi_hats[i], 0.0, tau_p[i],
-                                                controls[i], r_z[i]))
-            for rep, one in zip(batch, single):
-                assert [v[i] for v in vars(rep).values()] == list(vars(one).values())
+            one = ([xis[i]], [xi_hats[i]], [controls[i]])
+            single = (check_reach_bound(one[0], one[2], r_z[i]),
+                      check_translation_identity(*one),
+                      check_shifted_start_bound(one[0], one[1], 0.0, tau_p[i], one[2], r_z[i]))
+            for rep, alone in zip(batch, single):
+                assert [v[i] for v in vars(rep).values()] == [v[0] for v in vars(alone).values()]
         assert batch[0].worst_ratio[1] == 0.0 and batch[1].gronwall_ratio[2] == 0.0
 
     def test_batch_names_the_inadmissible_instance(self):
         good = PiecewiseConstantControl.constant((0.5, 0.0))
         bad = PiecewiseConstantControl(0.0, [0.5, 1.0], [[0.1, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="segment 1 of instance 2"):
-            check_reach_bounds(np.zeros((3, 3)), [good, good, bad], 1.0)
+            check_reach_bound(np.zeros((3, 3)), [good, good, bad], 1.0)

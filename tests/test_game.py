@@ -10,13 +10,14 @@ from _util import (
     canonical_problem,
     covering_radius_reference,
     depth_first_value,
+    lipschitz_audit_reference,
 )
 
 import heisgame.game as game
 from heisgame.catalog import make_running_cost
 from heisgame.heis import Box, ball_points, eval_field, gauge
 from heisgame.flow import exact_step
-from heisgame.grids import Grid3, sample_field
+from heisgame.grids import Grid3, ValueGrid, sample_field
 from heisgame.game import (
     _alternating_value,
     _node_blocks,
@@ -785,6 +786,19 @@ class TestBreadthFirstOracle:
 
     @pytest.mark.parametrize("branch", ["coupling", "general"])
     @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_brute_force_batch_matches_points(self, branch, which, steps):
+        spec = self.spec(branch)
+        Z = Z_LATTICES[9]
+        pts = np.column_stack([ball_points(np.random.default_rng(16), 2.0, (12,)),
+                               np.linspace(-3.0, 3.0, 12)]).reshape(3, 4, 3)
+        batch = brute_force_value(spec, pts, steps, self.Y, Z, which)
+        assert batch.shape == (3, 4)
+        single = [brute_force_value(spec, p, steps, self.Y, Z, which) for p in pts.reshape(-1, 3)]
+        assert np.array_equal(batch.reshape(-1), single)
+
+    @pytest.mark.parametrize("branch", ["coupling", "general"])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
     @pytest.mark.parametrize("steps,mz", EXPANSIONS)
     def test_dpp_residual_bit_identical(self, stack, monkeypatch, branch, which, steps, mz):
         spec = self.spec(branch)
@@ -842,7 +856,7 @@ class TestLipschitzAudit:
         grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
         Y, Z = make_lattice(1.0, 1, 8), make_lattice(1.0, 1, 8)
         v = backward_induction(spec, grid, 3, Y, Z)
-        reports = lipschitz_audit(v, spec.constants, rng=np.random.default_rng(11))
+        reports = self.assert_matches_reference(v, spec.constants, 11)
         for rep in reports:
             assert rep.worst_ratio == 0.0
             assert rep.passed
@@ -861,6 +875,45 @@ class TestLipschitzAudit:
         assert not spatial.passed
         assert spatial.witness is not None
 
+    @staticmethod
+    def assert_matches_reference(v, constants, seed):
+        got, ref = (audit(v, constants, rng=np.random.default_rng(seed))
+                    for audit in (lipschitz_audit, lipschitz_audit_reference))
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in ref]
+        return got
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_four_block_reference(self, canonical, baseline_solution, reverse):
+        _, spec = canonical
+        v = baseline_solution.value
+        self.assert_matches_reference(v.reversed_time() if reverse else v, spec.constants, 109)
+
+    def test_constant_in_space_has_no_spatial_witness(self):
+        spec = coupling_spec()
+        v = ValueGrid.from_function(lambda t, p: np.full(len(p), t * t), SMALL_BOX,
+                                    SMALL_COUNTS, 1.0, 4)
+        spatial, space_time = self.assert_matches_reference(v, spec.constants, 17)
+        assert spatial.worst_ratio == 0.0 and spatial.witness is None
+        assert space_time.witness is not None
+
+    def test_ties_keep_the_first_pair_found(self):
+        # V = x1 on 5x5x5 nodes: x1-adjacent pairs on the x2 = 0 rows, and
+        # random pairs on one such row at one time, read exactly 1; the
+        # space-time witness stays with a pair of the two-time draw (ka == kb),
+        # since a same-time pair replaces it only when strictly larger
+        v = ValueGrid.from_function(lambda t, p: p[:, 0], SMALL_BOX, (5, 5, 5), 1.0, 2)
+        spatial, space_time = self.assert_matches_reference(v, coupling_spec().constants, 19)
+        assert spatial.worst_ratio == space_time.worst_ratio == 1.0
+        assert space_time.to_dict()["witness"] != spatial.to_dict()["witness"]
+
+    def test_region_one_node_thick(self):
+        # the certified region holds only the x1 = 0 plane: no x1-adjacent pair
+        spec = coupling_spec()
+        v = ValueGrid.from_function(lambda t, p: gauge(p) + t, SMALL_BOX, SMALL_COUNTS, 1.0, 3)
+        v = dataclasses.replace(v, trusted_region=Box([-0.5, -3.0, -6.0], [0.5, 3.0, 6.0]))
+        assert v.region_index_bounds()[0] == slice(4, 5)
+        self.assert_matches_reference(v, spec.constants, 18)
+
 
 @pytest.mark.parametrize("threads", [0, 2])
 def test_solve_bytes_counts_the_stacks_and_w(threads):
@@ -873,6 +926,6 @@ def test_solve_bytes_counts_the_stacks_and_w(threads):
     w = len(Z.points) * v.data[0].size * 8  # one block of every node
     held = v.data.nbytes + v.trusted.nbytes + nodes.nbytes + terminal.nbytes + w
     assert game.solve_bytes(SMALL_COUNTS, 2, len(Z.points), threads) == held
+    # an HJI solve's time reversal holds no stacks of its own
     u = v.reversed_time()
-    assert game.solve_bytes(SMALL_COUNTS, 2, len(Z.points), threads, reversed_copy=True) \
-        == held + u.data.nbytes + u.trusted.nbytes
+    assert np.shares_memory(u.data, v.data) and np.shares_memory(u.trusted, v.trusted)

@@ -185,6 +185,9 @@ class TestValueGrid:
         assert np.array_equal(rev.data[0], vg.data[-1])
         assert np.array_equal(rev.times, vg.times)
         assert np.array_equal(rev.reversed_time().data, vg.data)
+        # views, not copies: a reversal holds no stacks of its own
+        assert np.shares_memory(rev.data, vg.data)
+        assert np.shares_memory(rev.trusted, vg.trusted)
 
     def test_from_function(self):
         vg = ValueGrid.from_function(

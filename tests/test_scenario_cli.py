@@ -258,18 +258,21 @@ class TestMemoryGuard:
         # a machine that holds the scenario's own solve but not the oracle's too
         data = dict(SMALL, time_steps=2)
         path = write_scenario(tmp_path, data)
-        own = solve_bytes(SMALL["grid"]["counts"], 2, 25, reversed_copy=True)
+        own = solve_bytes(SMALL["grid"]["counts"], 2, 25)
         monkeypatch.setattr(cli, "_physical_memory", lambda: own + 1)
         assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 0
         assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
         assert not (tmp_path / "v").exists()
         assert "physical memory" in capsys.readouterr().err
 
-    def test_hji_solve_counts_its_reversed_copy(self, tmp_path, monkeypatch, capsys):
+    def test_hji_solve_guard_equals_game_time(self, tmp_path, monkeypatch, capsys):
+        # the time reversal is a view, so an HJI solve needs the game-time bytes
         path = write_scenario(tmp_path, dict(SMALL, time_steps=2))
         game_time = solve_bytes(SMALL["grid"]["counts"], 2, 25)
-        monkeypatch.setattr(cli, "_physical_memory", lambda: game_time + 1)
-        assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 2
+        monkeypatch.setattr(cli, "_physical_memory", lambda: game_time)
+        assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 0
+        monkeypatch.setattr(cli, "_physical_memory", lambda: game_time - 1)
+        assert main(["solve", str(path), "--out", str(tmp_path / "t")]) == 2
         assert "physical memory" in capsys.readouterr().err
 
 

@@ -6,7 +6,9 @@
 ``write`` runs the CLI, importing the package from ``PATH/src`` (default:
 this checkout), on every ``scenarios/*.json`` file and on the three
 benchmark workloads of ``bench/workloads.py`` at scenario seed 0: ``solve``
-at ``--threads 1`` and at ``--threads 2``, and ``verify``.  With
+at ``--threads 1`` and at ``--threads 2``, ``audit`` on a copy of the
+``--threads 1`` output without its CSV slices (its ``audit.json`` holds the
+Lipschitz audit's witnesses, which no other output does), and ``verify``.  With
 ``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
 scenario seeds 1 to N-1.  The scenario inputs always come from this
 checkout, so two checkouts written this way ran the same commands.  Each
@@ -31,6 +33,7 @@ import argparse
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,13 +52,15 @@ def _workloads():
 
 
 def _runs(seeds: int):
-    """``(name, scenario path or JSON dict, run, argv tail)`` of each command."""
+    """``(name, scenario path or JSON dict, run, argv tail)`` of each command;
+    the audit's scenario is ``None``, since it reads the ``solve-t1`` output."""
     jobs = []
     inputs = [(path.stem, path) for path in sorted((REPO / "scenarios").glob("*.json"))]
     wl = _workloads()
     inputs += [(name, wl.scenario(template, 0)) for name, (_, template) in wl.WORKLOADS.items()]
     for name, scenario in inputs:
         jobs += [(name, scenario, f"solve-t{t}", ["solve", "--threads", str(t)]) for t in (1, 2)]
+        jobs.append((name, None, "audit", ["audit"]))
         jobs.append((name, scenario, "verify", ["verify"]))
     _, template = wl.WORKLOADS["hji-verify"]
     jobs += [("hji-verify", wl.scenario(template, s), f"verify-seed{s:02d}", ["verify"])
@@ -70,13 +75,17 @@ def write(outdir: Path, checkout: Path, seeds: int) -> int:
     for name, scenario, run, (command, *flags) in _runs(seeds):
         target = outdir / name / run
         target.mkdir(parents=True, exist_ok=True)
-        if isinstance(scenario, dict):
-            path = target / "scenario.json"
-            path.write_text(json.dumps(scenario))
+        if scenario is None:
+            shutil.copytree(outdir / name / "solve-t1", target, dirs_exist_ok=True,
+                            ignore=shutil.ignore_patterns("*.csv"))
+            argv = [command, str(target)]
         else:
             path = scenario
-        proc = subprocess.run([sys.executable, "-m", "heisgame.cli", command, str(path),
-                               "--out", str(target), *flags],
+            if isinstance(scenario, dict):
+                path = target / "scenario.json"
+                path.write_text(json.dumps(scenario))
+            argv = [command, str(path), "--out", str(target), *flags]
+        proc = subprocess.run([sys.executable, "-m", "heisgame.cli", *argv],
                               env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True)
         (target / "exit_code").write_text(f"{proc.returncode}\n")
