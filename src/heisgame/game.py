@@ -294,25 +294,54 @@ def _as_probe_arrays(t, x, lam):
     return scalar, pts, lam, t
 
 
-def _max_min(n, m_outer, m_inner, row, lower, outer_term=None):
+def _max_min(n, m_outer, m_inner, row, lower, outer_term=None, probe=()):
     """The lattice opt-opt: ``max_a min_b`` if ``lower``, else ``min_a max_b``.
 
     ``row(a, b, out)`` writes the payoff of outer index ``a`` and inner
     index ``b`` into ``out`` of shape ``(n,)``; ``outer_term(a)``, if
-    given, is added after the inner reduction.  Rows accumulate in place,
-    which measured faster than reducing stacked ``(m, n)`` chunks.
+    given, is added after the inner reduction, evaluated once per ``a``.
+    Rows accumulate in place, which measured faster than reducing stacked
+    ``(m, n)`` chunks.
+
+    ``probe``, a few inner indices, bounds each ``a`` after the first: the
+    inner opt over the probe rows plus ``outer_term(a)`` is at least the
+    full ``min_b`` (at most the full ``max_b``), since an opt over a subset
+    is and a rounded add is monotone.  Where the running best strictly
+    beats that bound at every node (``np.less`` for the lower value,
+    ``np.greater`` for the upper), ``a`` cannot change the best and is
+    skipped; otherwise its full row runs in the order above, so ties,
+    signed zeros and NaN keep their bits.  A NaN bound compares false and
+    never skips, but a NaN in a row outside the probe is not read, so the
+    caller passes ``probe`` only where every row is free of NaN.
     """
     inner_opt, outer_opt = (np.minimum, np.maximum) if lower else (np.maximum, np.minimum)
+    beaten = np.less if lower else np.greater
     best = np.full(n, -np.inf if lower else np.inf)
     acc, scratch = np.empty(n), np.empty(n)
     for a in range(m_outer):
+        term = None if outer_term is None else outer_term(a)
+        if probe and a:
+            row(a, probe[0], acc)
+            for b in probe[1:]:
+                row(a, b, scratch)
+                inner_opt(acc, scratch, out=acc)
+            bound = acc if term is None else np.add(acc, term, out=scratch)
+            if beaten(bound, best).all():
+                continue
         row(a, 0, acc)
         for b in range(1, m_inner):
             row(a, b, scratch)
             inner_opt(acc, scratch, out=acc)
-        total = acc if outer_term is None else np.add(acc, outer_term(a), out=scratch)
+        total = acc if term is None else np.add(acc, term, out=scratch)
         outer_opt(best, total, out=best)
     return best
+
+
+def _ring_probe(points: np.ndarray) -> tuple[int, ...]:
+    """Every 4th index of the lattice's outermost ring, the points within
+    1e-9 of the largest norm (8 of the 81 of ``make_lattice(r, 4, 8)``)."""
+    norms = np.linalg.norm(points, axis=-1)
+    return tuple(int(k) for k in np.flatnonzero(norms >= norms.max() * (1 - 1e-9))[::4])
 
 
 def _pair_table(spec: GameSpec, ypts: np.ndarray, zpts: np.ndarray) -> np.ndarray:
@@ -323,13 +352,15 @@ def _pair_table(spec: GameSpec, ypts: np.ndarray, zpts: np.ndarray) -> np.ndarra
 
 def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
     """The opt-opt of the rows ``F - lam.z``.  A separable cost calls
-    ``coupling_base`` once per ``y`` and forms ``F`` as ``base_y + k_zy``;
-    any other calls ``running_cost`` once per pair."""
+    ``coupling_base`` once per ``y`` and forms ``F`` as ``base_y + k_zy``,
+    and bounds each outer index by the inner lattice's ring probe; any other
+    calls ``running_cost`` once per pair and checks every pair's value."""
     _check_lattices(spec, y_lattice, z_lattice)
     scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
     lam_z = [lam2 @ z for z in zpts]
+    probe = ()
 
     if spec.coupling_base is not None:
         base = np.array([np.broadcast_to(np.asarray(spec.coupling_base(tt, pts, y), dtype=float),
@@ -339,6 +370,8 @@ def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
             if not np.isfinite(a).all():
                 raise NonFiniteValueError(f"coupling {what} non-finite at t={tt}")
         cost = lambda yi, zi, out: np.add(base[yi], pair[zi, yi], out=out)
+        if np.isfinite(lam_z).all():
+            probe = _ring_probe(zpts if lower else ypts)
     else:
         def cost(yi, zi, out):
             y, z = ypts[yi], zpts[zi]
@@ -352,7 +385,7 @@ def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
         np.subtract(cost(yi, zi, out), lam_z[zi], out=out)
 
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
-    best = _max_min(n, *sizes, row, lower)
+    best = _max_min(n, *sizes, row, lower, probe=probe)
     return float(best[0]) if scalar else best
 
 
@@ -360,7 +393,11 @@ def lower_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
     """Exact ``max_y min_z (F(t,x,y,z) - lam . z)`` over the lattices.
 
     Accepts batched probes: ``x`` of shape ``(n, 3)`` with ``t`` and
-    ``lam`` broadcasting.  Ties resolve to the first lattice index.
+    ``lam`` broadcasting.  Ties resolve to the first lattice index.  For a
+    separable cost with finite ``lam . z``, a ``y`` whose min over 8 rows of
+    the outermost ``z`` ring lies strictly below the running max at every
+    probe is skipped, with the same bits (``_max_min``'s ``probe``); the
+    upper value bounds each ``z`` by a max over the outermost ``y`` ring.
     """
     return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, True)
 
@@ -404,7 +441,13 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     calling the cost only as ``base``, once per ``y``; where every column of
     ``offs = h*k`` has the same bits (a ``k`` free of ``y``; ``0.0`` and
     ``-0.0`` differ), the one ``min_z`` is reduced once, bit-identical to
-    reducing it per ``y``.  The upper value, and any cost without
+    reducing it per ``y``.  Otherwise each ``y`` after the first is first
+    bounded by the min over 8 rows of the outermost ``z`` ring plus
+    ``h*base(y)`` (``_max_min``'s ``probe``), and skipped where the running
+    best is strictly above that bound at every node; the max keeps its bits.
+    A skipped row is never read, so the bound is used only when ``W`` and
+    ``offs`` are finite, and a non-finite table or continuation takes the
+    full rows and surfaces as before.  The upper value, and any cost without
     ``coupling_base``, call ``running_cost`` once per ``(y, z)`` pair.
     """
     n = len(pts)
@@ -423,8 +466,10 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
                               lambda _, zi, out: np.add(W[zi], offs[zi, 0], out=out), True)
             return _max_min(n, len(ypts), 1,
                             lambda yi, _, out: np.add(common, base(yi), out=out), True)
+        # a NaN in a skipped row would be lost, so the bound needs every row finite
+        probe = _ring_probe(zpts) if np.isfinite(W).all() and np.isfinite(offs).all() else ()
         return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
-                        True, base)
+                        True, base, probe)
 
     def row(a, b, out):
         yi, zi = (a, b) if lower else (b, a)

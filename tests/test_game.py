@@ -516,6 +516,126 @@ class TestBackwardInduction:
         assert any("c2" in str(x.message) for x in w)
 
 
+class TestBoundAndSkip:
+    """``_max_min``'s ``probe``: outer indices that cannot reach the running
+    best are skipped, with the same bits as the full loop."""
+
+    @staticmethod
+    def kernel(table, lower, probe, term=None, calls=None):
+        """``_max_min`` over ``table[a, b]`` of shape ``(m_outer, m_inner, n)``,
+        recording each row call in ``calls``."""
+        m_outer, m_inner, n = table.shape
+
+        def row(a, b, out):
+            if calls is not None:
+                calls.append(a)
+            out[:] = table[a, b]
+
+        outer_term = None if term is None else (lambda a: term[a])
+        with np.errstate(invalid="ignore"):
+            return game._max_min(n, m_outer, m_inner, row, lower, outer_term, probe)
+
+    @pytest.mark.parametrize("with_term", [False, True])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_probe_keeps_the_bits(self, lower, with_term):
+        # few distinct values, so ties, signed zeros and infinities abound
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+        rng = np.random.default_rng(0)
+        skipped = 0
+        for _ in range(300):
+            table = rng.choice(values, size=(6, 5, 3))
+            term = rng.choice(values, size=(6, 3)) if with_term else None
+            probe = tuple(int(b) for b in rng.choice(5, rng.integers(1, 4), replace=False))
+            calls = []
+            got = self.kernel(table, lower, probe, term, calls)
+            ref = self.kernel(table, lower, (), term)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            skipped += sum(np.bincount(calls) < table.shape[1])
+        assert skipped >= 30
+
+    @pytest.mark.parametrize("probed", [True, False])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_nan_reaches_the_result(self, lower, probed):
+        # outer 0 beats outers 1 and 2 at both nodes, so the probe (inner 0
+        # and 1) skips them; a NaN in outer 1's probe rows stops that skip
+        # (and every later one: no bound beats a NaN best), and outer 2,
+        # made to win node 0, runs its full rows, NaN included
+        sign = 1.0 if lower else -1.0
+        table = np.full((3, 4, 2), 1.0)
+        table[0] = 5.0
+        if probed:
+            table[1, 1, 1] = np.nan
+        else:
+            table[2, :, 0] = 7.0
+            table[2, 3, 1] = np.nan
+        table *= sign
+        calls = []
+        got = self.kernel(table, lower, (0, 1), calls=calls)
+        ref = self.kernel(table, lower, ())
+        assert np.isnan(got[1]) and got[0] == sign * (5.0 if probed else 7.0)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.bincount(calls).tolist() == ([4, 6, 6] if probed else [4, 2, 6])
+
+    def test_canonical_solve_skips_most_outer_y(self, monkeypatch, canonical,
+                                                 baseline_lattices):
+        # the re-anchor measured y = 0 optimal at every node: 80 of 81 skipped
+        _, spec = canonical
+        y_lat, z_lat = baseline_lattices
+        assert 0 not in game._ring_probe(z_lat.points)
+        kernel, outer = game._max_min, {"nominal": 0, "computed": 0}
+
+        def counted(n, m_outer, m_inner, row, *rest, **kw):
+            full = set()
+
+            def wrapped(a, b, out):
+                full.add(a) if b == 0 else None  # the probe never holds index 0
+                return row(a, b, out)
+
+            best = kernel(n, m_outer, m_inner, wrapped, *rest, **kw)
+            outer["nominal"] += m_outer
+            outer["computed"] += len(full)
+            return best
+
+        grid = Grid3(DEFAULT_BOX, np.zeros((9, 9, 17)))
+        monkeypatch.setattr(game, "_max_min", counted)
+        got = backward_induction(spec, grid, 5, y_lat, z_lat, warn_costs=False)
+        assert outer["nominal"] == 5 * len(y_lat.points)
+        assert outer["computed"] <= 0.1 * outer["nominal"]
+        monkeypatch.setattr(game, "_ring_probe", lambda points: ())
+        ref = backward_induction(spec, grid, 5, y_lat, z_lat, warn_costs=False)
+        assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+
+    def test_nan_in_skipped_pair_entry_raises(self, canonical, baseline_lattices):
+        # z index 1 is outside the probe and y index 40 is a skipped y, so the
+        # NaN surfaces only because a non-finite table turns the bound off
+        _, spec = canonical
+        y_lat, z_lat = baseline_lattices
+        assert 1 not in game._ring_probe(z_lat.points)
+
+        def pair(ypts, zpts):
+            table = zpts @ ypts.T
+            table[1, 40] = np.nan
+            return table
+
+        bad = dataclasses.replace(spec, coupling_pair=pair)
+        grid = Grid3(DEFAULT_BOX, np.zeros((9, 9, 17)))
+        with pytest.raises(NonFiniteValueError, match="non-finite value"):
+            backward_induction(bad, grid, 2, y_lat, z_lat, warn_costs=False)
+
+    @pytest.mark.parametrize("hamiltonian", [lower_hamiltonian, upper_hamiltonian])
+    def test_lattice_hamiltonian_skips_keep_the_bits(self, monkeypatch, hamiltonian):
+        spec = canonical_problem()[1]
+        Y, Z = make_lattice(spec.r_y), make_lattice(spec.r_z)
+        rng = np.random.default_rng(8)
+        n = 500
+        probes = (rng.random(n) * spec.horizon, SMALL_BOX.sample(n, rng),
+                  ball_points(rng, spec.r_y, n))
+        got = hamiltonian(spec, *probes, Y, Z)
+        monkeypatch.setattr(game, "_ring_probe", lambda points: ())
+        ref = hamiltonian(spec, *probes, Y, Z)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 # grids whose axes linspace makes exactly antisymmetric: 2**k + 1 nodes on
 # [-4, 4] and [-8, 8], and 16 or 32 nodes at a spacing of 0.5
 SYMMETRIC_GRIDS = {

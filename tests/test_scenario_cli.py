@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import heisgame.cli as cli
+import heisgame.game as game
 from heisgame.cli import main
-from heisgame.game import solve_bytes
+from heisgame.game import make_lattice, solve_bytes
 from heisgame.grids import read_value_grid
 from heisgame.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -174,6 +175,22 @@ class TestSolveCommand:
             "seed": 0,
         }
         path = write_scenario(tmp_path, data)
+        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "numerical abort" in capsys.readouterr().err
+
+    def test_nan_in_skipped_pair_entry_exit_3(self, tmp_path, capsys, monkeypatch):
+        # z index 1 is outside the max-min's probe and y index 20 is a y the
+        # bound skips, so only the finite guard lets the NaN abort the solve
+        table = game._pair_table
+
+        def pair_with_nan(spec, ypts, zpts):
+            out = table(spec, ypts, zpts).copy()
+            out[1, 20] = np.nan
+            return out
+
+        monkeypatch.setattr(game, "_pair_table", pair_with_nan)
+        path = self.small_scenario(tmp_path, rings=2)
+        assert 1 not in game._ring_probe(make_lattice(1.0, 2, 8).points)
         assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "numerical abort" in capsys.readouterr().err
 
