@@ -240,7 +240,9 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
             return a0 + float(ay @ np.asarray(y, dtype=float))
 
         def pair(ypts, zpts, az=az):
-            return np.broadcast_to((zpts @ az)[:, None], (len(zpts), len(ypts)))
+            # the same dot as fn, so base + k rounds as fn does
+            k = np.array([float(az @ z) for z in zpts])
+            return np.broadcast_to(k[:, None], (len(zpts), len(ypts)))
 
         return RunningCostModel(name, fn, c1, 0.0, base, pair, _reflections(
             ay[0] == az[0] == 0.0, ay[1] == az[1] == 0.0))

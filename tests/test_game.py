@@ -210,9 +210,15 @@ class TestHamiltonians:
             hamiltonian(spec, 0.0, np.zeros(3), np.zeros(2), self.Y, self.Z)
 
 
-    @pytest.mark.parametrize("source", ["coupling_spec", "build_game"])
+    @pytest.mark.parametrize("source", ["coupling_spec", "build_game", "custom-affine"])
     def test_separable_path_matches_general_row(self, source):
-        spec = coupling_spec() if source == "coupling_spec" else canonical_problem()[1]
+        if source == "custom-affine":
+            cost = make_running_cost(source, AFFINE_PARAMS)
+            spec = dataclasses.replace(
+                simple_spec(cost.fn, gauge, r_y=2.0, r_z=1.0, c1=2.0, c2=20.0),
+                coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair)
+        else:
+            spec = coupling_spec() if source == "coupling_spec" else canonical_problem()[1]
         Y, Z = make_lattice(spec.r_y), make_lattice(spec.r_z)
         general = dataclasses.replace(spec, coupling_base=None)
         rng = np.random.default_rng(7)
