@@ -305,8 +305,8 @@ def _max_min(n, m_outer, m_inner, row, lower, outer_term=None, probe=()):
 
     ``probe``, a few inner indices, bounds each ``a`` after the first: the
     inner opt over the probe rows plus ``outer_term(a)`` is at least the
-    full ``min_b`` (at most the full ``max_b``), since an opt over a subset
-    is and a rounded add is monotone.  Where the running best strictly
+    full ``min_b`` (at most the full ``max_b``), because the opt over a
+    subset of the rows is and a rounded add is monotone.  Where the running best strictly
     beats that bound at every node (``np.less`` for the lower value,
     ``np.greater`` for the upper), ``a`` cannot change the best and is
     skipped; otherwise its full row runs in the order above, so ties,
@@ -394,9 +394,9 @@ def lower_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
 
     Accepts batched probes: ``x`` of shape ``(n, 3)`` with ``t`` and
     ``lam`` broadcasting.  Ties resolve to the first lattice index.  For a
-    separable cost with finite ``lam . z``, a ``y`` whose min over 8 rows of
-    the outermost ``z`` ring lies strictly below the running max at every
-    probe is skipped, with the same bits (``_max_min``'s ``probe``); the
+    separable cost with finite ``lam . z``, a ``y`` whose min over every 4th
+    point of the outermost ``z`` ring lies strictly below the running max at
+    every probe is skipped, with the same bits (``_max_min``'s ``probe``); the
     upper value bounds each ``z`` by a max over the outermost ``y`` ring.
     """
     return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, True)
@@ -442,8 +442,8 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     ``offs = h*k`` has the same bits (a ``k`` free of ``y``; ``0.0`` and
     ``-0.0`` differ), the one ``min_z`` is reduced once, bit-identical to
     reducing it per ``y``.  Otherwise each ``y`` after the first is first
-    bounded by the min over 8 rows of the outermost ``z`` ring plus
-    ``h*base(y)`` (``_max_min``'s ``probe``), and skipped where the running
+    bounded by the min over the rows of every 4th point of the outermost
+    ``z`` ring (8 of 81 on the canonical lattice) plus ``h*base(y)`` (``_max_min``'s ``probe``), and skipped where the running
     best is strictly above that bound at every node; the max keeps its bits.
     A skipped row is never read, so the bound is used only when ``W`` and
     ``offs`` are finite, and a non-finite table or continuation takes the
@@ -466,7 +466,6 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
                               lambda _, zi, out: np.add(W[zi], offs[zi, 0], out=out), True)
             return _max_min(n, len(ypts), 1,
                             lambda yi, _, out: np.add(common, base(yi), out=out), True)
-        # a NaN in a skipped row would be lost, so the bound needs every row finite
         probe = _ring_probe(zpts) if np.isfinite(W).all() and np.isfinite(offs).all() else ()
         return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
                         True, base, probe)
