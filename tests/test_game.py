@@ -61,6 +61,15 @@ def simple_spec(cost, terminal, r_y=1.0, r_z=1.0, c1=1.0, c2=1.0,
                     c2=c2, c2p=c2p, coupling_base=coupling_base)
 
 
+def catalog_spec(name, params):
+    """The catalog running cost ``name``, separable fields included, with
+    the gauge terminal cost and radii 2 and 1."""
+    cost = make_running_cost(name, params)
+    return dataclasses.replace(
+        simple_spec(cost.fn, gauge, r_y=2.0, r_z=1.0, c1=2.0, c2=20.0),
+        coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair)
+
+
 def const_field(c):
     return lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], c)
 
@@ -213,10 +222,7 @@ class TestHamiltonians:
     @pytest.mark.parametrize("source", ["coupling_spec", "build_game", "custom-affine"])
     def test_separable_path_matches_general_row(self, source):
         if source == "custom-affine":
-            cost = make_running_cost(source, AFFINE_PARAMS)
-            spec = dataclasses.replace(
-                simple_spec(cost.fn, gauge, r_y=2.0, r_z=1.0, c1=2.0, c2=20.0),
-                coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair)
+            spec = catalog_spec(source, AFFINE_PARAMS)
         else:
             spec = coupling_spec() if source == "coupling_spec" else canonical_problem()[1]
         Y, Z = make_lattice(spec.r_y), make_lattice(spec.r_z)
@@ -366,11 +372,8 @@ class TestBackwardInduction:
                                coupling_base=base)
             box, y_lat, z_lat = SMALL_BOX, make_lattice(2.0, 2, 8), make_lattice(0.5, 2, 8)
         elif name in ("custom-affine", "constant"):
-            params = AFFINE_PARAMS if name == "custom-affine" else {"value": 0.75}
-            cost = make_running_cost(name, params)
-            spec = dataclasses.replace(
-                simple_spec(cost.fn, gauge, r_y=2.0, r_z=1.0, c1=2.0, c2=20.0),
-                coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair)
+            spec = catalog_spec(name, AFFINE_PARAMS if name == "custom-affine"
+                                else {"value": 0.75})
             box, y_lat, z_lat = SMALL_BOX, make_lattice(2.0, 2, 8), make_lattice(1.0, 1, 8)
         else:
             sc = load_scenario(SCENARIOS / name)
