@@ -202,9 +202,10 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
             return -np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
 
         def fn(t, x, y, z):
+            # |y| in base's reduction form, so base + k rounds as fn does
             y = np.asarray(y, dtype=float)
             z = np.asarray(z, dtype=float)
-            return float(z @ y) - np.linalg.norm(y)
+            return float(z @ y) - np.linalg.norm(y, axis=-1)
 
         return RunningCostModel(name, fn, lambda ry, rz: ry * rz + ry, 0.0, base,
                                 reflections=_BOTH)

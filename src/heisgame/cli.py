@@ -34,7 +34,6 @@ from .grids import (
     write_value_grid,
 )
 from .game import (
-    COVERING_SAMPLING,
     LipschitzConstants,
     NonFiniteValueError,
     backward_induction,
@@ -106,7 +105,6 @@ def _manifest(sc: Scenario, y_lat, z_lat, command: str) -> dict:
                 "radius": lat.radius,
                 "covering_radius": lat.covering_radius,
                 "points": len(lat.points),
-                "sampling": COVERING_SAMPLING,
             }
             for name, lat in (("y", y_lat), ("z", z_lat))
         },

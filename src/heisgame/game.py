@@ -195,7 +195,9 @@ def _on_points(values, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlLattice:
-    """Finite subset of a closed plane ball, with its sampled covering radius."""
+    """Finite subset of a closed plane ball, with its covering radius: the
+    largest distance from a point of the ball to the nearest lattice point
+    (exact for :func:`make_lattice`)."""
 
     radius: float
     points: np.ndarray
@@ -211,43 +213,131 @@ class ControlLattice:
         object.__setattr__(self, "points", pts)
 
 
-# polar sample grid of the covering radius; the manifest records it
-COVERING_SAMPLING = {"n_radial": 96, "n_angular": 384}
+def _ring_bound(radius: float, rings: int, base_angles: int) -> float:
+    """Closed-form upper bound on the covering radius of ``make_lattice``.
+
+    A point at norm ``r`` lies within angle ``pi/m_j`` of a point of ring
+    ``j`` (radius ``r_j``, ``m_j`` points), so its squared distance to that
+    ring is at most ``f_j(r) = (r - r_j)^2 + 4 r r_j sin^2(pi/(2 m_j))``
+    (``r^2`` for the centre).  Between rings ``j`` and ``j + 1`` the bound
+    is ``max_r min(f_j, f_{j+1})``; ``f_j - f_{j+1}`` is linear in ``r``
+    and both are convex, so the max is at an end of the annulus or where
+    they cross.  The result is raised by ``1e-9`` relative, so rounding in
+    the sites cannot lift the exact value above it.
+    """
+    r = radius * np.arange(rings + 1) / rings
+    s = np.zeros(rings + 1)
+    s[1:] = 4 * np.sin(np.pi / (2 * base_angles * np.arange(1, rings + 1))) ** 2
+    f = lambda j, x: (x - r[j]) ** 2 + s[j] * r[j] * x
+    lo, hi = np.arange(rings), np.arange(1, rings + 1)
+    # f_lo - f_hi = slope * x + (r_lo^2 - r_hi^2)
+    slope = 2 * (r[hi] - r[lo]) + s[lo] * r[lo] - s[hi] * r[hi]
+    cross = np.clip((r[hi] ** 2 - r[lo] ** 2) / slope, r[lo], r[hi])
+    worst = max(np.minimum(f(lo, x), f(hi, x)).max() for x in (r[lo], r[hi], cross))
+    return float(np.sqrt(worst)) * (1 + 1e-9)
 
 
-def _covering_radius(points: np.ndarray, radius: float) -> float:
-    """Largest distance from a polar sample of the ball to its nearest point.
+def _sq(v: np.ndarray) -> np.ndarray:
+    """Squared lengths of the plane vectors ``v[..., :]``."""
+    return v[..., 0] ** 2 + v[..., 1] ** 2
 
-    Squared distances are ``(|s|^2 + |p|^2) + (-2 s.p)``, in two buffers of
-    4096 samples, fewer where a buffer would pass 8 MiB; each row's ``min``
-    is taken before the clip at 0 and the ``sqrt``, which are monotone and
-    correctly rounded, so commute with it exactly.  The buffer size reaches
-    beyond this function: glibc raises its mmap and trim thresholds to the
-    largest block freed so far, and these buffers are the largest blocks
-    freed before a solve.  With 1024-sample buffers (0.66 MB at 81 points)
-    the solver's interpolation temporaries on a 33x33x65 grid landed on
-    fresh pages: 50x the page faults and about 10% more solve time.
+
+def _close_pairs(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i != j``, of points at most ``reach`` apart,
+    both orders, from square cells of side ``reach``: each point is compared
+    with the points of its own and the 8 adjacent cells."""
+    cell = np.floor(points / reach).astype(np.int64)
+    cell -= cell.min(axis=0) - 1
+    rows = int(cell[:, 1].max()) + 2
+    key = cell[:, 0] * rows + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    i, j = [], []
+    # a column of three cells is one run of consecutive keys
+    for column in (-rows, 0, rows):
+        lo = np.searchsorted(keys, key + column - 1, "left")
+        n = np.searchsorted(keys, key + column + 1, "right") - lo
+        i.append(np.repeat(np.arange(len(points)), n))
+        j.append(order[np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)])
+    i, j = np.concatenate(i), np.concatenate(j)
+    keep = (i != j) & (_sq(points[i] - points[j]) <= reach ** 2)
+    return i[keep], j[keep]
+
+
+def _covering_radius(points: np.ndarray, radius: float, bound: float) -> float:
+    """Exact covering radius of ``points`` in the closed disk of ``radius``,
+    ``max_x min_p |x - p|``, given an upper bound ``bound`` on it.
+
+    The distance to the nearest point is largest at a vertex of the
+    Voronoi diagram clipped to the disk (Shamos and Hoey, "Closest-point
+    problems", FOCS 1975): a circumcentre of three points inside the disk,
+    a point where a pair's bisector meets the circle, or the point of the
+    circle farthest from one point (``(radius, 0)`` for a point at the
+    centre).  Each candidate is generated by a point ``p`` at distance at
+    most ``bound`` and its other points lie within ``2*bound`` of ``p``,
+    so only such pairs and triples are formed and candidates farther than
+    ``bound`` from ``p`` are dropped.  A point nearer a candidate than
+    ``p`` is within ``2*bound`` of ``p`` too, so each candidate's nearest
+    distance is taken over ``p``'s neighbours alone, and the largest is
+    the covering radius.  Any ``bound`` at least the covering radius gives
+    the same value; ``2*radius`` always is one, at the cost of all pairs
+    and triples.
     """
     if radius == 0.0:
         return 0.0
-    rr = np.linspace(0.0, radius, COVERING_SAMPLING["n_radial"])
-    aa = np.linspace(0.0, 2 * np.pi, COVERING_SAMPLING["n_angular"], endpoint=False)
-    r, a = np.meshgrid(rr, aa)
-    samples = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=-1)
-    p_sq = (points ** 2).sum(-1)
-    rows = min(4096, max(1, (8 << 20) // (8 * len(points))))
-    d_sq = np.empty((rows, len(points)))
-    sums = np.empty_like(d_sq)
-    worst = 0.0
-    for k in range(0, len(samples), rows):
-        s = samples[k:k + rows]
-        d, sm = d_sq[:len(s)], sums[:len(s)]
-        np.matmul(s, points.T, out=d)
-        np.multiply(d, -2.0, out=d)
-        np.add((s ** 2).sum(-1)[:, None], p_sq[None, :], out=sm)
-        np.add(sm, d, out=d)
-        worst = max(worst, float(np.sqrt(np.maximum(d.min(axis=1), 0.0)).max()))
-    return worst
+    m, reach = len(points), 2 * bound
+    i, j = _close_pairs(points, reach)
+    # row p of ``near``: p's neighbours, padded with p itself
+    by_row = np.argsort(i, kind="stable")
+    i, j = i[by_row], j[by_row]
+    deg = np.bincount(i, minlength=m)
+    near = np.repeat(np.arange(m)[:, None], deg.max() + 1, axis=1)
+    near[i, np.arange(len(i)) - np.repeat(np.cumsum(deg) - deg, deg)] = j
+
+    # the circle's point farthest from each point, (radius, 0) for the centre
+    norms = np.sqrt(_sq(points))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.where(norms > 0, -radius * points / norms, [radius, 0.0])
+    centres, owners = [far], [np.arange(m)]
+
+    a, b = i[i < j], j[i < j]
+    mid = 0.5 * (points[a] + points[b])
+    d = points[b] - points[a]
+    v = np.stack([-d[:, 1], d[:, 0]], axis=-1) / np.sqrt(_sq(d))[:, None]
+    mv = mid[:, 0] * v[:, 0] + mid[:, 1] * v[:, 1]
+    disc = mv ** 2 + (radius ** 2 - _sq(mid))
+    ok = disc >= 0
+    for sign in (-1.0, 1.0):
+        t = -mv[ok] + sign * np.sqrt(disc[ok])
+        centres.append(mid[ok] + t[:, None] * v[ok])
+        owners.append(a[ok])
+
+    # triples a < b < c, all pairs within reach, from a's neighbour row
+    c = near[a]
+    e = points[c] - points[b][:, None]
+    keep = (c > b[:, None]) & (_sq(e) <= reach ** 2)
+    rows, cols = np.nonzero(keep)
+    a3, c3 = a[rows], c[rows, cols]
+    p, q = points[b[rows]] - points[a3], points[c3] - points[a3]
+    pq, qq = _sq(p), _sq(q)
+    det = 2 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.stack([q[:, 1] * pq - p[:, 1] * qq, p[:, 0] * qq - q[:, 0] * pq], axis=-1)
+        u /= det[:, None]
+    centre = points[a3] + u
+    inside = np.isfinite(u).all(-1) & (_sq(centre) <= radius ** 2)
+    centres.append(centre[inside])
+    owners.append(a3[inside])
+
+    centre, owner = np.concatenate(centres), np.concatenate(owners)
+    gap = centre - points[owner]
+    close = _sq(gap) <= bound ** 2
+    centre, owner = centre[close], owner[close]
+    nearest = np.full(len(centre), np.inf)
+    for k in range(near.shape[1]):
+        gap = centre - points[near[owner, k]]
+        np.minimum(nearest, _sq(gap), out=nearest)
+    return float(np.sqrt(nearest.max()))
 
 
 def make_lattice(radius: float, rings: int = 4, base_angles: int = 8) -> ControlLattice:
@@ -256,7 +346,7 @@ def make_lattice(radius: float, rings: int = 4, base_angles: int = 8) -> Control
 
     Points are ordered center first, then rings inward to outward with
     angles ascending, which fixes the optimizer tie-break.  The covering
-    radius is measured by dense sampling of the ball.
+    radius is exact (``_covering_radius`` under the rings' ``_ring_bound``).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -273,7 +363,8 @@ def make_lattice(radius: float, rings: int = 4, base_angles: int = 8) -> Control
         ang = 2 * np.pi * np.arange(m) / m
         pts.extend(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1))
     points = np.asarray(pts)
-    return ControlLattice(radius, points, _covering_radius(points, radius))
+    bound = _ring_bound(radius, rings, base_angles)
+    return ControlLattice(radius, points, _covering_radius(points, radius, bound))
 
 
 def _check_lattices(spec: GameSpec, y_lattice: ControlLattice, z_lattice: ControlLattice):
@@ -353,8 +444,11 @@ def _pair_table(spec: GameSpec, ypts: np.ndarray, zpts: np.ndarray) -> np.ndarra
 def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
     """The opt-opt of the rows ``F - lam.z``.  A separable cost calls
     ``coupling_base`` once per ``y`` and forms ``F`` as ``base_y + k_zy``,
-    and bounds each outer index by the inner lattice's ring probe; any other
-    calls ``running_cost`` once per pair and checks every pair's value."""
+    and for the lower value bounds each ``y`` by the ``z`` lattice's ring
+    probe; any other calls ``running_cost`` once per pair and checks every
+    pair's value.  The upper value takes no probe: its minimizing ``z``
+    follows each probe's ``lam``, so no ``z`` is beaten at every probe of a
+    batch, and the probe rows would only add work."""
     _check_lattices(spec, y_lattice, z_lattice)
     scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
     n = len(pts)
@@ -370,8 +464,8 @@ def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
             if not np.isfinite(a).all():
                 raise NonFiniteValueError(f"coupling {what} non-finite at t={tt}")
         cost = lambda yi, zi, out: np.add(base[yi], pair[zi, yi], out=out)
-        if np.isfinite(lam_z).all():
-            probe = _ring_probe(zpts if lower else ypts)
+        if lower and np.isfinite(lam_z).all():
+            probe = _ring_probe(zpts)
     else:
         def cost(yi, zi, out):
             y, z = ypts[yi], zpts[zi]
@@ -396,8 +490,7 @@ def lower_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
     ``lam`` broadcasting.  Ties resolve to the first lattice index.  For a
     separable cost with finite ``lam . z``, a ``y`` whose min over every 4th
     point of the outermost ``z`` ring lies strictly below the running max at
-    every probe is skipped, with the same bits (``_max_min``'s ``probe``); the
-    upper value bounds each ``z`` by a max over the outermost ``y`` ring.
+    every probe is skipped, with the same bits (``_max_min``'s ``probe``).
     """
     return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, True)
 

@@ -91,12 +91,18 @@ def _axis_cells(x, lo, hi, n):
 
     ``n`` nodes span ``[lo, hi]``; ``x`` is clamped onto it first.  The
     arguments broadcast, so one call serves one axis or all three.
-    Fractions within 1e-12 of a cell face snap onto it.
+    Fractions within 1e-12 of a cell face snap onto it.  The arithmetic
+    runs in place, in the order of ``(clip(x) - lo) / (hi - lo) * (n - 1)``.
     """
-    inside = (x >= lo) & (x <= hi)
-    t = (np.clip(x, lo, hi) - lo) / (hi - lo) * (n - 1)
-    i = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
-    f = t - i
+    inside = x >= lo
+    inside &= x <= hi
+    t = np.clip(x, lo, hi)
+    t -= lo
+    t /= hi - lo
+    t *= n - 1
+    i = np.floor(t).astype(np.int64)
+    np.clip(i, 0, n - 2, out=i)
+    f = np.subtract(t, i, out=t)
     f[f < _SNAP] = 0.0
     f[f > 1.0 - _SNAP] = 1.0
     return i, f, inside
@@ -149,7 +155,9 @@ def interp_values(box: Box, values: np.ndarray, pts):
 
 
 def _interp_feet(box: Box, values: np.ndarray, feet: StepFeet):
-    """``interp_values`` at ``feet``, with its arithmetic in its lerp order."""
+    """``interp_values`` at ``feet``, with its arithmetic in its lerp order;
+    each lerp ``u*(1 - w) + v*w`` runs in place on its gathered ``u`` and
+    ``v``, so a call holds few temporaries of the block's size."""
     (x1, x2, x3), (d1, d2) = feet.axes, feet.shift
     n1, n2, n3 = values.shape
     i1, f1, in1 = _axis_cells(x1 + d1, box.lo[0], box.hi[0], n1)
@@ -158,13 +166,19 @@ def _interp_feet(box: Box, values: np.ndarray, feet: StepFeet):
     lift = 0.5 * (x1[:, None] * d2 - d1 * x2[None, :])
     i3, f3, in3 = _axis_cells((x3 + 0.0)[None, None, :] + lift[:, :, None],
                               box.lo[2], box.hi[2], n3)
-    w1, w2 = f1[:, None, None], f2[None, :, None]
-    a = values[i1] * (1 - w1) + values[i1 + 1] * w1
-    b = a[:, i2] * (1 - w2) + a[:, i2 + 1] * w2
-    c0 = np.take_along_axis(b, i3, axis=2)
-    c1 = np.take_along_axis(b, i3 + 1, axis=2)
-    inside = in1[:, None, None] & in2[None, :, None] & in3
-    return (c0 * (1 - f3) + c1 * f3).reshape(-1), inside.reshape(-1)
+    a = _lerp(values[i1], values[i1 + 1], f1[:, None, None])
+    b = _lerp(a[:, i2], a[:, i2 + 1], f2[None, :, None])
+    c = _lerp(np.take_along_axis(b, i3, axis=2), np.take_along_axis(b, i3 + 1, axis=2), f3)
+    in3 &= in1[:, None, None] & in2[None, :, None]
+    return c.reshape(-1), in3.reshape(-1)
+
+
+def _lerp(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``u*(1 - w) + v*w``, bit for bit, written into ``u`` (and ``v``)."""
+    u *= 1 - w
+    v *= w
+    u += v
+    return u
 
 
 def sample_field(f: Callable, box: Box, counts) -> Grid3:

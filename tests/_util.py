@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from heisgame.flow import exact_step
-from heisgame.game import AUDIT_SLACK, COVERING_SAMPLING, AuditReport, _backup
+from heisgame.game import AUDIT_SLACK, AuditReport, _backup
 from heisgame.heis import Box, ball_points, dist_g
 from heisgame.scenario import load_scenario
 
@@ -178,14 +178,14 @@ def lipschitz_audit_reference(V, constants, rng=None, n_random_pairs=20000):
     ]
 
 
-def covering_radius_reference(points, radius):
-    """The covering radius in 4096-sample chunks with one temporary per
-    operation: reference for ``game._covering_radius``."""
+def sampled_covering_radius(points, radius):
+    """The largest distance from a 96x384 polar sample of the disk of
+    ``radius`` to its nearest point: the covering radius the solver used
+    before it was computed exactly, a lower estimate of it."""
     if radius == 0.0:
         return 0.0
-    rr = np.linspace(0.0, radius, COVERING_SAMPLING["n_radial"])
-    aa = np.linspace(0.0, 2 * np.pi, COVERING_SAMPLING["n_angular"], endpoint=False)
-    r, a = np.meshgrid(rr, aa)
+    r, a = np.meshgrid(np.linspace(0.0, radius, 96),
+                       np.linspace(0.0, 2 * np.pi, 384, endpoint=False))
     samples = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=-1)
     p_sq = (points ** 2).sum(-1)
     worst = 0.0
@@ -194,6 +194,30 @@ def covering_radius_reference(points, radius):
         d_sq = (s ** 2).sum(-1)[:, None] + p_sq[None, :] - 2.0 * (s @ points.T)
         worst = max(worst, float(np.sqrt(np.maximum(d_sq, 0.0).min(axis=1)).max()))
     return worst
+
+
+def voronoi_covering_radius(points, radius):
+    """The covering radius of ``points`` in the disk of ``radius`` from
+    ``scipy.spatial.Voronoi``: the nearest distance, by brute force, at
+    every Voronoi vertex inside the disk, at every point where the bisector
+    of a ridge's two points meets the circle, and at the circle's point
+    farthest from each point.  Reference for ``game._covering_radius``."""
+    from scipy.spatial import Voronoi
+
+    vor = Voronoi(points)
+    found = [v for v in vor.vertices if v @ v <= radius ** 2]
+    for a, b in vor.ridge_points:
+        mid, d = 0.5 * (points[a] + points[b]), points[b] - points[a]
+        v = np.array([-d[1], d[0]]) / np.hypot(*d)
+        disc = (mid @ v) ** 2 - (mid @ mid - radius ** 2)
+        if disc >= 0:
+            found += [mid + (-(mid @ v) + sign * np.sqrt(disc)) * v for sign in (-1, 1)]
+    for p in points:
+        norm = np.hypot(*p)
+        found.append(-radius * p / norm if norm > 0 else np.array([radius, 0.0]))
+    found = np.array(found)
+    return float(max(np.sqrt(((points - c[:, None]) ** 2).sum(-1)).min(-1).max()
+                     for c in np.array_split(found, -(-len(found) // 256))))
 
 
 def integrate_reference(xi, u, samples_per_segment=0, extra_times=None):

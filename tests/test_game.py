@@ -8,9 +8,10 @@ from _util import (
     DEFAULT_BOX,
     SCENARIOS,
     canonical_problem,
-    covering_radius_reference,
     depth_first_value,
     lipschitz_audit_reference,
+    sampled_covering_radius,
+    voronoi_covering_radius,
 )
 
 import heisgame.game as game
@@ -47,7 +48,7 @@ def coupling_spec(r_y=2.0, r_z=1.0, horizon=1.0):
     """Running cost z.y - |y| with gauge terminal cost."""
     def cost(t, x, y, z):
         y = np.asarray(y, dtype=float)
-        return float(np.asarray(z, dtype=float) @ y) - np.linalg.norm(y)
+        return float(np.asarray(z, dtype=float) @ y) - np.linalg.norm(y, axis=-1)
 
     base = lambda t, x, y: -np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
     c2 = float(gauge(SMALL_BOX.corners()).max())
@@ -94,16 +95,29 @@ class TestMakeLattice:
         assert len(lat.points) == 1 + 8 * (1 + 2 + 3 + 4)
         assert lat.covering_radius <= 0.2 * 2.0
 
-    @pytest.mark.parametrize("rings", [1, 4, 16])
-    def test_covering_radius_bit_identical(self, rings):
-        lat = make_lattice(2.0, rings, 8)
-        assert lat.covering_radius == covering_radius_reference(lat.points, 2.0)
+    @pytest.mark.parametrize("radius, rings, base_angles", [
+        (2.0, rings, base_angles) for rings in (1, 2, 4, 16) for base_angles in (4, 8, 16)
+    ] + [(4.5326, 4, 8), (4.5326, 1, 8), (1.0, 4, 8), (0.5, 3, 5)])
+    def test_covering_radius_exact(self, radius, rings, base_angles):
+        lat = make_lattice(radius, rings, base_angles)
+        exact = voronoi_covering_radius(lat.points, radius)
+        assert abs(lat.covering_radius - exact) <= 1e-12
+        # the old polar sample is a lower estimate, the ring bound an upper one
+        assert sampled_covering_radius(lat.points, radius) <= lat.covering_radius
+        assert lat.covering_radius < game._ring_bound(radius, rings, base_angles) \
+            <= 1.25 * lat.covering_radius
 
     def test_covering_radius_random_and_zero_radius(self):
-        pts = ball_points(np.random.default_rng(21), 1.5, (200,))
-        got = game._covering_radius(pts, 1.5)
-        assert got > 0 and got == covering_radius_reference(pts, 1.5)
-        assert game._covering_radius(np.zeros((1, 2)), 0.0) == 0.0
+        rng = np.random.default_rng(21)
+        # any bound at least the covering radius gives the exact value;
+        # 2*radius always is one, with every pair and triple formed
+        for n, slack in ((200, 1.25), (40, None)):
+            pts = ball_points(rng, 1.5, (n,))
+            exact = voronoi_covering_radius(pts, 1.5)
+            bound = 3.0 if slack is None else slack * exact
+            assert abs(game._covering_radius(pts, 1.5, bound) - exact) <= 1e-12
+        assert game._covering_radius(np.zeros((1, 2)), 0.0, 0.0) == 0.0
+        assert game._covering_radius(np.zeros((1, 2)), 1.0, 2.0) == 1.0
 
     def test_covering_radius_memory(self):
         import tracemalloc
@@ -219,13 +233,21 @@ class TestHamiltonians:
             hamiltonian(spec, 0.0, np.zeros(3), np.zeros(2), self.Y, self.Z)
 
 
-    @pytest.mark.parametrize("source", ["coupling_spec", "build_game", "custom-affine"])
+    @pytest.mark.parametrize("source", ["coupling_spec", "build_game", "custom-affine",
+                                        "coupling"])
     def test_separable_path_matches_general_row(self, source):
-        if source == "custom-affine":
-            spec = catalog_spec(source, AFFINE_PARAMS)
+        if source in ("custom-affine", "coupling"):
+            spec = catalog_spec(source, AFFINE_PARAMS if source == "custom-affine" else {})
         else:
             spec = coupling_spec() if source == "coupling_spec" else canonical_problem()[1]
         Y, Z = make_lattice(spec.r_y), make_lattice(spec.r_z)
+        # every row: the running cost rounds F as base + k with the table's k
+        x = SMALL_BOX.sample(4, np.random.default_rng(7))
+        pair = game._pair_table(spec, Y.points, Z.points)
+        for yi, y in enumerate(Y.points):
+            base = spec.coupling_base(0.5, x, y)
+            for zi, z in enumerate(Z.points):
+                assert np.array_equal(spec.running_cost(0.5, x, y, z), base + pair[zi, yi])
         general = dataclasses.replace(spec, coupling_base=None)
         rng = np.random.default_rng(7)
         n = 1000
@@ -789,7 +811,7 @@ class TestBruteForceOracle:
     def test_frozen_matches_exactly(self):
         def cost(t, x, y, z):
             y = np.asarray(y, dtype=float)
-            return float(np.asarray(z, dtype=float) @ y) - np.linalg.norm(y)
+            return float(np.asarray(z, dtype=float) @ y) - np.linalg.norm(y, axis=-1)
 
         spec = simple_spec(cost, gauge, r_y=1.0, r_z=0.0, c1=2.0, c2=20.0, c2p=1.0)
         z0 = make_lattice(0.0)

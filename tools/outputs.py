@@ -16,8 +16,10 @@ command writes to ``DIR/<scenario>/<run>``, next to an ``exit_code`` file.
 
 ``diff`` lists the files that differ in bytes or exist on one side only,
 ignoring ``run.log`` (it holds wall times); for each differing ``.bin``
-grid it adds the largest absolute difference of its values.  It exits 0
-when the two sets are byte-identical and 1 otherwise.
+grid it adds the largest absolute difference of its values, and for each
+differing ``.json`` file the dotted paths of the keys whose values differ
+or exist on one side only, one per line.  It exits 0 when the two sets are
+byte-identical and 1 otherwise.
 
 Checking that a change keeps every output byte-identical to its parent::
 
@@ -108,6 +110,23 @@ def _max_abs_diff(a: Path, b: Path) -> str:
         return f"max |diff| {np.nanmax(np.abs(va - vb), initial=0.0):.3g}"
 
 
+_ABSENT = object()
+
+
+def _json_keys(a, b, path: str = "") -> list[str]:
+    """Dotted paths of the values that differ between two parsed JSON
+    documents; list items are named by index, and a list whose length
+    changed by its own path."""
+    join = lambda key: f"{path}.{key}" if path else str(key)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [k for key in sorted(a.keys() | b.keys())
+                for k in _json_keys(a.get(key, _ABSENT), b.get(key, _ABSENT), join(key))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [k for i, (x, y) in enumerate(zip(a, b)) for k in _json_keys(x, y, join(i))]
+    # repr, so that a NaN equals itself
+    return [] if repr(a) == repr(b) else [path or "(document)"]
+
+
 def diff(a: Path, b: Path) -> int:
     files_a, files_b = _files(a), _files(b)
     same = bad = 0
@@ -117,6 +136,10 @@ def diff(a: Path, b: Path) -> int:
         elif (a / rel).read_bytes() != (b / rel).read_bytes():
             note = f" ({_max_abs_diff(a / rel, b / rel)})" if rel.suffix == ".bin" else ""
             print(f"differs: {rel}{note}")
+            if rel.suffix == ".json":
+                docs = (json.loads((root / rel).read_text()) for root in (a, b))
+                for key in _json_keys(*docs):
+                    print(f"    {key}")
         else:
             same += 1
             continue
