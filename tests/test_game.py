@@ -108,14 +108,14 @@ class TestMakeLattice:
             <= 1.25 * lat.covering_radius
 
     def test_covering_radius_random_and_zero_radius(self):
-        rng = np.random.default_rng(21)
-        # any bound at least the covering radius gives the exact value;
-        # 2*radius always is one, with every pair and triple formed
-        for n, slack in ((200, 1.25), (40, None)):
-            pts = ball_points(rng, 1.5, (n,))
-            exact = voronoi_covering_radius(pts, 1.5)
-            bound = 3.0 if slack is None else slack * exact
-            assert abs(game._covering_radius(pts, 1.5, bound) - exact) <= 1e-12
+        pts = ball_points(np.random.default_rng(21), 1.5, (200,))
+        exact = voronoi_covering_radius(pts, 1.5)
+        assert abs(game._covering_radius(pts, 1.5, 1.25 * exact) - exact) <= 1e-12
+        # 2*radius bounds the covering radius of any point set, at the cost
+        # of forming every pair and triple
+        few = pts[:40]
+        assert abs(game._covering_radius(few, 1.5, 3.0) - voronoi_covering_radius(few, 1.5)) \
+            <= 1e-12
         assert game._covering_radius(np.zeros((1, 2)), 0.0, 0.0) == 0.0
         assert game._covering_radius(np.zeros((1, 2)), 1.0, 2.0) == 1.0
 
