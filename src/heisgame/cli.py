@@ -150,12 +150,15 @@ def _cmd_solve(args) -> int:
     if hji:
         value = value.reversed_time()
     elapsed = time.time() - t0
+    t0 = time.time()
     outdir.mkdir(parents=True, exist_ok=True)
     write_value_grid(value, outdir)
     _write_json(outdir / "manifest.json", _manifest(sc, y_lat, z_lat, "solve"))
+    written = time.time() - t0
     domain = fundamental_domain(sc.game, value.slice(0), y_lat, z_lat)
     log = [
         f"solved {args.scenario} ({sc.kind}) in {elapsed:.2f} s",
+        f"wrote outputs in {written:.2f} s",
         f"grid {sc.counts} time steps {sc.n_steps}",
         f"lattices y={len(y_lat.points)} z={len(z_lat.points)} points",
         f"symmetry {','.join(domain.reflections) or 'none'}: {domain.nodes}"

@@ -339,22 +339,49 @@ def refinement_sup_diffs(levels: list[ValueGrid]) -> list[float]:
 # array of 64-bit little-endian reals in row-major order.
 # ---------------------------------------------------------------------------
 
+# values ``write_grid_csv`` formats per list: it bounds the Python bytes
+# objects alive at once, whose small-object arenas would otherwise raise the
+# solve's peak memory; the texts are kept in a numpy array
+_CSV_CHUNK = 2048
+
+
 def write_grid_csv(grid: Grid3, path, trusted: np.ndarray | None = None) -> None:
     """One ``x1,x2,x3,value,trusted`` row per node, every real in ``%.17g``.
 
-    The bytes are those of ``np.savetxt`` with that format.  Each axis
-    coordinate is formatted once, and the text is written one x1-plane
-    at a time.
+    The bytes are those of ``np.savetxt`` with the format
+    ``"%.17g,%.17g,%.17g,%.17g,%d"``.  Each distinct value of the grid is
+    formatted once: the values' 64-bit patterns are deduplicated, which
+    keeps ``-0`` apart from ``0`` and prints every NaN as ``nan``, and
+    their texts, held in a fixed-width ``S24`` array (24 bytes is the
+    longest ``%.17g`` text, e.g. ``-2.2250738585072014e-308``), are
+    looked up plane by plane.  The ``x2,x3`` part of a row is formatted
+    once per call, and each x1-plane is joined and written at once.
     """
-    s1, s2, s3 = (["%.17g" % x for x in ax.tolist()] for ax in grid.axes())
-    flags = (np.ones(grid.counts, dtype=bool) if trusted is None
-             else np.asarray(trusted, dtype=bool).reshape(grid.counts))
-    with open(path, "w") as fh:
-        fh.write("x1,x2,x3,value,trusted\n")
+    n1, n2, n3 = grid.counts
+    bits = np.ascontiguousarray(grid.values, dtype=float).view(np.uint64).reshape(n1, n2 * n3)
+    # a sorted copy, searched plane by plane: np.unique keeps more memory
+    # resident (a hash table of small nodes, or with return_inverse three
+    # index arrays of the grid's size), and the solve's peak is close
+    distinct = np.sort(bits, axis=None)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    text = np.empty(len(distinct), dtype="S24")
+    for start in range(0, len(distinct), _CSV_CHUNK):
+        chunk = distinct[start:start + _CSV_CHUNK].view(float).tolist()
+        text[start:start + len(chunk)] = [b"%.17g" % v for v in chunk]
+    flags = (np.ones((n1, n2 * n3), dtype=bool) if trusted is None
+             else np.asarray(trusted, dtype=bool).reshape(n1, n2 * n3))
+    s1, s2, s3 = ([b"%.17g" % x for x in ax.tolist()] for ax in grid.axes())
+    tails = (b",0\n", b",1\n")
+    # per row: x1 text, ",x2,x3,", value text, ",trusted\n"
+    parts = [b""] * (4 * n2 * n3)
+    parts[1::4] = [b",%s,%s," % (b, c) for b in s2 for c in s3]
+    with open(path, "wb") as fh:
+        fh.write(b"x1,x2,x3,value,trusted\n")
         for i, a in enumerate(s1):
-            coords = [f"{a},{b},{c}," for b in s2 for c in s3]
-            rows = zip(coords, grid.values[i].ravel().tolist(), flags[i].ravel().tolist())
-            fh.write("".join(map("%s%.17g,%d\n".__mod__, rows)))
+            parts[0::4] = [a] * (n2 * n3)
+            parts[2::4] = text[np.searchsorted(distinct, bits[i])].tolist()
+            parts[3::4] = [tails[f] for f in flags[i].tolist()]
+            fh.write(b"".join(parts))
 
 
 def _box_json(box: Box) -> list:

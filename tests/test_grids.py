@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heisgame import grids
 from heisgame.heis import Box, gauge
 from heisgame.flow import exact_step
 from heisgame.grids import (
@@ -236,6 +237,57 @@ class TestSerialization:
         write_grid_csv(g, tmp_path / "grid.csv", trusted=trusted)
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert b",-0," in (tmp_path / "grid.csv").read_bytes()
+
+    @staticmethod
+    def csv_and_savetxt(g, trusted, tmp_path):
+        """The bytes ``write_grid_csv`` writes for ``g`` and those of
+        ``np.savetxt`` on the same rows (``trusted=None`` means all 1)."""
+        flags = np.ones(g.counts) if trusted is None else trusted
+        table = np.column_stack([g.node_coordinates(), g.values.reshape(-1),
+                                 flags.reshape(-1).astype(float)])
+        np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g,%.17g,%.17g,%.17g,%d",
+                   header="x1,x2,x3,value,trusted", comments="")
+        write_grid_csv(g, tmp_path / "grid.csv", trusted=trusted)
+        return (tmp_path / "grid.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_flags", [True, False])
+    def test_csv_repeated_values_match_savetxt(self, tmp_path, with_flags):
+        rng = np.random.default_rng(5)
+        values = rng.choice([0.0, -0.0, 0.1, -1 / 3, 7.0], size=(4, 6, 9))
+        trusted = rng.random(values.shape) < 0.5 if with_flags else None
+        out, ref = self.csv_and_savetxt(Grid3(BOX, values), trusted, tmp_path)
+        assert out == ref
+        assert b",-0," in out and b",0," in out
+
+    @pytest.mark.parametrize("with_flags", [True, False])
+    def test_csv_non_finite_and_longest_match_savetxt(self, tmp_path, with_flags):
+        nan_payload = np.array([0x7FF8000000000001, 0xFFF8000000000123],
+                               dtype=np.uint64).view(float)
+        special = [np.inf, -np.inf, np.nan, *nan_payload, 5e-324,
+                   -2.2250738585072014e-308, -0.0, 0.0, 1.0]
+        g = Grid3(BOX, np.ones((2, 3, 4)))
+        # Grid3 refuses non-finite values; the writer is checked on them anyway
+        g.values = np.resize(np.array(special), g.counts)
+        assert len(np.unique(g.values.view(np.uint64))) == len(special)
+        trusted = np.arange(24).reshape(g.counts) % 3 == 0 if with_flags else None
+        out, ref = self.csv_and_savetxt(g, trusted, tmp_path)
+        assert out == ref
+        assert b",-2.2250738585072014e-308," in out and b",nan," in out
+
+    def test_csv_more_distinct_values_than_a_chunk(self, tmp_path):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((5, 30, 40)) * 10.0 ** rng.integers(-300, 300, (5, 30, 40))
+        assert len(np.unique(values)) > 2 * grids._CSV_CHUNK
+        trusted = rng.random(values.shape) < 0.5
+        out, ref = self.csv_and_savetxt(Grid3(BOX, values), trusted, tmp_path)
+        assert out == ref
+
+    def test_csv_single_node(self, tmp_path):
+        g = Grid3(BOX, np.ones((2, 2, 2)))
+        # Grid3 asks for 2 nodes per axis; the writer takes a single one
+        g.values = np.array([[[-1 / 3]]])
+        out, ref = self.csv_and_savetxt(g, None, tmp_path)
+        assert out == ref == b"x1,x2,x3,value,trusted\n-1,-1,-2,-0.33333333333333331,1\n"
 
     def test_value_grid_roundtrip(self, tmp_path):
         vg = ValueGrid.from_function(lambda t, p: gauge(p) + t, BOX, (3, 4, 5),

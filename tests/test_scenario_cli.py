@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -109,12 +110,15 @@ class TestSolveCommand:
                     time_steps=steps, lattice={"rings": rings, "base_angles": 8})
         return write_scenario(tmp_path, data)
 
-    def test_solve_writes_artifacts(self, tmp_path):
+    def test_solve_writes_artifacts(self, tmp_path, capsys):
         path = self.small_scenario(tmp_path)
         out = tmp_path / "out"
         assert main(["solve", str(path), "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
-        assert (out / "run.log").exists()
+        # the write phase is timed apart from the solve
+        log = (out / "run.log").read_text().splitlines()
+        assert re.fullmatch(r"wrote outputs in \d+\.\d\d s", log[1])
+        assert log[1] in capsys.readouterr().out.splitlines()
         assert (out / "valuegrid.json").exists()
         assert (out / "slice_000.csv").exists()
         assert (out / "slice_000.bin").exists()
@@ -204,6 +208,22 @@ class TestSolveCommand:
                      "manifest.json", "valuegrid.json"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
+
+    def test_mirrored_slices_match_savetxt(self, tmp_path):
+        # the norm/gauge solve declares both reflections, so each slice
+        # repeats most of its values
+        out = tmp_path / "out"
+        assert main(["solve", str(self.small_scenario(tmp_path)), "--out", str(out)]) == 0
+        vg = read_value_grid(out)
+        coords = vg.slice(0).node_coordinates()
+        for k in range(len(vg.times)):
+            assert len(np.unique(vg.data[k].view(np.uint64))) < vg.data[k].size / 2
+            table = np.column_stack([coords, vg.data[k].reshape(-1),
+                                     vg.trusted[k].reshape(-1).astype(float)])
+            np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g,%.17g,%.17g,%.17g,%d",
+                       header="x1,x2,x3,value,trusted", comments="")
+            name = f"slice_{k:03d}.csv"
+            assert (out / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
     @pytest.mark.parametrize("hamiltonian,line", [
         ("norm", "symmetry x1,x2: 425 of 1377 nodes"),
