@@ -8,7 +8,7 @@ monotone; gauge-Lipschitz constants with no closed form are estimated by
 a sampled supremum ratio padded by 25 percent.  A separable running cost,
 ``base(t, x, y) + k(y, z)``, also returns ``base`` and the table of ``k``
 (``coupling_pair``, ``None`` for ``z . y``) for the solver's fast path; a
-table free of ``y`` (``constant``, ``custom-affine``) lets the lower step
+table free of ``y`` (``constant``, ``custom-affine``) lets each step
 reduce its ``min_z`` once for all ``y``.
 
 Each entry also declares the group reflections it commutes with

@@ -131,10 +131,15 @@ def _require_memory(*solves) -> None:
 
 
 def _solve_scenario(sc: Scenario, y_lat, z_lat, threads: int):
-    """Game-time lower value of ``sc`` on its grid."""
+    """Game-time lower value of ``sc`` on its grid.  Like ``hji.solve``, it
+    samples an ``hji`` scenario's declared ``k`` (warns only); after the
+    solve, since the check's first numpy calls raise the solve's peak RSS."""
     template = Grid3(sc.box, np.zeros(sc.counts))
-    return backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
-                              which="lower", threads=threads)
+    value = backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
+                               which="lower", threads=threads)
+    if sc.problem is not None:
+        sc.problem.spot_check(sc.box)
+    return value
 
 
 def _cmd_solve(args) -> int:

@@ -69,18 +69,16 @@ class GameSpec:
     constants in the gauge distance.  When the running cost is separable,
     ``base(t, x, y) + k(y, z)``, passing ``coupling_base`` and
     ``coupling_pair(ypts, zpts)``, the ``(mz, my)`` table of ``k`` (``None``
-    for ``z . y``), lets the lower value take a faster path, with one
-    ``min_z`` for all ``y`` where the table is free of ``y``.  The paths
-    round differently, the fast one as ``(W_z + h*k) + h*base`` and the
-    general one as ``W_z + h*F``, so declaring or dropping these fields
-    moves the values by ulps (the tests pin the paths to 1e-12).  The
-    lattice Hamiltonians form ``F`` as ``base + k`` from the same fields;
-    that is bit-identical wherever ``running_cost`` rounds ``F`` as that
-    sum with the table's ``k``.  Every
-    backward step, on the grid or grid-free, is one ``_backup``; it and the
-    lattice Hamiltonians run the one max-min kernel ``_max_min``.  The
-    derived constants come from the :class:`LipschitzConstants` table in
-    :mod:`heisgame.flow`.
+    for ``z . y``), lets each step call the cost only as ``base``, once per
+    ``y``, with one ``min_z`` for all ``y`` where the table is free of ``y``.
+    Every backward step, on the grid or grid-free, and both lattice
+    Hamiltonians (the one-step expansions of the recurrences, continuing a
+    linear value) are one ``_backup`` over the one max-min kernel
+    ``_max_min``.  It rounds each entry once, as ``(W_z + h*k) + h*base``
+    on the separable path and ``W_z + h*F`` on the general one, so declaring
+    or dropping these fields moves the values by ulps (the tests pin the
+    paths to 1e-12).  The derived constants come from the
+    :class:`LipschitzConstants` table in :mod:`heisgame.flow`.
 
     ``reflections`` names the group reflections of :data:`REFLECTIONS`
     that both costs commute with: ``F(t, s(x), r(y), r(z)) = F(t, x, y, z)``
@@ -441,63 +439,36 @@ def _pair_table(spec: GameSpec, ypts: np.ndarray, zpts: np.ndarray) -> np.ndarra
     return np.asarray(pair, dtype=float)
 
 
-def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, lower):
-    """The opt-opt of the rows ``F - lam.z``.  A separable cost calls
-    ``coupling_base`` once per ``y`` and forms ``F`` as ``base_y + k_zy``,
-    and for the lower value bounds each ``y`` by the ``z`` lattice's ring
-    probe; any other calls ``running_cost`` once per pair and checks every
-    pair's value.  The upper value takes no probe: its minimizing ``z``
-    follows each probe's ``lam``, so no ``z`` is beaten at every probe of a
-    batch, and the probe rows would only add work."""
+def _linear_continuation(spec, t, x, lam, y_lattice, z_lattice):
+    """The ``_backup`` inputs of a lattice Hamiltonian at probes ``(t, x, lam)``:
+    whether the probe is one point, ``t``, the batch ``pts``, and ``W`` with
+    ``W[j] = -(lam . z_j)``, the continuation of a value linear in the step."""
     _check_lattices(spec, y_lattice, z_lattice)
     scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
-    n = len(pts)
-    ypts, zpts = y_lattice.points, z_lattice.points
-    lam_z = [lam2 @ z for z in zpts]
-    probe = ()
-
-    if spec.coupling_base is not None:
-        base = np.array([np.broadcast_to(np.asarray(spec.coupling_base(tt, pts, y), dtype=float),
-                                          (n,)) for y in ypts])
-        pair = _pair_table(spec, ypts, zpts)
-        for what, a in (("base", base), ("pair", pair)):
-            if not np.isfinite(a).all():
-                raise NonFiniteValueError(f"coupling {what} non-finite at t={tt}")
-        cost = lambda yi, zi, out: np.add(base[yi], pair[zi, yi], out=out)
-        if lower and np.isfinite(lam_z).all():
-            probe = _ring_probe(zpts)
-    else:
-        def cost(yi, zi, out):
-            y, z = ypts[yi], zpts[zi]
-            fv = np.asarray(spec.running_cost(tt, pts, y, z), dtype=float)
-            if not np.isfinite(fv).all():
-                raise NonFiniteValueError(f"running cost non-finite at t={tt}, y={y}, z={z}")
-            return np.broadcast_to(fv, (n,))
-
-    def row(a, b, out):
-        yi, zi = (a, b) if lower else (b, a)
-        np.subtract(cost(yi, zi, out), lam_z[zi], out=out)
-
-    sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
-    best = _max_min(n, *sizes, row, lower, probe=probe)
-    return float(best[0]) if scalar else best
+    return scalar, tt, pts, -np.array([lam2 @ z for z in z_lattice.points])
 
 
 def lower_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
     """Exact ``max_y min_z (F(t,x,y,z) - lam . z)`` over the lattices.
 
     Accepts batched probes: ``x`` of shape ``(n, 3)`` with ``t`` and
-    ``lam`` broadcasting.  Ties resolve to the first lattice index.  For a
-    separable cost with finite ``lam . z``, a ``y`` whose min over every 4th
-    point of the outermost ``z`` ring lies strictly below the running max at
-    every probe is skipped, with the same bits (``_max_min``'s ``probe``).
+    ``lam`` broadcasting.  Ties resolve to the first lattice index.  It is
+    one ``_backup`` of step ``h = 1`` with ``W[j] = -(lam . z_j)``, so it
+    runs the rows, probe skips and y-free path of the grid solve, and a
+    separable cost rounds each entry as ``(-lam.z + k) + base``, the general
+    one as ``-lam.z + F``, bit for bit ``F - lam.z``.
     """
-    return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, True)
+    scalar, t, pts, W = _linear_continuation(spec, t, x, lam, y_lattice, z_lattice)
+    best = _backup(spec, t, 1.0, pts, W, y_lattice, z_lattice, "lower")
+    return float(best[0]) if scalar else best
 
 
 def upper_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
-    """Exact ``min_z max_y (F(t,x,y,z) - lam . z)`` over the lattices."""
-    return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, False)
+    """Exact ``min_z max_y (F(t,x,y,z) - lam . z)`` over the lattices: the
+    ``_backup`` of :func:`lower_hamiltonian` for the upper value."""
+    scalar, t, pts, W = _linear_continuation(spec, t, x, lam, y_lattice, z_lattice)
+    best = _backup(spec, t, 1.0, pts, W, y_lattice, z_lattice, "upper")
+    return float(best[0]) if scalar else best
 
 
 @dataclass(frozen=True)
@@ -529,29 +500,40 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
 
     ``W`` of shape ``(mz, n)`` holds the continuation values, filled by the
     caller: row ``j`` at the feet ``x o (-h*z_j, 0)`` of the batch, reached
-    with lattice point ``z_j`` under ``xdot = -f(x, z)``.  For a separable
-    cost the lower value takes ``max_y [min_z (W_z + h*k(y, z)) + h*base(y)]``,
-    calling the cost only as ``base``, once per ``y``; where every column of
-    ``offs = h*k`` has the same bits (a ``k`` free of ``y``; ``0.0`` and
-    ``-0.0`` differ), the one ``min_z`` is reduced once, bit-identical to
-    reducing it per ``y``.  Otherwise each ``y`` after the first is first
-    bounded by the min over the rows of every 4th point of the outermost
-    ``z`` ring (8 of 81 on the canonical lattice) plus ``h*base(y)`` (``_max_min``'s ``probe``), and skipped where the running
-    best is strictly above that bound at every node; the max keeps its bits.
-    A skipped row is never read, so the bound is used only when ``W`` and
-    ``offs`` are finite, and a non-finite table or continuation takes the
-    full rows and surfaces as before.  The upper value, and any cost without
-    ``coupling_base``, call ``running_cost`` once per ``(y, z)`` pair.
+    with lattice point ``z_j`` under ``xdot = -f(x, z)``; the lattice
+    Hamiltonians pass ``h = 1`` and ``W[j] = -(lam . z_j)``.  Each entry is
+    rounded once: ``(W_z + h*k(y, z)) + h*base(y)`` for a separable cost,
+    which is called only as ``base``, once per ``y``, and ``W_z + h*F``
+    otherwise, with one ``running_cost`` call per ``(y, z)`` pair.  Both
+    values reduce the same entries.  Where every column of ``offs = h*k``
+    has the same bits (a ``k`` free of ``y``; ``0.0`` and ``-0.0`` differ),
+    both take the one ``min_z`` of ``W_z + offs_z``, then the max over ``y``
+    of it plus ``h*base(y)``: a rounded add is monotone, so this is
+    bit-identical to either opt-opt of the entries.  Otherwise the lower
+    value adds ``h*base(y)`` after its ``min_z`` and bounds each ``y`` after
+    the first by the rows of every 4th point of the outermost ``z`` ring
+    (``_max_min``'s ``probe``), skipping it where the running best is
+    strictly above the bound at every node; a skipped row is never read, so
+    the bound is used only when ``W`` is finite.  The upper value holds the
+    ``my`` rows ``h*base(y)`` and takes no probe, since its minimizing ``z``
+    follows each node's continuation.  Every cost evaluated (the ``k``
+    table, each ``base`` row, each ``F`` row) raises ``NonFiniteValueError``
+    if not finite, even where the opt-opt would hide it.
     """
     n = len(pts)
     ypts, zpts = y_lattice.points, z_lattice.points
     lower = which == "lower"
     sizes = (len(ypts), len(zpts)) if lower else (len(zpts), len(ypts))
-    if lower and spec.coupling_base is not None:
+    if spec.coupling_base is not None:
         offs = h * _pair_table(spec, ypts, zpts)  # (mz, my)
+        if not np.isfinite(offs).all():
+            raise NonFiniteValueError(f"coupling pair non-finite at t={t}")
 
         def base(yi):
-            return h * np.asarray(spec.coupling_base(t, pts, ypts[yi]), dtype=float)
+            b = h * np.asarray(spec.coupling_base(t, pts, ypts[yi]), dtype=float)
+            if not np.isfinite(b).all():
+                raise NonFiniteValueError(f"coupling base non-finite at t={t}")
+            return b
 
         bits = offs.view(np.uint64)
         if (bits == bits[:, :1]).all():
@@ -559,13 +541,23 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
                               lambda _, zi, out: np.add(W[zi], offs[zi, 0], out=out), True)
             return _max_min(n, len(ypts), 1,
                             lambda yi, _, out: np.add(common, base(yi), out=out), True)
-        probe = _ring_probe(zpts) if np.isfinite(W).all() and np.isfinite(offs).all() else ()
-        return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
-                        True, base, probe)
+        if lower:
+            probe = _ring_probe(zpts) if np.isfinite(W).all() else ()
+            return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),
+                            True, base, probe)
+        bases = [base(yi) for yi in range(len(ypts))]
+
+        def entry(zi, yi, out):
+            np.add(np.add(W[zi], offs[zi, yi], out=out), bases[yi], out=out)
+
+        return _max_min(n, *sizes, entry, False)
 
     def row(a, b, out):
         yi, zi = (a, b) if lower else (b, a)
         fv = h * np.asarray(spec.running_cost(t, pts, ypts[yi], zpts[zi]), dtype=float)
+        if not np.isfinite(fv).all():
+            raise NonFiniteValueError(
+                f"running cost non-finite at t={t}, y={ypts[yi]}, z={zpts[zi]}")
         np.add(W[zi], fv, out=out)
 
     return _max_min(n, *sizes, row, lower)
@@ -737,7 +729,9 @@ def solve_bytes(counts, n_steps: int, z_points: int, threads: int = 0) -> int:
     nodes: the float64 value and bool trusted stacks of ``n_steps + 1``
     slices, the node coordinates and terminal samples (32 B per node), and
     the ``(z_points, block)`` ``W`` of the blocks in flight.  An HJI solve's
-    time reversal (``ValueGrid.reversed_time``) is a view of the same stacks."""
+    time reversal (``ValueGrid.reversed_time``) is a view of the same stacks.
+    This sizes the lower solve the CLI runs; an upper step of a separable
+    cost also holds the ``my`` base rows ``h*base(y)`` of its block."""
     nodes = math.prod(counts)
     held = nodes if threads > 1 else min(nodes, _BLOCK_NODES)
     return (n_steps + 1) * nodes * 9 + nodes * 32 + z_points * held * 8

@@ -432,7 +432,7 @@ def read_grid_binary(json_path) -> tuple[Grid3, float | None, np.ndarray | None]
     return Grid3(box, values), header.get("time"), trusted
 
 
-def write_value_grid(vg: ValueGrid, outdir, csv: bool = True) -> None:
+def write_value_grid(vg: ValueGrid, outdir) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = []
@@ -441,9 +441,8 @@ def write_value_grid(vg: ValueGrid, outdir, csv: bool = True) -> None:
         names.append(name)
         write_grid_binary(vg.slice(k), outdir / name, time=float(vg.times[k]),
                           trusted=vg.trusted[k])
-        if csv:
-            write_grid_csv(vg.slice(k), outdir / (name + ".csv"),
-                           trusted=vg.trusted[k].reshape(-1))
+        write_grid_csv(vg.slice(k), outdir / (name + ".csv"),
+                       trusted=vg.trusted[k].reshape(-1))
     master = {
         "box": _box_json(vg.box),
         "counts": list(vg.counts),

@@ -253,12 +253,13 @@ class TestHamiltonians:
         n = 1000
         probes = (rng.random(n) * spec.horizon, SMALL_BOX.sample(n, rng),
                   ball_points(rng, spec.r_y, n))
+        # the separable rows round as the solver's, (-lam.z + k) + base
         for hamiltonian in (lower_hamiltonian, upper_hamiltonian):
-            assert np.array_equal(hamiltonian(spec, *probes, Y, Z),
-                                  hamiltonian(general, *probes, Y, Z))
+            assert np.abs(hamiltonian(spec, *probes, Y, Z)
+                          - hamiltonian(general, *probes, Y, Z)).max() <= 1e-12
         fast, slow = isaacs_gap(spec, probes, Y, Z), isaacs_gap(general, probes, Y, Z)
-        assert np.array_equal(fast.gaps, slow.gaps)
-        assert fast.max_gap == slow.max_gap
+        assert np.abs(fast.gaps - slow.gaps).max() <= 1e-12
+        assert abs(fast.max_gap - slow.max_gap) <= 1e-12
 
     def test_separable_path_calls_base_once_per_y(self):
         calls = {"cost": 0, "base": 0}
@@ -288,6 +289,27 @@ class TestHamiltonians:
             coupling_base=base, coupling_pair=lambda yp, zp: table)
         with pytest.raises(NonFiniteValueError, match=f"coupling {where}"):
             hamiltonian(spec, 0.0, np.zeros(3), np.zeros(2), self.Y, self.Z)
+
+    @pytest.mark.parametrize("source", ["coupling_spec", "build_game", "custom-affine",
+                                        "constant"])
+    def test_upper_minus_lower_exact(self, source):
+        # both values reduce one matrix of entries, so the order holds
+        # without rounding slack; a y-free table takes one path for both
+        if source in ("custom-affine", "constant"):
+            spec = catalog_spec(source, AFFINE_PARAMS if source == "custom-affine"
+                                else {"value": 0.75})
+        else:
+            spec = coupling_spec() if source == "coupling_spec" else canonical_problem()[1]
+        Y, Z = make_lattice(spec.r_y), make_lattice(spec.r_z)
+        rng = np.random.default_rng(8)
+        n = 500
+        probes = (rng.random(n) * spec.horizon, SMALL_BOX.sample(n, rng),
+                  ball_points(rng, spec.r_y, n))
+        gaps = upper_hamiltonian(spec, *probes, Y, Z) - lower_hamiltonian(spec, *probes, Y, Z)
+        if source in ("custom-affine", "constant"):
+            assert (gaps == 0.0).all()
+        else:
+            assert (gaps >= 0.0).all() and (gaps > 0.0).any()
 
 
 class TestIsaacsGap:
@@ -403,9 +425,10 @@ class TestBackwardInduction:
         assert spec.coupling_base is not None
         general = dataclasses.replace(spec, coupling_base=None)
         grid = Grid3(box, np.zeros((9, 9, 17)))
-        fast = backward_induction(spec, grid, 3, y_lat, z_lat, warn_costs=False)
-        slow = backward_induction(general, grid, 3, y_lat, z_lat, warn_costs=False)
-        assert np.abs(fast.data - slow.data).max() <= 1e-12
+        for which in ("lower", "upper"):
+            fast, slow = (backward_induction(s, grid, 3, y_lat, z_lat, which, warn_costs=False)
+                          for s in (spec, general))
+            assert np.abs(fast.data - slow.data).max() <= 1e-12
 
     def test_grouped_pair_columns_bit_identical(self):
         # columns 0 and 3 are equal and 2 and 4 are equal; column 1 differs
@@ -436,9 +459,44 @@ class TestBackwardInduction:
         assert np.signbit(ref[0])
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
+    def test_y_free_path_matches_full_upper_rows(self):
+        # every column is the same signed-zero column, and W and the bases
+        # hold signed zeros, so the entries tie at 0.0 and -0.0
+        col = np.array([-0.0, 0.0, -0.0])
+        table = np.stack([col] * 4, axis=1)
+        bases = np.array([[-0.0, 0.0, -0.0, 0.5], [0.0, -0.0, -0.0, -1.0],
+                          [-0.0, -0.0, 0.0, 0.5], [-0.0, -0.0, -0.0, -0.0]])
+        ypts = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])
+        index = {tuple(y): i for i, y in enumerate(ypts)}
+        spec = dataclasses.replace(
+            simple_spec(None, gauge), coupling_base=lambda t, x, y: bases[index[tuple(y)]],
+            coupling_pair=lambda yp, zp: table)
+        Y = ControlLattice(1.0, ypts, 1.0)
+        Z = ControlLattice(1.0, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), 1.0)
+        W = np.array([[0.0, -0.0, -0.0, 1.0], [-0.0, 0.0, -0.0, -2.0], [-0.0, -0.0, 0.0, 3.0]])
+        pts = np.zeros((W.shape[1], 3))
+        entries = [[W[zi] + table[zi, yi] + bases[yi] for yi in range(len(ypts))]
+                   for zi in range(len(table))]
+        ref = {"lower": np.full(len(pts), -np.inf), "upper": np.full(len(pts), np.inf)}
+        for yi in range(len(ypts)):
+            acc = entries[0][yi]
+            for zi in range(1, len(table)):
+                acc = np.minimum(acc, entries[zi][yi])
+            ref["lower"] = np.maximum(ref["lower"], acc)
+        for zi in range(len(table)):
+            acc = entries[zi][0]
+            for yi in range(1, len(ypts)):
+                acc = np.maximum(acc, entries[zi][yi])
+            ref["upper"] = np.minimum(ref["upper"], acc)
+        assert np.signbit(ref["upper"][:3]).any() and not np.signbit(ref["upper"][:3]).all()
+        for which in ("lower", "upper"):
+            got = game._backup(spec, 0.0, 1.0, pts, W, Y, Z, which)
+            assert np.array_equal(got.view(np.uint64), ref[which].view(np.uint64))
+
     def test_y_free_pair_table_reduces_min_z_once(self, monkeypatch):
         # a y-free table costs mz rows for the one min_z and my for the
-        # outer max; the z.y table of coupling_spec costs a row per pair
+        # outer max, for either value; the z.y table of coupling_spec costs
+        # a row per pair
         rows = []
         kernel = game._max_min
 
@@ -452,19 +510,17 @@ class TestBackwardInduction:
         W = np.random.default_rng(0).normal(size=(mz, 16))
         pts = np.zeros((16, 3))
         y_free = lambda yp, zp: np.broadcast_to(zp[:, :1] - 0.5, (len(zp), len(yp)))
-        for pair, expected in ((y_free, mz + my), (None, my * mz)):
-            spec = dataclasses.replace(coupling_spec(), coupling_pair=pair)
-            rows.clear()
-            got = game._backup(spec, 0.0, 0.25, pts, W, Y, Z, "lower")
-            assert sum(rows) == expected
-            table = game._pair_table(spec, Y.points, Z.points)
-            ref = np.full(len(pts), -np.inf)
-            for yi, y in enumerate(Y.points):
-                acc = W[0] + 0.25 * table[0, yi]
-                for zi in range(1, mz):
-                    acc = np.minimum(acc, W[zi] + 0.25 * table[zi, yi])
-                ref = np.maximum(ref, acc + 0.25 * spec.coupling_base(0.0, pts, y))
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        for which in ("lower", "upper"):
+            for pair, expected in ((y_free, mz + my), (None, my * mz)):
+                spec = dataclasses.replace(coupling_spec(), coupling_pair=pair)
+                rows.clear()
+                got = game._backup(spec, 0.0, 0.25, pts, W, Y, Z, which)
+                assert sum(rows) == expected
+                table = game._pair_table(spec, Y.points, Z.points)
+                base = np.array([spec.coupling_base(0.0, pts, y) for y in Y.points])
+                entries = (W[:, None] + 0.25 * table[:, :, None]) + 0.25 * base[None, :, None]
+                ref = entries.min(0).max(0) if which == "lower" else entries.max(1).min(0)
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_separable_cost_skips_running_cost(self):
         data = {
@@ -638,8 +694,8 @@ class TestBoundAndSkip:
         assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
 
     def test_nan_in_skipped_pair_entry_raises(self, canonical, baseline_lattices):
-        # z index 1 is outside the probe and y index 40 is a skipped y, so the
-        # NaN surfaces only because a non-finite table turns the bound off
+        # z index 1 is outside the probe and y index 40 is a skipped y; the
+        # table is checked when formed, before any row is read
         _, spec = canonical
         y_lat, z_lat = baseline_lattices
         assert 1 not in game._ring_probe(z_lat.points)
@@ -651,8 +707,31 @@ class TestBoundAndSkip:
 
         bad = dataclasses.replace(spec, coupling_pair=pair)
         grid = Grid3(DEFAULT_BOX, np.zeros((9, 9, 17)))
-        with pytest.raises(NonFiniteValueError, match="non-finite value"):
+        with pytest.raises(NonFiniteValueError, match="coupling pair non-finite"):
             backward_induction(bad, grid, 2, y_lat, z_lat, warn_costs=False)
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("where", ["running cost", "coupling pair"])
+    def test_infinite_cost_hidden_by_the_min_raises(self, where, which):
+        # +inf at one (y, z) pair: the min over z passes it over, so the
+        # values stay finite, yet the step evaluated a non-finite cost
+        spec = coupling_spec(r_y=1.0)
+        Y = Z = make_lattice(1.0, 1, 8)
+
+        def pair(ypts, zpts):
+            table = zpts @ ypts.T
+            table[4, 1] = np.inf
+            return table
+
+        def cost(t, x, y, z):
+            return np.inf if (y == Y.points[1]).all() and (z == Z.points[4]).all() \
+                else spec.running_cost(t, x, y, z)
+
+        bad = dataclasses.replace(spec, running_cost=cost, coupling_base=None) \
+            if where == "running cost" else dataclasses.replace(spec, coupling_pair=pair)
+        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
+        with pytest.raises(NonFiniteValueError, match=f"{where} non-finite"):
+            backward_induction(bad, grid, 2, Y, Z, which=which, warn_costs=False)
 
 
 # grids whose axes linspace makes exactly antisymmetric: 2**k + 1 nodes on

@@ -267,6 +267,15 @@ class TestSolveCommand:
         assert "reflection 'x1' does not hold" in capsys.readouterr().err
         assert not (out / "valuegrid.json").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    def test_declared_k_is_sampled(self, tmp_path, command):
+        # the norm Hamiltonian has y-modulus 1; a declared k of 0.5 is wrong
+        data = dict(SMALL, grid={"box": SMALL["grid"]["box"], "counts": [9, 9, 17]},
+                    time_steps=2, constants={"k": 0.5})
+        argv = [command, str(write_scenario(tmp_path, data)), "--out", str(tmp_path / "out")]
+        with pytest.warns(UserWarning, match="Hamiltonian y-increment"):
+            assert main(argv + (["--levels", "2"] if command == "converge" else [])) == 0
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         path = self.small_scenario(tmp_path)
         target = tmp_path / "from-env"

@@ -18,7 +18,8 @@ command writes to ``DIR/<scenario>/<run>``, next to an ``exit_code`` file.
 ignoring ``run.log`` (it holds wall times); for each differing ``.bin``
 grid it adds the largest absolute difference of its values, and for each
 differing ``.json`` file the dotted paths of the keys whose values differ
-or exist on one side only, one per line.  It exits 0 when the two sets are
+or exist on one side only, one per line, with both values and their
+absolute difference where both are numbers.  It exits 0 when the two sets are
 byte-identical and 1 otherwise.
 
 Checking that a change keeps every output byte-identical to its parent::
@@ -113,10 +114,10 @@ def _max_abs_diff(a: Path, b: Path) -> str:
 _ABSENT = object()
 
 
-def _json_keys(a, b, path: str = "") -> list[str]:
-    """Dotted paths of the values that differ between two parsed JSON
-    documents; list items are named by index, and a list whose length
-    changed by its own path."""
+def _json_keys(a, b, path: str = "") -> list[tuple]:
+    """``(dotted path, value in a, value in b)`` of the values that differ
+    between two parsed JSON documents; list items are named by index, and a
+    list whose length changed by its own path."""
     join = lambda key: f"{path}.{key}" if path else str(key)
     if isinstance(a, dict) and isinstance(b, dict):
         return [k for key in sorted(a.keys() | b.keys())
@@ -124,7 +125,15 @@ def _json_keys(a, b, path: str = "") -> list[str]:
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [k for i, (x, y) in enumerate(zip(a, b)) for k in _json_keys(x, y, join(i))]
     # repr, so that a NaN equals itself
-    return [] if repr(a) == repr(b) else [path or "(document)"]
+    return [] if repr(a) == repr(b) else [(path or "(document)", a, b)]
+
+
+def _numbers(a, b) -> str:
+    """``": a vs b, |diff| d"`` when both values are numbers, else nothing."""
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not (number(a) and number(b)):
+        return ""
+    return f": {a!r} vs {b!r}, |diff| {abs(a - b):.3g}"
 
 
 def diff(a: Path, b: Path) -> int:
@@ -138,8 +147,8 @@ def diff(a: Path, b: Path) -> int:
             print(f"differs: {rel}{note}")
             if rel.suffix == ".json":
                 docs = (json.loads((root / rel).read_text()) for root in (a, b))
-                for key in _json_keys(*docs):
-                    print(f"    {key}")
+                for key, va, vb in _json_keys(*docs):
+                    print(f"    {key}{_numbers(va, vb)}")
         else:
             same += 1
             continue
