@@ -29,7 +29,7 @@ from .flow import (
     integrate,
     rk4_reference,
 )
-from .grids import Grid3, sample_field
+from .grids import grid_nodes, sample_field
 from .game import (
     backward_induction,
     brute_force_value,
@@ -227,31 +227,27 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     results.append(check_shifted_start(counts["shift_instances"], rng))
 
     # horizontal convexity of the scenario's datum / terminal cost
-    g_meta = sc.meta.get("initial") or sc.meta.get("terminal")
     conv = h_convexity_check(
         sc.game.terminal_cost, sc.box,
         directions=int(cfg.get("convexity_directions", 64)),
         probes=int(cfg.get("convexity_probes", 33)), rng=rng,
     )
-    declared = bool(g_meta.get("h_convex", False))
     results.append(CheckResult(
         "h_convexity", "s -> g(x o (s*w, 0)) is midpoint convex",
         1e-9, conv.worst_violation,
-        conv.passed if declared else True,
-        {"asserted": declared, "sampled_pass": bool(conv.passed)},
+        conv.passed if sc.h_convex else True,
+        {"asserted": sc.h_convex, "sampled_pass": bool(conv.passed)},
     ))
 
-    template = Grid3(sc.box, np.zeros(sc.counts))
     oracle_counts, oracle_steps, y9, z9 = oracle_solve(sc)
 
     # oracle equivalence, frozen dynamics (r_z = 0): grid-free recursion is exact
     frozen = dataclasses.replace(sc.game, r_z=0.0)
-    coarse = Grid3(sc.box, np.zeros((9, 9, 9)))
     z_zero = make_lattice(0.0)
-    v_frozen = backward_induction(frozen, coarse, 3, y9, z_zero,
-                                  warn_costs=False)
-    pick = np.linspace(0, coarse.values.size - 1, 27).astype(int)
-    bf = brute_force_value(frozen, coarse.node_coordinates()[pick], 3, y9, z_zero)
+    v_frozen = backward_induction(frozen, sc.box, (9, 9, 9), 3, y9, z_zero)
+    nodes = grid_nodes(sc.box, (9, 9, 9))
+    pick = np.linspace(0, len(nodes) - 1, 27).astype(int)
+    bf = brute_force_value(frozen, nodes[pick], 3, y9, z_zero)
     worst = float(np.abs(bf - v_frozen.data[0].reshape(-1)[pick]).max())
     results.append(CheckResult(
         "oracle_equivalence_frozen",
@@ -260,8 +256,8 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     ))
 
     # oracle equivalence with motion: small N, small lattices
-    v3 = backward_induction(sc.game, Grid3(sc.box, np.zeros(oracle_counts)), oracle_steps,
-                            y9, z9, warn_costs=False, threads=threads)
+    v3 = backward_induction(sc.game, sc.box, oracle_counts, oracle_steps, y9, z9,
+                            threads=threads)
     sl = v3.region_index_bounds()
     ax = v3.axes()
     n_nodes = int(cfg.get("oracle_nodes", 12))
@@ -277,8 +273,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     ))
 
     # the baseline solve feeds the dynamic-programming and regularity audits
-    audited = backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
-                                 warn_costs=False, threads=threads)
+    audited = sc.solve(y_lat, z_lat, threads=threads)
     value = audited.reversed_time() if sc.kind == "hji" else audited
 
     dpp = dpp_residual(audited, sc.game, y_lat, z_lat,
@@ -314,7 +309,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     if sc.kind == "hji":
         gap_bound = 2 * covering_error_bound(sc.problem, sc.game, y_lat, z_lat)
         asserted = True
-    elif sc.meta.get("running_cost", {}).get("name") == "coupling":
+    elif sc.raw["running_cost"]["name"] == "coupling":
         gap_bound = 2 * cov
         asserted = True
     else:

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .grids import (
-    Grid3,
     certify_region,
     read_value_grid,
     refinement_sup_diffs,
@@ -36,7 +35,6 @@ from .grids import (
 from .game import (
     LipschitzConstants,
     NonFiniteValueError,
-    backward_induction,
     fundamental_domain,
     lipschitz_audit,
     solve_bytes,
@@ -130,18 +128,6 @@ def _require_memory(*solves) -> None:
                          f"the {have / 2**30:.3g} GiB of physical memory; use a coarser grid")
 
 
-def _solve_scenario(sc: Scenario, y_lat, z_lat, threads: int):
-    """Game-time lower value of ``sc`` on its grid.  Like ``hji.solve``, it
-    samples an ``hji`` scenario's declared ``k`` (warns only); after the
-    solve, since the check's first numpy calls raise the solve's peak RSS."""
-    template = Grid3(sc.box, np.zeros(sc.counts))
-    value = backward_induction(sc.game, template, sc.n_steps, y_lat, z_lat,
-                               which="lower", threads=threads)
-    if sc.problem is not None:
-        sc.problem.spot_check(sc.box)
-    return value
-
-
 def _cmd_solve(args) -> int:
     sc = _load(args)
     outdir = _resolve_outdir(args, sc)
@@ -151,7 +137,7 @@ def _cmd_solve(args) -> int:
     t0 = time.time()
     y_lat, z_lat = sc.make_lattices()
     _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads))
-    value = _solve_scenario(sc, y_lat, z_lat, args.threads)
+    value = sc.solve(y_lat, z_lat, args.threads)
     if hji:
         value = value.reversed_time()
     elapsed = time.time() - t0
@@ -160,7 +146,7 @@ def _cmd_solve(args) -> int:
     write_value_grid(value, outdir)
     _write_json(outdir / "manifest.json", _manifest(sc, y_lat, z_lat, "solve"))
     written = time.time() - t0
-    domain = fundamental_domain(sc.game, value.slice(0), y_lat, z_lat)
+    domain = fundamental_domain(sc.game, sc.box, sc.counts, y_lat, z_lat)
     log = [
         f"solved {args.scenario} ({sc.kind}) in {elapsed:.2f} s",
         f"wrote outputs in {written:.2f} s",
@@ -267,7 +253,7 @@ def _cmd_converge(args) -> int:
     rows = []
     for i, (level, (y_lat, z_lat)) in enumerate(zip(ladders, lattices)):
         t0 = time.time()
-        value = _solve_scenario(level, y_lat, z_lat, args.threads)
+        value = level.solve(y_lat, z_lat, args.threads)
         elapsed = time.time() - t0
         audits = lipschitz_audit(value, sc.game.constants,
                                  rng=np.random.default_rng(sc.seed + 2))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .heis import Box, ball_points, dist_g, eval_field
 from .flow import LipschitzConstants, exact_step
-from .grids import Grid3, StepFeet, ValueGrid, certify_region, interp_values
+from .grids import StepFeet, ValueGrid, certify_region, grid_axes, grid_nodes, interp_values
 
 __all__ = [
     "GameSpec",
@@ -573,9 +573,10 @@ class Domain(NamedTuple):
     nodes: int
 
 
-def fundamental_domain(spec: GameSpec, grid: Grid3, y_lattice: ControlLattice,
+def fundamental_domain(spec: GameSpec, box: Box, counts, y_lattice: ControlLattice,
                        z_lattice: ControlLattice) -> Domain:
-    """The part of ``grid`` that ``backward_induction`` solves for ``spec``.
+    """The part of the grid of ``counts`` nodes over ``box`` that
+    ``backward_induction`` solves for ``spec``.
 
     A declared reflection is used when its flipped axis and the x3 axis are
     exactly antisymmetric (``a == -a[::-1]``) and both lattices map onto
@@ -583,7 +584,7 @@ def fundamental_domain(spec: GameSpec, grid: Grid3, y_lattice: ControlLattice,
     ``n // 2`` on that axis, the nodes with ``x >= 0``.  The tests run in
     that order, so a game that declares nothing pays nothing.
     """
-    axes = grid.axes()
+    axes = grid_axes(box, counts)
     used, starts = [], [0, 0]
     for name in spec.reflections:
         axis = 0 if name == "x1" else 1
@@ -593,7 +594,7 @@ def fundamental_domain(spec: GameSpec, grid: Grid3, y_lattice: ControlLattice,
         if all(_maps_onto(lat.points, flip) for lat in (y_lattice, z_lattice)):
             used.append(name)
             starts[axis] = len(axes[axis]) // 2
-    (n1, n2, n3), (s1, s2) = grid.counts, starts
+    (n1, n2, n3), (s1, s2) = counts, starts
     return Domain(tuple(used), (s1, s2), (n1 - s1) * (n2 - s2) * n3)
 
 
@@ -620,15 +621,16 @@ def _unfold(a: np.ndarray, s1: int, s2: int) -> None:
 
 def backward_induction(
     spec: GameSpec,
-    grid: Grid3,
+    box: Box,
+    counts,
     n_steps: int,
     y_lattice: ControlLattice,
     z_lattice: ControlLattice,
     which: str = "lower",
     threads: int = 0,
-    warn_costs: bool = True,
 ) -> ValueGrid:
-    """Semi-discrete dynamic programming for the lower or upper value.
+    """Semi-discrete dynamic programming for the lower or upper value on the
+    grid of ``counts`` nodes (three integers >= 2) over ``box``.
 
     The slice at the horizon samples the terminal cost; each earlier slice
     solves, nodewise,
@@ -652,22 +654,25 @@ def backward_induction(
     mirroring (each value slice is invariant).  The values then differ from
     the full-grid solve by ulps, since the mirrored nodes' lerps run from
     the other side.  The declarations are checked on samples first; a wrong
-    one raises ``ValueError``.
+    one raises ``ValueError``.  The declared bounds ``c1``, ``c2`` are
+    sampled too (``GameSpec.spot_check``), on every solve; a violation
+    only warns.
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    counts = tuple(counts)
+    if len(counts) != 3 or not all(isinstance(c, (int, np.integer)) and c >= 2 for c in counts):
+        raise ValueError(f"counts must be three integers >= 2, got {counts}")
     _check_lattices(spec, y_lattice, z_lattice)
 
-    box, counts = grid.box, grid.counts
     spec.check_reflections(box)
     h = spec.horizon / n_steps
     times = np.linspace(0.0, spec.horizon, n_steps + 1)
-    nodes = grid.node_coordinates()
+    nodes = grid_nodes(box, counts)
 
-    if warn_costs:
-        spec.spot_check(box)
+    spec.spot_check(box)
     region = certify_region(box, spec.r_z, spec.horizon)
 
     g_vals = eval_field(spec.terminal_cost, nodes)
@@ -680,8 +685,8 @@ def backward_induction(
     trusted = np.ones((n_steps + 1,) + counts, dtype=bool)
 
     # the solved part: all of the grid, or its x1 >= 0 and/or x2 >= 0 part
-    s1, s2 = fundamental_domain(spec, grid, y_lattice, z_lattice).starts
-    x1, x2, x3 = grid.axes()
+    s1, s2 = fundamental_domain(spec, box, counts, y_lattice, z_lattice).starts
+    x1, x2, x3 = grid_axes(box, counts)
     axes = (x1[s1:], x2[s2:], x3)
     solved = nodes.reshape(counts + (3,))[s1:, s2:].reshape(-1, 3)
 

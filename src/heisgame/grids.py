@@ -21,6 +21,8 @@ __all__ = [
     "Grid3",
     "ValueGrid",
     "StepFeet",
+    "grid_axes",
+    "grid_nodes",
     "interp_values",
     "sample_field",
     "certify_region",
@@ -34,6 +36,17 @@ __all__ = [
 
 # fractions this close to a cell face snap onto it, keeping nodal queries exact
 _SNAP = 1e-12
+
+
+def grid_axes(box: Box, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node coordinates of each axis: ``counts[i]`` nodes spanning
+    ``[box.lo[i], box.hi[i]]``."""
+    return tuple(np.linspace(box.lo[i], box.hi[i], counts[i]) for i in range(3))
+
+
+def grid_nodes(box: Box, counts) -> np.ndarray:
+    """The ``(n1*n2*n3, 3)`` node coordinates of :func:`grid_axes`, row-major."""
+    return np.stack(np.meshgrid(*grid_axes(box, counts), indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass
@@ -63,15 +76,10 @@ class Grid3:
         return self.box.extent / (np.array(self.counts) - 1)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(
-            np.linspace(self.box.lo[i], self.box.hi[i], self.counts[i])
-            for i in range(3)
-        )
+        return grid_axes(self.box, self.counts)
 
     def node_coordinates(self) -> np.ndarray:
-        ax = self.axes()
-        mesh = np.meshgrid(*ax, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, 3)
+        return grid_nodes(self.box, self.counts)
 
     def interp(self, p) -> tuple[np.ndarray, np.ndarray]:
         """Trilinear value at ``p`` plus a trusted flag.
@@ -186,8 +194,7 @@ def sample_field(f: Callable, box: Box, counts) -> Grid3:
     counts = tuple(int(c) for c in counts)
     if len(counts) != 3 or min(counts) < 2:
         raise ValueError(f"counts must be three values >= 2, got {counts}")
-    ax = [np.linspace(box.lo[i], box.hi[i], counts[i]) for i in range(3)]
-    pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = grid_nodes(box, counts)
     vals = eval_field(f, pts)
     if not np.isfinite(vals).all():
         k = int(np.argmax(~np.isfinite(vals)))
@@ -276,7 +283,7 @@ class ValueGrid:
         return Grid3(self.box, self.data[k])
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.slice(0).axes()
+        return grid_axes(self.box, self.counts)
 
     def region_index_bounds(self) -> tuple[slice, slice, slice]:
         """Index slices of the nodes inside the certified region."""

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .heis import Box
-from .grids import Grid3, ValueGrid
+from .grids import ValueGrid
 from .game import (
     AUDIT_SLACK,
     ControlLattice,
@@ -196,25 +196,25 @@ def hamiltonian_identity_check(
 
 def solve(
     p: HjiProblem,
-    grid: Grid3,
+    box: Box,
+    counts,
     n_steps: int,
     y_lattice: ControlLattice,
     z_lattice: ControlLattice,
     threads: int = 0,
-    warn_costs: bool = True,
 ) -> ValueGrid:
-    """Value stack ``U`` with ``U(0, .)`` equal to the sampled datum.
+    """Value stack ``U`` on the grid of ``counts`` nodes over ``box``, with
+    ``U(0, .)`` equal to the sampled datum.
 
     Runs the lower-value backward induction for the auxiliary game and
-    reindexes slices by ``t -> T - t``.
+    reindexes slices by ``t -> T - t``.  Every solve samples the declared
+    ``K`` (``HjiProblem.spot_check``) and the game's bounds; a violation
+    only warns.
     """
     spec = build_game(p)
-    if warn_costs:
-        p.spot_check(grid.box)
-    v = backward_induction(
-        spec, grid, n_steps, y_lattice, z_lattice,
-        which="lower", threads=threads, warn_costs=warn_costs,
-    )
+    p.spot_check(box)
+    v = backward_induction(spec, box, counts, n_steps, y_lattice, z_lattice,
+                           which="lower", threads=threads)
     return v.reversed_time()
 
 

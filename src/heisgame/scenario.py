@@ -20,7 +20,8 @@ from .catalog import (
     make_running_cost,
     make_terminal,
 )
-from .game import GameSpec, make_lattice
+from .game import GameSpec, backward_induction, make_lattice
+from .grids import ValueGrid
 from .hji import HjiProblem, build_game, derived_radii
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
@@ -49,7 +50,7 @@ class Scenario:
     outputs: str | None
     game: GameSpec
     problem: HjiProblem | None
-    meta: dict
+    h_convex: bool  # as the datum / terminal cost declares
     verify: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
@@ -57,6 +58,18 @@ class Scenario:
         y = make_lattice(self.game.r_y, *self.lattice_y)
         z = make_lattice(self.game.r_z, *self.lattice_z)
         return y, z
+
+    def solve(self, y_lat, z_lat, threads: int = 0) -> ValueGrid:
+        """Game-time lower value on the scenario's grid, the one solve of
+        ``solve``, ``converge`` and ``verify``.  It samples the game's
+        declared bounds and, for an ``hji`` scenario, the declared ``k``
+        (violations only warn); ``k`` after the solve, since that check's
+        first numpy calls raise the solve's peak RSS."""
+        value = backward_induction(self.game, self.box, self.counts, self.n_steps,
+                                   y_lat, z_lat, threads=threads)
+        if self.problem is not None:
+            self.problem.spot_check(self.box)
+        return value
 
 
 def _need(data: dict, key: str, kind, where: str = ""):
@@ -214,7 +227,6 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(f"constants.{name}", f"must be a finite number, got {v!r}")
         return float(v)
 
-    meta: dict = {"kind": kind}
     if kind == "hji":
         ham_name, ham_params = _named_fn(data, "hamiltonian")
         init_name, init_params = _named_fn(data, "initial")
@@ -236,12 +248,7 @@ def parse_scenario(data: dict) -> Scenario:
         problem = HjiProblem(horizon, ham.fn, init.fn, d1, d1p, lip_y, c2, c2p,
                              reflections=tuple(sorted(ham.reflections & init.reflections)))
         game = build_game(problem)
-        meta.update(
-            hamiltonian={"name": ham_name, "params": ham_params},
-            initial={"name": init_name, "params": init_params,
-                     "h_convex": init.h_convex},
-            constants={"d1": d1, "d1p": d1p, "k": lip_y, "c2": c2, "c2p": c2p},
-        )
+        h_convex = init.h_convex
     else:
         radii = _need(data, "radii", dict)
         r_y = _need(radii, "r_y", float, "radii")
@@ -270,17 +277,12 @@ def parse_scenario(data: dict) -> Scenario:
             coupling_base=cost.coupling_base, coupling_pair=cost.coupling_pair,
             reflections=tuple(cost.reflections & term.reflections),
         )
-        meta.update(
-            running_cost={"name": cost_name, "params": cost_params},
-            terminal={"name": term_name, "params": term_params,
-                      "h_convex": term.h_convex},
-            constants={"c1": c1, "c1p": c1p, "c2": c2, "c2p": c2p},
-        )
+        h_convex = term.h_convex
 
     return Scenario(
         kind=kind, horizon=horizon, box=box, counts=counts, n_steps=n_steps,
         lattice_y=lat_y, lattice_z=lat_z, seed=seed, outputs=outputs,
-        game=game, problem=problem, meta=meta, verify=verify_cfg, raw=data,
+        game=game, problem=problem, h_convex=h_convex, verify=verify_cfg, raw=data,
     )
 
 

@@ -3,7 +3,6 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,7 +10,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _util import DEFAULT_BOX, canonical_problem
 
 from heisgame.game import backward_induction, make_lattice
-from heisgame.grids import Grid3
 
 BASELINE_COUNTS = (33, 33, 65)
 BASELINE_STEPS = 20
@@ -34,10 +32,9 @@ def baseline_solution(canonical, baseline_lattices):
     """Game-time lower value of the canonical scenario at full resolution."""
     _, spec = canonical
     y_lat, z_lat = baseline_lattices
-    grid = Grid3(DEFAULT_BOX, np.zeros(BASELINE_COUNTS))
     t0 = time.monotonic()
-    value = backward_induction(spec, grid, BASELINE_STEPS, y_lat, z_lat,
-                               warn_costs=False)
+    value = backward_induction(spec, DEFAULT_BOX, BASELINE_COUNTS, BASELINE_STEPS,
+                               y_lat, z_lat)
     return SimpleNamespace(value=value, seconds=time.monotonic() - t0)
 
 
@@ -50,8 +47,6 @@ def ladder_solutions(canonical, baseline_solution):
     for counts, n_steps, rings in levels:
         y_lat = make_lattice(spec.r_y, rings, 8)
         z_lat = make_lattice(spec.r_z, rings, 8)
-        grid = Grid3(DEFAULT_BOX, np.zeros(counts))
-        out.append(backward_induction(spec, grid, n_steps, y_lat, z_lat,
-                                      warn_costs=False))
+        out.append(backward_induction(spec, DEFAULT_BOX, counts, n_steps, y_lat, z_lat))
     out.append(baseline_solution.value)
     return out

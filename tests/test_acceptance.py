@@ -28,7 +28,7 @@ from heisgame.flow import (
     integrate,
     rk4_reference,
 )
-from heisgame.grids import Grid3, ValueGrid, refinement_sup_diffs, sample_field
+from heisgame.grids import ValueGrid, grid_nodes, refinement_sup_diffs, sample_field
 from heisgame.game import (
     backward_induction,
     brute_force_value,
@@ -160,9 +160,8 @@ def test_criterion_06_oracle_equivalence(canonical):
     frozen = dataclasses.replace(spec, r_z=0.0)
     y9 = make_lattice(spec.r_y, 1, 8)
     z0 = make_lattice(0.0)
-    grid_small = Grid3(DEFAULT_BOX, np.zeros((9, 9, 17)))
-    v0 = backward_induction(frozen, grid_small, 3, y9, z0, warn_costs=False)
-    nodes = grid_small.node_coordinates()
+    v0 = backward_induction(frozen, DEFAULT_BOX, (9, 9, 17), 3, y9, z0)
+    nodes = grid_nodes(DEFAULT_BOX, (9, 9, 17))
     rng = np.random.default_rng(106)
     idx = rng.integers(0, len(nodes), 30)
     bf = brute_force_value(frozen, nodes[idx], 3, y9, z0)
@@ -171,8 +170,7 @@ def test_criterion_06_oracle_equivalence(canonical):
 
     # moving dynamics on the baseline grid: interpolation-limited agreement
     z9 = make_lattice(spec.r_z, 1, 8)
-    grid = Grid3(DEFAULT_BOX, np.zeros(BASELINE_COUNTS))
-    v3 = backward_induction(spec, grid, 3, y9, z9, warn_costs=False)
+    v3 = backward_induction(spec, DEFAULT_BOX, BASELINE_COUNTS, 3, y9, z9)
     sl = v3.region_index_bounds()
     ax = v3.axes()
     idx = np.array([[rng.integers(s.start, s.stop) for s in sl] for _ in range(40)])
@@ -253,8 +251,7 @@ def test_criterion_09_lipschitz_audit(canonical, ladder_solutions):
     )
     y2 = make_lattice(big.r_y, 4, 8)
     z2 = make_lattice(big.r_z, 4, 8)
-    grid = Grid3(DEFAULT_BOX, np.zeros(BASELINE_COUNTS))
-    v2 = backward_induction(big, grid, BASELINE_STEPS, y2, z2, warn_costs=False)
+    v2 = backward_induction(big, DEFAULT_BOX, BASELINE_COUNTS, BASELINE_STEPS, y2, z2)
     rep2 = [r for r in lipschitz_audit(v2, big.constants,
                                        rng=np.random.default_rng(109))
             if r.quantity == "spatial_ratio_vs_c_sharp"][0]
@@ -274,8 +271,7 @@ def test_criterion_10_closed_form_solutions():
     init = make_terminal("gauge", None, box)
     p = HjiProblem(1.0, ham.fn, init.fn, abs(c), 0.0, 0.0, init.c2, init.c2p)
     spec = build_game(p)
-    u = solve(p, Grid3(box, np.zeros(counts)), 8,
-              make_lattice(spec.r_y, 1, 8), make_lattice(0.0), warn_costs=False)
+    u = solve(p, box, counts, 8, make_lattice(spec.r_y, 1, 8), make_lattice(0.0))
     g = sample_field(p.initial, box, counts).values
     worst = max(
         float(np.abs(u.data[k] - (g - c * t)).max())

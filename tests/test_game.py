@@ -18,7 +18,7 @@ import heisgame.game as game
 from heisgame.catalog import make_running_cost
 from heisgame.heis import Box, ball_points, eval_field, gauge
 from heisgame.flow import exact_step
-from heisgame.grids import Grid3, ValueGrid, sample_field
+from heisgame.grids import Grid3, ValueGrid, grid_axes, grid_nodes, sample_field
 from heisgame.game import (
     _alternating_value,
     _node_blocks,
@@ -349,17 +349,14 @@ class TestBackwardInduction:
     Y = make_lattice(1.0, 1, 8)
     Z = make_lattice(1.0, 1, 8)
 
-    def grid(self):
-        return Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
-
     def test_zero_cost_constant_terminal(self):
         spec = simple_spec(lambda t, x, y, z: 0.0, const_field(2.5), c1=1e-9, c2=2.5)
-        v = backward_induction(spec, self.grid(), 4, self.Y, self.Z)
+        v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 4, self.Y, self.Z)
         assert np.abs(v.data - 2.5).max() <= 1e-13
 
     def test_unit_cost_accumulates_time_to_go(self):
         spec = simple_spec(lambda t, x, y, z: 1.0, const_field(0.0), c1=1.0, c2=1e-9)
-        v = backward_induction(spec, self.grid(), 5, self.Y, self.Z)
+        v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 5, self.Y, self.Z)
         for k, t in enumerate(v.times):
             assert np.abs(v.data[k] - (1.0 - t)).max() <= 1e-12
 
@@ -369,7 +366,7 @@ class TestBackwardInduction:
 
         spec = simple_spec(cost, gauge, r_y=1.0, r_z=0.0, c1=1.0, c2=20.0, c2p=1.0)
         z0 = make_lattice(0.0)
-        v = backward_induction(spec, self.grid(), 4, self.Y, z0)
+        v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 4, self.Y, z0)
         g = sample_field(gauge, SMALL_BOX, SMALL_COUNTS).values
         assert np.abs(v.data - g[None]).max() <= 1e-14
 
@@ -383,8 +380,8 @@ class TestBackwardInduction:
                             lambda p: g1.interp(p)[0], c1=1e-9, c2=50.0)
         spec2 = simple_spec(lambda t, x, y, z: 0.0,
                             lambda p: g2.interp(p)[0], c1=1e-9, c2=50.0)
-        v1 = backward_induction(spec1, self.grid(), 3, self.Y, self.Z)
-        v2 = backward_induction(spec2, self.grid(), 3, self.Y, self.Z)
+        v1 = backward_induction(spec1, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z)
+        v2 = backward_induction(spec2, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z)
         assert (v2.data >= v1.data - 1e-12).all()
 
     def test_constant_shift_equivariance(self):
@@ -394,14 +391,14 @@ class TestBackwardInduction:
             lambda p: gauge(p) + 3.0, c1=spec.c1, c1p=spec.c1p,
             c2=spec.c2 + 3.0, c2p=spec.c2p, coupling_base=spec.coupling_base,
         )
-        v1 = backward_induction(spec, self.grid(), 3, self.Y, self.Z)
-        v2 = backward_induction(shifted, self.grid(), 3, self.Y, self.Z)
+        v1 = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z)
+        v2 = backward_induction(shifted, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z)
         assert np.abs(v2.data - v1.data - 3.0).max() <= 1e-12
 
     def test_threads_do_not_change_values(self):
         spec = coupling_spec(r_y=1.0)
-        v1 = backward_induction(spec, self.grid(), 3, self.Y, self.Z)
-        v2 = backward_induction(spec, self.grid(), 3, self.Y, self.Z, threads=3)
+        v1 = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z)
+        v2 = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z, threads=3)
         assert np.array_equal(v1.data, v2.data)
 
     @pytest.mark.parametrize("name", ["canonical.json", "coupling-game.json", "tilted",
@@ -424,9 +421,8 @@ class TestBackwardInduction:
             spec, box, (y_lat, z_lat) = sc.game, sc.box, sc.make_lattices()
         assert spec.coupling_base is not None
         general = dataclasses.replace(spec, coupling_base=None)
-        grid = Grid3(box, np.zeros((9, 9, 17)))
         for which in ("lower", "upper"):
-            fast, slow = (backward_induction(s, grid, 3, y_lat, z_lat, which, warn_costs=False)
+            fast, slow = (backward_induction(s, box, (9, 9, 17), 3, y_lat, z_lat, which)
                           for s in (spec, general))
             assert np.abs(fast.data - slow.data).max() <= 1e-12
 
@@ -546,21 +542,21 @@ class TestBackwardInduction:
 
         spec = dataclasses.replace(sc.game, running_cost=counted("cost", sc.game.running_cost),
                                    coupling_base=counted("base", sc.game.coupling_base))
-        grid = Grid3(sc.box, np.zeros(SMALL_COUNTS))
-        backward_induction(spec, grid, sc.n_steps, y_lat, z_lat, warn_costs=False)
-        # the 9x9x17 nodes form one serial block, so one block per step
-        assert calls["cost"] == 0
+        backward_induction(spec, sc.box, SMALL_COUNTS, sc.n_steps, y_lat, z_lat)
+        # the 9x9x17 nodes form one serial block, so one block per step; the
+        # running cost is called only by the bounds' spot check, once per draw
+        assert calls["cost"] == 4
         assert calls["base"] <= len(y_lat.points) * sc.n_steps
 
     def test_upper_at_least_lower(self):
         spec = coupling_spec(r_y=1.0)
-        lo = backward_induction(spec, self.grid(), 3, self.Y, self.Z, which="lower")
-        hi = backward_induction(spec, self.grid(), 3, self.Y, self.Z, which="upper")
+        lo = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z, which="lower")
+        hi = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 3, self.Y, self.Z, which="upper")
         assert (hi.data >= lo.data - 1e-10).all()
 
     def test_untrusted_near_boundary(self):
         spec = coupling_spec(r_y=1.0)
-        v = backward_induction(spec, self.grid(), 4, self.Y, self.Z)
+        v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 4, self.Y, self.Z)
         assert v.trusted[-1].all()
         assert not v.trusted[0, 0, 0, 0]
         mid = tuple((c - 1) // 2 for c in SMALL_COUNTS)
@@ -570,12 +566,11 @@ class TestBackwardInduction:
     @pytest.mark.parametrize("which", ["lower", "upper"])
     def test_trusted_mask_matches_stepped_containment(self, which, threads):
         spec = coupling_spec(r_y=1.0)
-        grid = Grid3(SMALL_BOX, np.zeros((33, 33, 17)))
-        nodes = grid.node_coordinates()
+        nodes = grid_nodes(SMALL_BOX, (33, 33, 17))
         # more nodes than one threaded block, so threads=2 runs two blocks
         assert len(_node_blocks(len(nodes), 2, 33 * 17)) == 2
-        v = backward_induction(spec, grid, 1, self.Y, self.Z, which=which,
-                               threads=threads, warn_costs=False)
+        v = backward_induction(spec, SMALL_BOX, (33, 33, 17), 1, self.Y, self.Z, which=which,
+                               threads=threads)
         inside = np.ones(len(nodes), dtype=bool)
         for z in self.Z.points:
             inside &= SMALL_BOX.contains(exact_step(nodes, -z, spec.horizon))
@@ -586,20 +581,24 @@ class TestBackwardInduction:
     @pytest.mark.parametrize("which", ["lower", "upper"])
     def test_plane_blocks_are_invisible(self, which):
         spec = coupling_spec(r_y=1.0)
-        grid = Grid3(SMALL_BOX, np.zeros((33, 33, 17)))
         # an uneven split: 29 and 4 planes of 33x17 nodes
         blocks = _node_blocks(33 * 33 * 17, 2, 33 * 17)
         assert [b.stop - b.start for b in blocks] == [29, 4]
-        serial, threaded = (backward_induction(spec, grid, 2, self.Y, self.Z, which=which,
-                                               threads=t, warn_costs=False) for t in (0, 2))
+        serial, threaded = (backward_induction(spec, SMALL_BOX, (33, 33, 17), 2, self.Y, self.Z,
+                                               which=which, threads=t) for t in (0, 2))
         assert np.array_equal(serial.data, threaded.data)
         assert np.array_equal(serial.trusted, threaded.trusted)
+
+    @pytest.mark.parametrize("counts", [(9, 9), (9, 9, 17, 2), (9, 1, 17), (9, 9.0, 17)])
+    def test_counts_must_be_three_integers_of_at_least_2(self, counts):
+        with pytest.raises(ValueError, match="counts must be three integers >= 2"):
+            backward_induction(coupling_spec(r_y=1.0), SMALL_BOX, counts, 2, self.Y, self.Z)
 
     def test_spot_check_warns_on_bad_bound(self):
         spec = simple_spec(lambda t, x, y, z: 0.0, gauge, c1=1.0, c2=0.5)
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            backward_induction(spec, self.grid(), 2, self.Y, self.Z)
+            backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 2, self.Y, self.Z)
         assert any("c2" in str(x.message) for x in w)
 
 
@@ -684,13 +683,12 @@ class TestBoundAndSkip:
             outer["computed"] += len(full)
             return best
 
-        grid = Grid3(DEFAULT_BOX, np.zeros((9, 9, 17)))
         monkeypatch.setattr(game, "_max_min", counted)
-        got = backward_induction(spec, grid, 5, y_lat, z_lat, warn_costs=False)
+        got = backward_induction(spec, DEFAULT_BOX, (9, 9, 17), 5, y_lat, z_lat)
         assert outer["nominal"] == 5 * len(y_lat.points)
         assert outer["computed"] <= 0.1 * outer["nominal"]
         monkeypatch.setattr(game, "_ring_probe", lambda points: ())
-        ref = backward_induction(spec, grid, 5, y_lat, z_lat, warn_costs=False)
+        ref = backward_induction(spec, DEFAULT_BOX, (9, 9, 17), 5, y_lat, z_lat)
         assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
 
     def test_nan_in_skipped_pair_entry_raises(self, canonical, baseline_lattices):
@@ -706,9 +704,8 @@ class TestBoundAndSkip:
             return table
 
         bad = dataclasses.replace(spec, coupling_pair=pair)
-        grid = Grid3(DEFAULT_BOX, np.zeros((9, 9, 17)))
         with pytest.raises(NonFiniteValueError, match="coupling pair non-finite"):
-            backward_induction(bad, grid, 2, y_lat, z_lat, warn_costs=False)
+            backward_induction(bad, DEFAULT_BOX, (9, 9, 17), 2, y_lat, z_lat)
 
     @pytest.mark.parametrize("which", ["lower", "upper"])
     @pytest.mark.parametrize("where", ["running cost", "coupling pair"])
@@ -729,22 +726,21 @@ class TestBoundAndSkip:
 
         bad = dataclasses.replace(spec, running_cost=cost, coupling_base=None) \
             if where == "running cost" else dataclasses.replace(spec, coupling_pair=pair)
-        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
         with pytest.raises(NonFiniteValueError, match=f"{where} non-finite"):
-            backward_induction(bad, grid, 2, Y, Z, which=which, warn_costs=False)
+            backward_induction(bad, SMALL_BOX, SMALL_COUNTS, 2, Y, Z, which=which)
 
 
 # grids whose axes linspace makes exactly antisymmetric: 2**k + 1 nodes on
 # [-4, 4] and [-8, 8], and 16 or 32 nodes at a spacing of 0.5
 SYMMETRIC_GRIDS = {
-    "17x16x33": Grid3(Box([-4, -3.75, -8], [4, 3.75, 8]), np.zeros((17, 16, 33))),
-    "16x17x32": Grid3(Box([-3.75, -4, -7.75], [3.75, 4, 7.75]), np.zeros((16, 17, 32))),
+    "17x16x33": (Box([-4, -3.75, -8], [4, 3.75, 8]), (17, 16, 33)),
+    "16x17x32": (Box([-3.75, -4, -7.75], [3.75, 4, 7.75]), (16, 17, 32)),
 }
 
 
-def full_path(spec, grid, y_lat, z_lat, which="lower", n_steps=3):
-    return backward_induction(dataclasses.replace(spec, reflections=()), grid, n_steps,
-                              y_lat, z_lat, which=which, warn_costs=False)
+def full_path(spec, box, counts, y_lat, z_lat, which="lower", n_steps=3):
+    return backward_induction(dataclasses.replace(spec, reflections=()), box, counts, n_steps,
+                              y_lat, z_lat, which=which)
 
 
 def hji_scenario(hamiltonian, counts=(17, 17, 33), base_angles=8):
@@ -765,15 +761,15 @@ class TestReflections:
                                       "coupling-game.json"])
     def test_quadrant_matches_full_grid(self, name, which, grid_name):
         sc = load_scenario(SCENARIOS / name)
-        grid = SYMMETRIC_GRIDS[grid_name]
+        box, counts = SYMMETRIC_GRIDS[grid_name]
         y_lat, z_lat = sc.make_lattices()
-        n1, n2, n3 = grid.counts
+        n1, n2, n3 = counts
         s1, s2 = n1 // 2, n2 // 2
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) \
+        assert fundamental_domain(sc.game, box, counts, y_lat, z_lat) \
             == Domain(("x1", "x2"), (s1, s2), (n1 - s1) * (n2 - s2) * n3)
-        full = full_path(sc.game, grid, y_lat, z_lat, which)
-        runs = [backward_induction(sc.game, grid, 3, y_lat, z_lat, which=which,
-                                   threads=t, warn_costs=False) for t in (0, 2, 0)]
+        full = full_path(sc.game, box, counts, y_lat, z_lat, which)
+        runs = [backward_induction(sc.game, box, counts, 3, y_lat, z_lat, which=which,
+                                   threads=t) for t in (0, 2, 0)]
         assert np.abs(runs[0].data - full.data).max() <= 1e-12
         assert np.array_equal(runs[0].trusted, full.trusted)
         # the constant Hamiltonian has R_Z = 0: nothing moves or clamps
@@ -787,13 +783,11 @@ class TestReflections:
         # y1 is odd under the x1 reflection, so only the x2 half is mirrored
         sc = hji_scenario({"name": "component"})
         assert sc.game.reflections == ("x2",)
-        grid = Grid3(sc.box, np.zeros(sc.counts))
         y_lat, z_lat = sc.make_lattices()
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) \
+        assert fundamental_domain(sc.game, sc.box, sc.counts, y_lat, z_lat) \
             == Domain(("x2",), (0, 8), 17 * 9 * 33)
-        full = full_path(sc.game, grid, y_lat, z_lat, which)
-        half = backward_induction(sc.game, grid, 3, y_lat, z_lat, which=which,
-                                  warn_costs=False)
+        full = full_path(sc.game, sc.box, sc.counts, y_lat, z_lat, which)
+        half = backward_induction(sc.game, sc.box, sc.counts, 3, y_lat, z_lat, which=which)
         assert np.abs(half.data - full.data).max() <= 1e-12
         assert np.array_equal(half.trusted, full.trusted)
         # the value is not invariant under the reflection it lacks
@@ -803,13 +797,12 @@ class TestReflections:
     def test_several_blocks(self, monkeypatch, threads):
         # 33x33x17 solved nodes: more than one threaded block of 16384
         spec = dataclasses.replace(coupling_spec(r_y=1.0), reflections=("x1", "x2"))
-        grid = Grid3(SMALL_BOX, np.zeros((65, 65, 17)))
         Y = Z = make_lattice(1.0, 1, 8)
         assert len(_node_blocks(33 * 33 * 17, 2, 33 * 17)) == 2
         monkeypatch.setattr(game, "_BLOCK_NODES", 5000)
         assert len(_node_blocks(33 * 33 * 17, 0, 33 * 17)) == 4
-        full = full_path(spec, grid, Y, Z, n_steps=2)
-        quad = backward_induction(spec, grid, 2, Y, Z, threads=threads, warn_costs=False)
+        full = full_path(spec, SMALL_BOX, (65, 65, 17), Y, Z, n_steps=2)
+        quad = backward_induction(spec, SMALL_BOX, (65, 65, 17), 2, Y, Z, threads=threads)
         assert np.abs(quad.data - full.data).max() <= 1e-12
         assert np.array_equal(quad.trusted, full.trusted)
 
@@ -823,7 +816,7 @@ class TestReflections:
         backups = []
         monkeypatch.setattr(game, "_backup", lambda *a: backups.append(1))
         with pytest.raises(ValueError, match="reflection 'x1' does not hold"):
-            backward_induction(spec, Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS)), 2,
+            backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 2,
                                make_lattice(1.0, 1, 8), make_lattice(1.0, 1, 8))
         assert backups == []
 
@@ -833,34 +826,34 @@ class TestReflections:
 
     def test_canonical_game_solves_the_quadrant(self, canonical, baseline_lattices):
         _, spec = canonical
-        grid = Grid3(DEFAULT_BOX, np.zeros((33, 33, 65)))
-        assert fundamental_domain(spec, grid, *baseline_lattices) \
+        assert fundamental_domain(spec, DEFAULT_BOX, (33, 33, 65), *baseline_lattices) \
             == Domain(("x1", "x2"), (16, 16), 18_785)
 
     def test_odd_base_angles_fall_back(self):
         # the 5 points of the first ring are not symmetric about the x2 axis
         sc = hji_scenario({"name": "norm"}, base_angles=5)
-        grid = Grid3(sc.box, np.zeros(sc.counts))
         y_lat, z_lat = sc.make_lattices()
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) \
+        assert fundamental_domain(sc.game, sc.box, sc.counts, y_lat, z_lat) \
             == Domain(("x2",), (0, 8), 17 * 9 * 33)
         spec = dataclasses.replace(sc.game, reflections=("x1",))
-        assert fundamental_domain(spec, grid, y_lat, z_lat) == Domain((), (0, 0), 17 * 17 * 33)
-        got = backward_induction(spec, grid, 3, y_lat, z_lat, warn_costs=False)
-        full = full_path(spec, grid, y_lat, z_lat)
+        assert fundamental_domain(spec, sc.box, sc.counts, y_lat, z_lat) \
+            == Domain((), (0, 0), 17 * 17 * 33)
+        got = backward_induction(spec, sc.box, sc.counts, 3, y_lat, z_lat)
+        full = full_path(spec, sc.box, sc.counts, y_lat, z_lat)
         assert np.array_equal(got.data, full.data)
         assert np.array_equal(got.trusted, full.trusted)
 
     def test_inexact_axes_fall_back(self):
         # linspace(-4, 4, 16) is not exactly antisymmetric
         sc = hji_scenario({"name": "norm"}, counts=(16, 16, 33))
-        grid = Grid3(sc.box, np.zeros(sc.counts))
-        assert not np.array_equal(grid.axes()[0], -grid.axes()[0][::-1])
+        x1 = grid_axes(sc.box, sc.counts)[0]
+        assert not np.array_equal(x1, -x1[::-1])
         y_lat, z_lat = sc.make_lattices()
         assert sc.game.reflections == ("x1", "x2")
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == Domain((), (0, 0), 16 * 16 * 33)
-        got = backward_induction(sc.game, grid, 3, y_lat, z_lat, warn_costs=False)
-        full = full_path(sc.game, grid, y_lat, z_lat)
+        assert fundamental_domain(sc.game, sc.box, sc.counts, y_lat, z_lat) \
+            == Domain((), (0, 0), 16 * 16 * 33)
+        got = backward_induction(sc.game, sc.box, sc.counts, 3, y_lat, z_lat)
+        full = full_path(sc.game, sc.box, sc.counts, y_lat, z_lat)
         assert np.array_equal(got.data, full.data)
         assert np.array_equal(got.trusted, full.trusted)
 
@@ -874,11 +867,11 @@ class TestReflections:
             "time_steps": 2, "lattice": {"rings": 2, "base_angles": 8},
         })
         assert sc.game.reflections == ()
-        grid = Grid3(sc.box, np.zeros(sc.counts))
         y_lat, z_lat = sc.make_lattices()
-        assert fundamental_domain(sc.game, grid, y_lat, z_lat) == Domain((), (0, 0), 9 * 9 * 17)
-        got = backward_induction(sc.game, grid, 2, y_lat, z_lat, warn_costs=False)
-        full = full_path(sc.game, grid, y_lat, z_lat, n_steps=2)
+        assert fundamental_domain(sc.game, sc.box, sc.counts, y_lat, z_lat) \
+            == Domain((), (0, 0), 9 * 9 * 17)
+        got = backward_induction(sc.game, sc.box, sc.counts, 2, y_lat, z_lat)
+        full = full_path(sc.game, sc.box, sc.counts, y_lat, z_lat, n_steps=2)
         assert np.array_equal(got.data, full.data)
         assert np.array_equal(got.trusted, full.trusted)
 
@@ -894,9 +887,8 @@ class TestBruteForceOracle:
 
         spec = simple_spec(cost, gauge, r_y=1.0, r_z=0.0, c1=2.0, c2=20.0, c2p=1.0)
         z0 = make_lattice(0.0)
-        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
-        v = backward_induction(spec, grid, 3, self.Y, z0)
-        nodes = grid.node_coordinates()
+        v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 3, self.Y, z0)
+        nodes = grid_nodes(SMALL_BOX, SMALL_COUNTS)
         rng = np.random.default_rng(8)
         for idx in rng.integers(0, len(nodes), 20):
             bf = brute_force_value(spec, nodes[idx], 3, self.Y, z0)
@@ -932,9 +924,8 @@ class TestBruteForceOracle:
 
 class TestDppResidual:
     def solve_small(self, spec, n_steps=4):
-        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
         Y, Z = make_lattice(spec.r_y, 1, 8), make_lattice(spec.r_z, 1, 8)
-        return backward_induction(spec, grid, n_steps, Y, Z), Y, Z
+        return backward_induction(spec, SMALL_BOX, SMALL_COUNTS, n_steps, Y, Z), Y, Z
 
     def test_single_step_residual_zero(self):
         spec = coupling_spec(r_y=1.0)
@@ -986,9 +977,8 @@ class TestBreadthFirstOracle:
 
     @pytest.fixture(scope="class")
     def stack(self):
-        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
-        return backward_induction(coupling_spec(r_y=1.0), grid, 3, self.Y, Z_LATTICES[9],
-                                  warn_costs=False)
+        return backward_induction(coupling_spec(r_y=1.0), SMALL_BOX, SMALL_COUNTS, 3, self.Y,
+                                  Z_LATTICES[9])
 
     @pytest.mark.parametrize("branch", ["coupling", "general"])
     @pytest.mark.parametrize("which", ["lower", "upper"])
@@ -1055,8 +1045,7 @@ class TestBreadthFirstOracle:
 
     def test_one_leaf_call_per_z(self, monkeypatch):
         spec = coupling_spec(r_y=1.0)
-        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
-        v = backward_induction(spec, grid, 2, self.Y, Z_LATTICES[9], warn_costs=False)
+        v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 2, self.Y, Z_LATTICES[9])
         interp, backup, calls, backups = game.interp_values, game._backup, [], []
         monkeypatch.setattr(game, "interp_values",
                             lambda *a: calls.append(len(a[2])) or interp(*a))
@@ -1071,9 +1060,8 @@ class TestBreadthFirstOracle:
 class TestLipschitzAudit:
     def test_constant_data_all_ratios_zero(self):
         spec = simple_spec(lambda t, x, y, z: 0.0, const_field(1.0), c1=1e-9, c2=1.0)
-        grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
         Y, Z = make_lattice(1.0, 1, 8), make_lattice(1.0, 1, 8)
-        v = backward_induction(spec, grid, 3, Y, Z)
+        v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 3, Y, Z)
         reports = self.assert_matches_reference(v, spec.constants, 11)
         for rep in reports:
             assert rep.worst_ratio == 0.0
@@ -1081,10 +1069,9 @@ class TestLipschitzAudit:
 
     def test_underdeclared_c2p_fails(self, canonical, baseline_lattices):
         _, spec = canonical
-        grid = Grid3(DEFAULT_BOX, np.zeros((17, 17, 33)))
         Y = make_lattice(spec.r_y, 2, 8)
         Z = make_lattice(spec.r_z, 2, 8)
-        v = backward_induction(spec, grid, 10, Y, Z, warn_costs=False)
+        v = backward_induction(spec, DEFAULT_BOX, (17, 17, 33), 10, Y, Z)
         honest = lipschitz_audit(v, spec.constants, rng=np.random.default_rng(12))
         assert all(r.passed for r in honest)
         lying = LipschitzConstants(spec.horizon, spec.r_z, spec.c1, spec.c1p, 0.1)
@@ -1137,9 +1124,8 @@ class TestLipschitzAudit:
 def test_solve_bytes_counts_the_stacks_and_w(threads):
     spec = coupling_spec()
     Y, Z = make_lattice(spec.r_y, 1, 8), make_lattice(spec.r_z, 2, 8)
-    grid = Grid3(SMALL_BOX, np.zeros(SMALL_COUNTS))
-    v = backward_induction(spec, grid, 2, Y, Z, warn_costs=False)
-    nodes = grid.node_coordinates()
+    v = backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 2, Y, Z)
+    nodes = grid_nodes(SMALL_BOX, SMALL_COUNTS)
     terminal = eval_field(spec.terminal_cost, nodes)
     w = len(Z.points) * v.data[0].size * 8  # one block of every node
     held = v.data.nbytes + v.trusted.nbytes + nodes.nbytes + terminal.nbytes + w

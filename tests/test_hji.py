@@ -9,7 +9,7 @@ from _util import DEFAULT_BOX, SCENARIOS, canonical_problem
 
 from heisgame.heis import Box, ball_points, gauge
 from heisgame.catalog import make_hamiltonian, make_terminal
-from heisgame.grids import Grid3, ValueGrid, sample_field
+from heisgame.grids import ValueGrid, sample_field
 from heisgame.game import GameSpec, make_lattice
 from heisgame.hji import (
     HjiProblem,
@@ -127,9 +127,7 @@ class TestSolve:
         c = 0.8
         p = constant_ham_problem(c)
         spec = build_game(p)
-        grid = Grid3(BOX, np.zeros(COUNTS))
-        u = solve(p, grid, 5, make_lattice(spec.r_y, 1, 8), make_lattice(0.0),
-                  warn_costs=False)
+        u = solve(p, BOX, COUNTS, 5, make_lattice(spec.r_y, 1, 8), make_lattice(0.0))
         g = sample_field(p.initial, BOX, COUNTS).values
         for k, t in enumerate(u.times):
             assert np.abs(u.data[k] - (g - c * t)).max() <= 1e-10
@@ -137,16 +135,13 @@ class TestSolve:
     def test_zero_hamiltonian_keeps_datum(self):
         p = constant_ham_problem(0.0)
         spec = build_game(p)
-        grid = Grid3(BOX, np.zeros(COUNTS))
-        u = solve(p, grid, 4, make_lattice(spec.r_y, 1, 8), make_lattice(0.0),
-                  warn_costs=False)
+        u = solve(p, BOX, COUNTS, 4, make_lattice(spec.r_y, 1, 8), make_lattice(0.0))
         assert np.abs(u.data - u.data[0][None]).max() <= 1e-12
 
     def test_initial_slice_is_sampled_datum_exactly(self):
         problem, spec = canonical_problem()
-        grid = Grid3(BOX, np.zeros(COUNTS))
-        u = solve(problem, grid, 3, make_lattice(spec.r_y, 1, 8),
-                  make_lattice(spec.r_z, 1, 8), warn_costs=False)
+        u = solve(problem, BOX, COUNTS, 3, make_lattice(spec.r_y, 1, 8),
+                  make_lattice(spec.r_z, 1, 8))
         g = sample_field(problem.initial, BOX, COUNTS).values
         assert np.array_equal(u.data[0], g)
 
@@ -159,20 +154,18 @@ class TestSolve:
         off_ham = make_hamiltonian("shifted-norm", {"offset": c})
         p1 = HjiProblem(1.0, base_ham.fn, init.fn, c2=init.c2, c2p=init.c2p, **kwargs)
         p2 = HjiProblem(1.0, off_ham.fn, init.fn, c2=init.c2, c2p=init.c2p, **kwargs)
-        grid = Grid3(BOX, np.zeros(COUNTS))
         spec = build_game(p1)
         y_lat = make_lattice(spec.r_y, 1, 8)
         z_lat = make_lattice(spec.r_z, 1, 8)
-        u1 = solve(p1, grid, 4, y_lat, z_lat, warn_costs=False)
-        u2 = solve(p2, grid, 4, y_lat, z_lat, warn_costs=False)
+        u1 = solve(p1, BOX, COUNTS, 4, y_lat, z_lat)
+        u2 = solve(p2, BOX, COUNTS, 4, y_lat, z_lat)
         tilt = u1.times[:, None, None, None] * c
         assert np.abs(u2.data - (u1.data - tilt)).max() <= 1e-12
 
     def test_canonical_monotone_and_below_datum(self):
         problem, spec = canonical_problem()
-        grid = Grid3(DEFAULT_BOX, np.zeros((17, 17, 33)))
-        u = solve(problem, grid, 10, make_lattice(spec.r_y, 2, 8),
-                  make_lattice(spec.r_z, 2, 8), warn_costs=False)
+        u = solve(problem, DEFAULT_BOX, (17, 17, 33), 10, make_lattice(spec.r_y, 2, 8),
+                  make_lattice(spec.r_z, 2, 8))
         mid = tuple((c - 1) // 2 for c in u.counts)
         origin_vals = u.data[(slice(None),) + mid]
         assert (np.diff(origin_vals) <= 1e-12).all()
@@ -185,9 +178,7 @@ class TestPdeResidual:
         c = 0.6
         p = constant_ham_problem(c)
         spec = build_game(p)
-        grid = Grid3(BOX, np.zeros(COUNTS))
-        u = solve(p, grid, 5, make_lattice(spec.r_y, 1, 8), make_lattice(0.0),
-                  warn_costs=False)
+        u = solve(p, BOX, COUNTS, 5, make_lattice(spec.r_y, 1, 8), make_lattice(0.0))
         rep = pde_residual(u, p, n_probes=2000, rng=np.random.default_rng(2))
         assert rep.n_retained > 0
         assert rep.max <= 1e-8
@@ -248,9 +239,7 @@ class TestInitialTrace:
     def test_zero_hamiltonian_zero_gap(self):
         p = constant_ham_problem(0.0)
         spec = build_game(p)
-        grid = Grid3(BOX, np.zeros(COUNTS))
-        u = solve(p, grid, 4, make_lattice(spec.r_y, 1, 8), make_lattice(0.0),
-                  warn_costs=False)
+        u = solve(p, BOX, COUNTS, 4, make_lattice(spec.r_y, 1, 8), make_lattice(0.0))
         rep = uniqueness_initial_trace(u, spec)
         assert rep.sup_gap == 0.0
         assert rep.ok
@@ -259,9 +248,7 @@ class TestInitialTrace:
         c = -1.5
         p = constant_ham_problem(c)
         spec = build_game(p)
-        grid = Grid3(BOX, np.zeros(COUNTS))
-        u = solve(p, grid, 5, make_lattice(spec.r_y, 1, 8), make_lattice(0.0),
-                  warn_costs=False)
+        u = solve(p, BOX, COUNTS, 5, make_lattice(spec.r_y, 1, 8), make_lattice(0.0))
         rep = uniqueness_initial_trace(u, spec)
         assert rep.sup_gap == pytest.approx(abs(c) * u.dt, abs=1e-14)
         assert rep.ok

@@ -9,6 +9,7 @@ import pytest
 
 import heisgame.cli as cli
 import heisgame.game as game
+import heisgame.scenario as scenario
 from heisgame.cli import main
 from heisgame.game import make_lattice, solve_bytes
 from heisgame.grids import read_value_grid
@@ -61,7 +62,7 @@ class TestScenarioParsing:
         assert sc.kind == "hji"
         assert sc.game.r_y == pytest.approx(6.594885, abs=1e-6)
         assert sc.game.r_z == 1.0
-        assert sc.meta["constants"]["k"] == 1.0
+        assert sc.problem.lip_y == 1.0
 
     def test_negative_horizon_names_field(self):
         data = dict(SMALL, horizon=-1.0)
@@ -254,8 +255,6 @@ class TestSolveCommand:
     def test_wrong_catalog_declaration_exit_2(self, tmp_path, monkeypatch, capsys):
         import dataclasses
 
-        import heisgame.scenario as scenario
-
         real = scenario.make_hamiltonian
         monkeypatch.setattr(scenario, "make_hamiltonian", lambda name, params:
                             dataclasses.replace(real(name, params),
@@ -267,7 +266,7 @@ class TestSolveCommand:
         assert "reflection 'x1' does not hold" in capsys.readouterr().err
         assert not (out / "valuegrid.json").exists()
 
-    @pytest.mark.parametrize("command", ["solve", "converge"])
+    @pytest.mark.parametrize("command", ["solve", "converge", "verify"])
     def test_declared_k_is_sampled(self, tmp_path, command):
         # the norm Hamiltonian has y-modulus 1; a declared k of 0.5 is wrong
         data = dict(SMALL, grid={"box": SMALL["grid"]["box"], "counts": [9, 9, 17]},
@@ -442,7 +441,7 @@ class TestConvergeCommand:
         finest = solve_bytes(SMALL["grid"]["counts"], SMALL["time_steps"], 25)
         monkeypatch.setattr(cli, "_physical_memory", lambda: finest + 1)
         solves = []
-        monkeypatch.setattr(cli, "backward_induction", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(scenario, "backward_induction", lambda *a, **k: solves.append(a))
         assert main(["converge", str(path), "--levels", "2",
                      "--out", str(tmp_path / "c")]) == 2
         assert solves == []

@@ -12,15 +12,19 @@ Lipschitz audit's witnesses, which no other output does), and ``verify``.  With
 ``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
 scenario seeds 1 to N-1.  The scenario inputs always come from this
 checkout, so two checkouts written this way ran the same commands.  Each
-command writes to ``DIR/<scenario>/<run>``, next to an ``exit_code`` file.
+command writes to ``DIR/<scenario>/<run>``, next to an ``exit_code`` file
+and a ``warnings.txt`` file holding the warnings it printed, one
+``Category: message`` line each, without the file and line number that
+Python prints before them (those move with any edit).
 
 ``diff`` lists the files that differ in bytes or exist on one side only,
-ignoring ``run.log`` (it holds wall times); for each differing ``.bin``
-grid it adds the largest absolute difference of its values, and for each
-differing ``.json`` file the dotted paths of the keys whose values differ
-or exist on one side only, one per line, with both values and their
-absolute difference where both are numbers.  It exits 0 when the two sets are
-byte-identical and 1 otherwise.
+ignoring ``run.log`` (it holds wall times), so a change that adds or
+removes a warning shows as a differing ``warnings.txt``; for each
+differing ``.bin`` grid it adds the largest absolute difference of its
+values, and for each differing ``.json`` file the dotted paths of the
+keys whose values differ or exist on one side only, one per line, with
+both values and their absolute difference where both are numbers.  It
+exits 0 when the two sets are byte-identical and 1 otherwise.
 
 Checking that a change keeps every output byte-identical to its parent::
 
@@ -36,6 +40,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +50,8 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 SKIPPED = {"run.log"}
+# the "path:line: Category: message" line that warnings.showwarning prints
+WARNING_LINE = re.compile(r"^.*?:\d+: (\w+Warning: .*)$", re.MULTILINE)
 
 
 def _workloads():
@@ -92,6 +99,8 @@ def write(outdir: Path, checkout: Path, seeds: int) -> int:
                               env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True)
         (target / "exit_code").write_text(f"{proc.returncode}\n")
+        (target / "warnings.txt").write_text(
+            "".join(line + "\n" for line in WARNING_LINE.findall(proc.stderr)))
         print(f"{name}/{run}: exit {proc.returncode}", flush=True)
         if proc.returncode not in (0, 1):
             print(proc.stderr, file=sys.stderr)
