@@ -307,10 +307,15 @@ def _cmd_audit(args) -> int:
         return 2
     try:
         value = read_value_grid(indir)
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, KeyError, ValueError, TypeError, IndexError) as e:
         print(f"cannot read value grids from {indir}: {e}", file=sys.stderr)
         return 2
     manifest = json.loads(manifest_path.read_text())
+    seed, scenario = manifest.get("seed", 0), manifest.get("scenario", {})
+    if not isinstance(seed, int) or isinstance(seed, bool) or not isinstance(scenario, dict):
+        print(f"manifest.json in {indir} needs an integer seed and a scenario object",
+              file=sys.stderr)
+        return 2
     found = {}
     for name in ("r_z", "c1", "c1p", "c2p"):
         try:
@@ -320,10 +325,9 @@ def _cmd_audit(args) -> int:
                   f" derived_constants.{name}.value", file=sys.stderr)
             return 2
     consts = LipschitzConstants(float(value.horizon), **found)
-    if manifest.get("scenario", {}).get("kind") == "hji":
+    if scenario.get("kind") == "hji":
         value = value.reversed_time()
-    reports = lipschitz_audit(value, consts,
-                              rng=np.random.default_rng(manifest.get("seed", 0) + 2))
+    reports = lipschitz_audit(value, consts, rng=np.random.default_rng(seed + 2))
     _write_json(indir / "audit.json", {"audits": [r.to_dict() for r in reports]})
     ok = True
     for r in reports:

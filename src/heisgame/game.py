@@ -85,8 +85,8 @@ class GameSpec:
     and ``G(s(x)) = G(x)``, with ``s`` the automorphism and ``r`` its
     action on the plane.  Declaring one lets ``backward_induction`` solve
     half the grid per reflection (see :func:`fundamental_domain`); the
-    declaration is checked on samples (:meth:`check_reflections`), never
-    assumed.  The default, none, keeps the full-grid path.
+    declaration is checked on the sample of :meth:`check_declarations`,
+    never assumed.  The default, none, keeps the full-grid path.
     """
 
     horizon: float
@@ -120,50 +120,24 @@ class GameSpec:
     def constants(self) -> LipschitzConstants:
         return LipschitzConstants(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)
 
-    def _cost_samples(self, box: Box, n: int, rng) -> tuple:
-        """``n`` points of ``box``, the terminal cost there, and 4 draws
-        ``(t, y, z, F(t, pts, y, z))`` of the running cost at them."""
+    def check_declarations(self, box: Box) -> list[str]:
+        """Samples 128 points of ``box`` and 4 draws of ``(t, y, z)`` from
+        ``default_rng(0)``, once for all declarations.  Raises ``ValueError``
+        for the first cost that moves by more than ``1e-12 * (1 + |value|)``
+        under a declared reflection, then warns of each sampled cost beyond
+        ``c1`` or ``c2`` and returns the messages.  The warnings come from one
+        fixed line, so Python's default filter prints a violation that
+        repeated solves meet (``verify``'s three) once per process.
+        """
+        n, rng = 128, np.random.default_rng(0)
         pts = box.sample(n, rng)
+        gv = _on_points(eval_field(self.terminal_cost, pts), n)
         draws = []
         for _ in range(4):
             t = rng.random() * self.horizon
             y = ball_points(rng, self.r_y)
             z = ball_points(rng, self.r_z)
             draws.append((t, y, z, _on_points(self.running_cost(t, pts, y, z), n)))
-        return pts, _on_points(eval_field(self.terminal_cost, pts), n), draws
-
-    def spot_check(self, box: Box, n: int = 128, rng=None) -> list[str]:
-        """Sampled check of the declared bounds; violations warn, not raise."""
-        pts, gv, draws = self._cost_samples(box, n, rng or np.random.default_rng(0))
-        msgs = []
-        if (np.abs(gv) > self.c2 * (1 + 1e-9) + 1e-12).any():
-            k = int(np.argmax(np.abs(gv)))
-            msgs.append(
-                f"|terminal cost| = {abs(gv[k]):.6g} exceeds c2 = {self.c2:.6g} "
-                f"at {pts[k]}"
-            )
-        for t, y, z, fv in draws:
-            if (np.abs(fv) > self.c1 * (1 + 1e-9) + 1e-12).any():
-                k = int(np.argmax(np.abs(fv)))
-                msgs.append(
-                    f"|running cost| = {abs(fv[k]):.6g} exceeds c1 = {self.c1:.6g} "
-                    f"at t={t:.4g}, x={pts[k]}, y={y}, z={z}"
-                )
-        for m in msgs:
-            warnings.warn(m, stacklevel=3)
-        return msgs
-
-    def check_reflections(self, box: Box) -> None:
-        """Sampled check of each declared reflection on both costs, at 128
-        points of ``box`` and 4 draws of ``(t, y, z)``.
-
-        Raises ``ValueError`` naming the first cost that moves by more than
-        ``1e-12 * (1 + |value|)`` under a declared reflection.
-        """
-        if not self.reflections:
-            return
-        n = 128
-        pts, gv, draws = self._cost_samples(box, n, np.random.default_rng(0))
         for name in self.reflections:
             flip = np.array(REFLECTIONS[name])
             mirrored = pts * np.append(flip, -1.0)
@@ -184,6 +158,23 @@ class GameSpec:
                         f"declared reflection {name!r} does not hold: the {what} "
                         f"moves by {gap[k]:.6g} at x={pts[k]}"
                     )
+        msgs = []
+        if (np.abs(gv) > self.c2 * (1 + 1e-9) + 1e-12).any():
+            k = int(np.argmax(np.abs(gv)))
+            msgs.append(
+                f"|terminal cost| = {abs(gv[k]):.6g} exceeds c2 = {self.c2:.6g} "
+                f"at {pts[k]}"
+            )
+        for t, y, z, fv in draws:
+            if (np.abs(fv) > self.c1 * (1 + 1e-9) + 1e-12).any():
+                k = int(np.argmax(np.abs(fv)))
+                msgs.append(
+                    f"|running cost| = {abs(fv[k]):.6g} exceeds c1 = {self.c1:.6g} "
+                    f"at t={t:.4g}, x={pts[k]}, y={y}, z={z}"
+                )
+        for m in msgs:
+            warnings.warn(m)
+        return msgs
 
 
 def _on_points(values, n: int) -> np.ndarray:
@@ -653,10 +644,10 @@ def backward_induction(
     tensor grid, and fills the rest of the slice and its trusted row by
     mirroring (each value slice is invariant).  The values then differ from
     the full-grid solve by ulps, since the mirrored nodes' lerps run from
-    the other side.  The declarations are checked on samples first; a wrong
-    one raises ``ValueError``.  The declared bounds ``c1``, ``c2`` are
-    sampled too (``GameSpec.spot_check``), on every solve; a violation
-    only warns.
+    the other side.  Every solve checks the declarations on one sample
+    (``GameSpec.check_declarations``) before its first step: a wrong
+    reflection raises ``ValueError``; a sampled cost beyond ``c1`` or ``c2``
+    only warns, once per process for each distinct violation.
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
@@ -667,12 +658,11 @@ def backward_induction(
         raise ValueError(f"counts must be three integers >= 2, got {counts}")
     _check_lattices(spec, y_lattice, z_lattice)
 
-    spec.check_reflections(box)
     h = spec.horizon / n_steps
     times = np.linspace(0.0, spec.horizon, n_steps + 1)
     nodes = grid_nodes(box, counts)
 
-    spec.spot_check(box)
+    spec.check_declarations(box)
     region = certify_region(box, spec.r_z, spec.horizon)
 
     g_vals = eval_field(spec.terminal_cost, nodes)

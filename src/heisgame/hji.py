@@ -85,10 +85,12 @@ class HjiProblem:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def spot_check(self, box: Box, n: int = 64, rng=None) -> list[str]:
-        """Sampled check of the declared y-Lipschitz modulus (warns only)."""
-        rng = rng or np.random.default_rng(0)
-        pts = box.sample(n, rng)
+    def spot_check(self, box: Box) -> list[str]:
+        """Sampled check of the declared y-Lipschitz modulus at 64 points of
+        ``box``; violations warn from one fixed line, so Python's default
+        filter prints each once per process, however many solves meet it."""
+        rng = np.random.default_rng(0)
+        pts = box.sample(64, rng)
         msgs = []
         for _ in range(4):
             t = rng.random() * self.horizon
@@ -106,7 +108,7 @@ class HjiProblem:
                     f"K*|y-y'| = {bound:.6g} at x={pts[k]}"
                 )
         for m in msgs:
-            warnings.warn(m, stacklevel=3)
+            warnings.warn(m)
         return msgs
 
 
@@ -207,14 +209,13 @@ def solve(
     ``U(0, .)`` equal to the sampled datum.
 
     Runs the lower-value backward induction for the auxiliary game and
-    reindexes slices by ``t -> T - t``.  Every solve samples the declared
-    ``K`` (``HjiProblem.spot_check``) and the game's bounds; a violation
-    only warns.
+    reindexes slices by ``t -> T - t``.  The declared ``K`` is sampled
+    after the solve (``HjiProblem.spot_check``), as in ``Scenario.solve``;
+    a violation only warns.
     """
-    spec = build_game(p)
-    p.spot_check(box)
-    v = backward_induction(spec, box, counts, n_steps, y_lattice, z_lattice,
+    v = backward_induction(build_game(p), box, counts, n_steps, y_lattice, z_lattice,
                            which="lower", threads=threads)
+    p.spot_check(box)
     return v.reversed_time()
 
 

@@ -61,10 +61,10 @@ class Scenario:
 
     def solve(self, y_lat, z_lat, threads: int = 0) -> ValueGrid:
         """Game-time lower value on the scenario's grid, the one solve of
-        ``solve``, ``converge`` and ``verify``.  It samples the game's
-        declared bounds and, for an ``hji`` scenario, the declared ``k``
-        (violations only warn); ``k`` after the solve, since that check's
-        first numpy calls raise the solve's peak RSS."""
+        ``solve``, ``converge`` and ``verify``.  Besides the game's
+        declarations (``GameSpec.check_declarations``), it samples an ``hji``
+        scenario's declared ``k``, after the solve since that check's first
+        numpy calls raise the solve's peak RSS; violations only warn."""
         value = backward_induction(self.game, self.box, self.counts, self.n_steps,
                                    y_lat, z_lat, threads=threads)
         if self.problem is not None:
@@ -152,6 +152,10 @@ def _parse_verify(data: dict) -> dict:
     cfg = data.get("verify", {})
     if not isinstance(cfg, dict):
         raise ScenarioError("verify", "must be an object")
+    known = [*_VERIFY_MINIMUMS, "oracle_counts"]
+    for key in cfg:
+        if key not in known:
+            raise ScenarioError(f"verify.{key}", f"unknown key; known: {', '.join(known)}")
     for key, least in _VERIFY_MINIMUMS.items():
         value = cfg.get(key, least)
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
@@ -169,7 +173,7 @@ def _parse_lattice(data: dict) -> tuple[tuple[int, int], tuple[int, int]]:
     def one(cfg: dict, where: str) -> tuple[int, int]:
         rings = cfg.get("rings", 4)
         base = cfg.get("base_angles", 8)
-        if not isinstance(rings, int) or rings < 1:
+        if not isinstance(rings, int) or isinstance(rings, bool) or rings < 1:
             raise ScenarioError(f"{where}.rings", "must be an integer >= 1")
         if not isinstance(base, int) or base < 4:
             raise ScenarioError(f"{where}.base_angles", "must be an integer >= 4")
@@ -216,6 +220,12 @@ def parse_scenario(data: dict) -> Scenario:
     overrides = data.get("constants", {})
     if not isinstance(overrides, dict):
         raise ScenarioError("constants", "must be an object")
+    # the constants each kind reads; any other name would be ignored
+    accepted = {"hji": ("k", "d1", "d1p", "c2", "c2p"), "game": ("c1", "c1p", "c2", "c2p")}[kind]
+    for name in overrides:
+        if name not in accepted:
+            raise ScenarioError(f"constants.{name}", f"a {kind} scenario accepts only "
+                                                     f"{', '.join(accepted)}")
     verify_cfg = _parse_verify(data)
 
     def override(name, value):

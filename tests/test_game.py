@@ -806,6 +806,16 @@ class TestReflections:
         assert np.abs(quad.data - full.data).max() <= 1e-12
         assert np.array_equal(quad.trusted, full.trusted)
 
+    def test_declarations_sampled_once(self):
+        # the separable steps call only the base: the running cost is called
+        # at the 4 draws, then at their mirror images under each reflection
+        spec = dataclasses.replace(coupling_spec(r_y=1.0), reflections=("x1", "x2"))
+        cost, calls = spec.running_cost, []
+        spec = dataclasses.replace(spec, running_cost=lambda *a: calls.append(1) or cost(*a))
+        Y = Z = make_lattice(1.0, 1, 8)
+        backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 2, Y, Z)
+        assert len(calls) == 4 + 2 * 4
+
     @pytest.mark.parametrize("wrong", ["running", "terminal"])
     def test_wrong_declaration_refused_before_backup(self, monkeypatch, wrong):
         # y1 and x1 both change sign under the x1 reflection

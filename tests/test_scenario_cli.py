@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import re
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,34 @@ class TestScenarioParsing:
         data = dict(SMALL, constants={"c2p": 0.5})
         sc = parse_scenario(data)
         assert sc.game.c2p == 0.5
+
+    @pytest.mark.parametrize("kind,name", [("hji", "c1"), ("hji", "C2"), ("game", "k"),
+                                           ("game", "d1")])
+    def test_constant_the_kind_never_reads_rejected(self, tmp_path, capsys, kind, name):
+        data = dict(SMALL if kind == "hji" else
+                    json.loads((SCENARIOS / "coupling-game.json").read_text()),
+                    constants={name: 0.5})
+        with pytest.raises(ScenarioError, match=f"constants.{name}"):
+            parse_scenario(data)
+        assert main(["solve", str(write_scenario(tmp_path, data)),
+                     "--out", str(tmp_path / "out")]) == 2
+        accepted = "k, d1, d1p, c2, c2p" if kind == "hji" else "c1, c1p, c2, c2p"
+        assert accepted in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lattice,field", [
+        ({"rings": True}, "lattice.rings"),
+        ({"y": {"rings": True}, "z": {"rings": 1}}, "lattice.y.rings")])
+    def test_boolean_rings_rejected(self, lattice, field):
+        with pytest.raises(ScenarioError, match=field):
+            parse_scenario(dict(SMALL, lattice=lattice))
+
+    def test_benchmark_scenarios_parse(self):
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      REPO / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for _, template in workloads.WORKLOADS.values():
+            parse_scenario(workloads.scenario(template, 0))
 
     def test_grid_defaults(self):
         data = dict(SMALL)
@@ -348,7 +378,8 @@ class TestVerifyCommand:
         ("translation_instances", -3), ("max_nodes", 0), ("convexity_directions", 0),
         ("convexity_probes", 2), ("isaacs_probes", 2.5), ("group_samples", "10"),
         ("random_pairs", True), ("oracle_counts", "abc"),
-        ("oracle_counts", [9.5, 9, 17]), ("oracle_counts", [9, 9, 1])])
+        ("oracle_counts", [9.5, 9, 17]), ("oracle_counts", [9, 9, 1]),
+        ("dpp_probe", 8)])
     def test_bad_verify_field_exit_2(self, tmp_path, capsys, field, value):
         # each of these once ran, or passed its check without a sample
         data = dict(SMALL, verify=dict(SMALL["verify"], **{field: value}))
@@ -356,6 +387,20 @@ class TestVerifyCommand:
         assert main(["verify", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 2
         assert f"verify.{field}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_violated_bound_warns_once(self, tmp_path):
+        # the baseline, frozen and small-N oracle solves all meet the same
+        # terminal cost beyond c2; the warning's fixed location lets
+        # Python's default filter print it once
+        data = json.loads((SCENARIOS / "coupling-game.json").read_text())
+        data.update(grid=dict(data["grid"], counts=[9, 9, 17]), time_steps=2,
+                    constants={"c2": 0.5})
+        path = write_scenario(tmp_path, data)
+        with warnings.catch_warnings(record=True) as w:
+            warnings.simplefilter("default")
+            # the coarse grid fails two checks, which do not matter here
+            assert main(["verify", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+        assert sum("exceeds c2" in str(x.message) for x in w) == 1
 
     def test_deterministic_outputs(self, tmp_path):
         path = write_scenario(tmp_path, dict(SMALL, time_steps=2))
@@ -477,6 +522,22 @@ class TestAuditCommand:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["audit", str(out)]) == 2
         assert "derived_constants.c1p" in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("valuegrid.json", "slices", 5), ("valuegrid.json", "box", [[-4, -4, -8]]),
+        ("valuegrid.json", "trusted_region", 5), ("manifest.json", "seed", "x"),
+        ("manifest.json", "scenario", [1])])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, name, key, value):
+        # exit 1 means a failed audit, so a malformed input file exits 2
+        out = tmp_path / "solve-out"
+        assert main(["solve", str(write_scenario(tmp_path, dict(SMALL, time_steps=2))),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / name).read_text())
+        doc[key] = value
+        (out / name).write_text(json.dumps(doc))
+        assert main(["audit", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
         assert not (out / "audit.json").exists()
 
     def test_out_option_rejected(self, tmp_path):

@@ -4,11 +4,15 @@
     python3 tools/outputs.py diff A B
 
 ``write`` runs the CLI, importing the package from ``PATH/src`` (default:
-this checkout), on every ``scenarios/*.json`` file and on the three
-benchmark workloads of ``bench/workloads.py`` at scenario seed 0: ``solve``
-at ``--threads 1`` and at ``--threads 2``, ``audit`` on a copy of the
-``--threads 1`` output without its CSV slices (its ``audit.json`` holds the
-Lipschitz audit's witnesses, which no other output does), and ``verify``.  With
+this checkout), on every ``scenarios/*.json`` file, on the three
+benchmark workloads of ``bench/workloads.py`` at scenario seed 0, and on
+``coupling-game-c2``: ``solve`` at ``--threads 1`` and at ``--threads 2``,
+``audit`` on a copy of the ``--threads 1`` output without its CSV slices
+(its ``audit.json`` holds the Lipschitz audit's witnesses, which no other
+output does), and ``verify``.  ``coupling-game-c2`` is
+``coupling-game.json`` at 9x9x17 nodes and 2 steps with a declared ``c2``
+of 0.5, which its terminal cost exceeds, so its ``warnings.txt`` files
+hold a warning and show how many times it is printed.  With
 ``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
 scenario seeds 1 to N-1.  The scenario inputs always come from this
 checkout, so two checkouts written this way ran the same commands.  Each
@@ -68,6 +72,10 @@ def _runs(seeds: int):
     inputs = [(path.stem, path) for path in sorted((REPO / "scenarios").glob("*.json"))]
     wl = _workloads()
     inputs += [(name, wl.scenario(template, 0)) for name, (_, template) in wl.WORKLOADS.items()]
+    bad_c2 = json.loads((REPO / "scenarios" / "coupling-game.json").read_text())
+    bad_c2.update(grid=dict(bad_c2["grid"], counts=[9, 9, 17]), time_steps=2,
+                  constants={"c2": 0.5})
+    inputs.append(("coupling-game-c2", bad_c2))
     for name, scenario in inputs:
         jobs += [(name, scenario, f"solve-t{t}", ["solve", "--threads", str(t)]) for t in (1, 2)]
         jobs.append((name, None, "audit", ["audit"]))
