@@ -15,6 +15,7 @@ import numpy as np
 
 from .heis import (
     ball_points,
+    dilate,
     dist_g,
     gauge,
     group_mul,
@@ -39,13 +40,9 @@ from .game import (
     make_lattice,
 )
 from .hji import covering_error_bound, hamiltonian_identity_check, uniqueness_initial_trace
-from .scenario import SAMPLE_DEFAULTS, Scenario
+from .scenario import Scenario
 
-__all__ = ["CheckResult", "run_verification", "random_control", "sample_counts", "oracle_solve"]
-
-def sample_counts(cfg: dict) -> dict:
-    """The battery's sample counts: ``cfg`` overrides over the defaults."""
-    return {name: int(cfg.get(name, n)) for name, n in SAMPLE_DEFAULTS.items()}
+__all__ = ["CheckResult", "run_verification", "random_control", "oracle_solve"]
 
 
 def oracle_solve(sc: Scenario) -> tuple:
@@ -53,7 +50,7 @@ def oracle_solve(sc: Scenario) -> tuple:
     oracle's solve; the 5e-2 tolerance of its check is calibrated at
     33x33x65, which a coarser scenario can request through
     ``verify.oracle_counts``."""
-    return (tuple(sc.verify.get("oracle_counts", sc.counts)), 3,
+    return (sc.verify["oracle_counts"], 3,
             make_lattice(sc.game.r_y, 1, 8), make_lattice(sc.game.r_z, 1, 8))
 
 
@@ -119,8 +116,7 @@ def check_group_axioms(n: int, rng: np.random.Generator) -> list[CheckResult]:
 
     lam = rng.uniform(0.1, 4.0, n)
     gx = gauge(x)
-    dil = np.stack([lam * x[:, 0], lam * x[:, 1], lam * lam * x[:, 2]], axis=-1)
-    homog = float((np.abs(gauge(dil) - lam * gx) / (1 + lam * gx)).max())
+    homog = float((np.abs(gauge(dilate(lam, x)) - lam * gx) / (1 + lam * gx)).max())
 
     sym = float(np.abs(gauge(x) - gauge(inverse(x))).max())
     rev_tri = float((np.abs(gauge(x) - gauge(y)) - d_plain).max())
@@ -212,25 +208,24 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     """Full battery on a scenario; heavier checks reuse one baseline solve.
 
     ``y_lat``, ``z_lat`` are the scenario's lattices.  Sample sizes come
-    from the scenario's ``verify`` section, with defaults sized for an
-    interactive run.
+    from the scenario's ``verify`` section, which ``parse_scenario`` fills
+    with defaults sized for an interactive run.
     """
     cfg = sc.verify
-    counts = sample_counts(cfg)
     rng = np.random.default_rng(sc.seed)
     results: list[CheckResult] = []
 
-    results += check_group_axioms(counts["group_samples"], rng)
-    results.append(check_flow_exactness(counts["flow_controls"], rng))
-    results.append(check_reach(counts["reach_instances"], rng))
-    results += check_translation(counts["translation_instances"], rng)
-    results.append(check_shifted_start(counts["shift_instances"], rng))
+    results += check_group_axioms(cfg["group_samples"], rng)
+    results.append(check_flow_exactness(cfg["flow_controls"], rng))
+    results.append(check_reach(cfg["reach_instances"], rng))
+    results += check_translation(cfg["translation_instances"], rng)
+    results.append(check_shifted_start(cfg["shift_instances"], rng))
 
     # horizontal convexity of the scenario's datum / terminal cost
     conv = h_convexity_check(
         sc.game.terminal_cost, sc.box,
-        directions=int(cfg.get("convexity_directions", 64)),
-        probes=int(cfg.get("convexity_probes", 33)), rng=rng,
+        directions=cfg["convexity_directions"],
+        probes=cfg["convexity_probes"], rng=rng,
     )
     results.append(CheckResult(
         "h_convexity", "s -> g(x o (s*w, 0)) is midpoint convex",
@@ -260,7 +255,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
                             threads=threads)
     sl = v3.region_index_bounds()
     ax = v3.axes()
-    n_nodes = int(cfg.get("oracle_nodes", 12))
+    n_nodes = cfg["oracle_nodes"]
     # node by node, i, j then l: the draw order fixes which nodes a seed picks
     idx = np.array([[rng.integers(s.start, s.stop) for s in sl] for _ in range(n_nodes)])
     p = np.column_stack([a[i] for a, i in zip(ax, idx.T)])
@@ -277,7 +272,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     value = audited.reversed_time() if sc.kind == "hji" else audited
 
     dpp = dpp_residual(audited, sc.game, y_lat, z_lat,
-                       probes=counts["dpp_probes"], sigma_steps=2,
+                       probes=cfg["dpp_probes"], sigma_steps=2,
                        rng=np.random.default_rng(sc.seed + 1))
     results.append(CheckResult(
         "dpp_residual",
@@ -289,7 +284,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     for rep in lipschitz_audit(
         audited, sc.game.constants,
         rng=np.random.default_rng(sc.seed + 2),
-        n_random_pairs=counts["random_pairs"],
+        n_random_pairs=cfg["random_pairs"],
     ):
         results.append(CheckResult(
             "lipschitz_" + rep.quantity,
@@ -299,7 +294,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
         ))
 
     # lattice min-max gap
-    n_probes = counts["isaacs_probes"]
+    n_probes = cfg["isaacs_probes"]
     pr = np.random.default_rng(sc.seed + 3)
     pts = sc.box.sample(n_probes, pr)
     ts = pr.random(n_probes) * sc.horizon
@@ -323,7 +318,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
     ))
 
     if sc.kind == "hji":
-        n_id = counts["identity_probes"]
+        n_id = cfg["identity_probes"]
         pr = np.random.default_rng(sc.seed + 4)
         pts = sc.box.sample(n_id, pr)
         ts = pr.random(n_id) * sc.horizon

@@ -39,8 +39,8 @@ from .game import (
     lipschitz_audit,
     solve_bytes,
 )
-from .checks import oracle_solve, run_verification, sample_counts
-from .scenario import Scenario, ScenarioError, load_scenario
+from .checks import oracle_solve, run_verification
+from .scenario import SAMPLE_DEFAULTS, Scenario, ScenarioError, load_scenario
 
 __all__ = ["main"]
 
@@ -107,7 +107,7 @@ def _manifest(sc: Scenario, y_lat, z_lat, command: str) -> dict:
             for name, lat in (("y", y_lat), ("z", z_lat))
         },
         "trusted_region": [list(map(float, region.lo)), list(map(float, region.hi))],
-        "sample_counts": sample_counts(sc.verify),
+        "sample_counts": {name: sc.verify[name] for name in SAMPLE_DEFAULTS},
     }
 
 
@@ -207,10 +207,9 @@ def _cmd_converge(args) -> int:
     sc = _load(args)
     levels = args.levels
     if levels < 2:
-        print("converge needs --levels >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("converge needs --levels >= 2")
     outdir = _resolve_outdir(args, sc)
-    max_nodes = int(sc.verify.get("max_nodes", 2_000_000))
+    max_nodes = sc.verify["max_nodes"]
 
     ladders = []
     for i in range(levels):
@@ -218,24 +217,20 @@ def _cmd_converge(args) -> int:
         counts = []
         for c in sc.counts:
             if (c - 1) % scale:
-                print(f"grid counts {sc.counts} do not coarsen by {scale}:"
-                      f" need (count - 1) divisible", file=sys.stderr)
-                return 2
+                raise ScenarioError("grid.counts", f"grid counts {sc.counts} do not coarsen"
+                                    f" by {scale}: need (count - 1) divisible")
             counts.append((c - 1) // scale + 1)
         if sc.n_steps % scale:
-            print(f"time_steps {sc.n_steps} not divisible by {scale}", file=sys.stderr)
-            return 2
+            raise ScenarioError("time_steps", f"time_steps {sc.n_steps} not divisible by {scale}")
         rings_y, base_y = sc.lattice_y
         rings_z, base_z = sc.lattice_z
         if rings_y % scale or rings_z % scale:
-            print(f"lattice rings {rings_y}/{rings_z} not divisible by {scale}",
-                  file=sys.stderr)
-            return 2
+            raise ScenarioError("lattice.rings", f"lattice rings {rings_y}/{rings_z}"
+                                f" not divisible by {scale}")
         n_nodes = counts[0] * counts[1] * counts[2]
         if n_nodes > max_nodes:
-            print(f"level {i} has {n_nodes} nodes, beyond the cap {max_nodes}",
-                  file=sys.stderr)
-            return 2
+            raise ScenarioError("verify.max_nodes", f"level {i} has {n_nodes} nodes,"
+                                f" beyond the cap {max_nodes}")
         ladders.append(dataclasses.replace(
             sc, counts=tuple(counts), n_steps=sc.n_steps // scale,
             lattice_y=(rings_y // scale, base_y), lattice_z=(rings_z // scale, base_z),
@@ -302,28 +297,24 @@ def _cmd_audit(args) -> int:
     indir = Path(args.valuegrid_dir)
     manifest_path = indir / "manifest.json"
     if not manifest_path.exists():
-        print(f"no manifest.json in {indir}; cannot recover audit constants",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"no manifest.json in {indir}; cannot recover audit constants")
     try:
         value = read_value_grid(indir)
     except (OSError, KeyError, ValueError, TypeError, IndexError) as e:
-        print(f"cannot read value grids from {indir}: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read value grids from {indir}: {e}") from None
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest.json in {indir} is not an object")
     seed, scenario = manifest.get("seed", 0), manifest.get("scenario", {})
     if not isinstance(seed, int) or isinstance(seed, bool) or not isinstance(scenario, dict):
-        print(f"manifest.json in {indir} needs an integer seed and a scenario object",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"manifest.json in {indir} needs an integer seed and a scenario object")
     found = {}
     for name in ("r_z", "c1", "c1p", "c2p"):
         try:
             found[name] = float(manifest["derived_constants"][name]["value"])
         except (KeyError, TypeError, ValueError):
-            print(f"manifest.json in {indir} has no number at"
-                  f" derived_constants.{name}.value", file=sys.stderr)
-            return 2
+            raise ValueError(f"manifest.json in {indir} has no number at"
+                             f" derived_constants.{name}.value") from None
     consts = LipschitzConstants(float(value.horizon), **found)
     if scenario.get("kind") == "hji":
         value = value.reversed_time()

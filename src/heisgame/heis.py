@@ -57,11 +57,12 @@ def inverse(x) -> np.ndarray:
     return -_pts(x)
 
 
-def dilate(lam: float, x) -> np.ndarray:
-    """Anisotropic dilation ``(lam*x1, lam*x2, lam^2*x3)``; ``lam`` must be > 0."""
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
+def dilate(lam, x) -> np.ndarray:
+    """Anisotropic dilation ``(lam*x1, lam*x2, lam^2*x3)``; ``lam``, one factor
+    or an array of factors broadcasting over the points, must be > 0."""
+    lam = np.asarray(lam, dtype=float)
+    if not (lam > 0.0).all():
+        raise ValueError(f"dilation factors must be positive, got {lam}")
     x = _pts(x)
     return np.stack(
         [lam * x[..., 0], lam * x[..., 1], lam * lam * x[..., 2]], axis=-1

@@ -97,6 +97,17 @@ def _need(data: dict, key: str, kind, where: str = ""):
     raise AssertionError(kind)
 
 
+def _object(value, where: str, known) -> dict:
+    """``value``, which must be an object whose keys are all in ``known``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(where, "must be an object")
+    for key in value:
+        if key not in known:
+            raise ScenarioError(f"{where}.{key}" if where else key,
+                                f"unknown key; known: {', '.join(known)}")
+    return value
+
+
 # the vertical axis needs extra room for the worst-case drift of the
 # third coordinate, hence the tall default box
 DEFAULT_GRID = {"box": [[-4.0, 4.0], [-4.0, 4.0], [-8.0, 8.0]],
@@ -112,10 +123,7 @@ def _grid_counts(counts, name: str) -> tuple[int, int, int]:
 
 
 def _parse_grid(data: dict) -> tuple[Box, tuple[int, int, int]]:
-    grid = data.get("grid", DEFAULT_GRID)
-    if not isinstance(grid, dict):
-        raise ScenarioError("grid", "must be an object")
-    grid = {**DEFAULT_GRID, **grid}
+    grid = {**DEFAULT_GRID, **_object(data.get("grid", {}), "grid", DEFAULT_GRID)}
     try:
         raw = np.asarray(grid["box"], dtype=float)
         if raw.shape != (3, 2):
@@ -128,8 +136,7 @@ def _parse_grid(data: dict) -> tuple[Box, tuple[int, int, int]]:
     return box, _grid_counts(grid["counts"], "grid.counts")
 
 
-# sample counts of the verify battery, each overridable in the scenario's
-# ``verify`` section; the manifest records the values in effect
+# sample counts of the verify battery; the manifest records the values in effect
 SAMPLE_DEFAULTS = {
     "group_samples": 10_000,
     "flow_controls": 200,
@@ -142,35 +149,29 @@ SAMPLE_DEFAULTS = {
     "random_pairs": 20_000,
 }
 
-# the least value of each integer of the ``verify`` section; a sample count
-# below it would let its check pass without testing anything
-_VERIFY_MINIMUMS = {**dict.fromkeys([*SAMPLE_DEFAULTS, "oracle_nodes", "max_nodes",
-                                     "convexity_directions"], 1), "convexity_probes": 3}
+# (default, least) of each integer of the ``verify`` section; a sample count
+# below its least value would let its check pass without testing anything
+_VERIFY_SETTINGS = {**{name: (n, 1) for name, n in SAMPLE_DEFAULTS.items()},
+                    "convexity_directions": (64, 1), "convexity_probes": (33, 3),
+                    "oracle_nodes": (12, 1), "max_nodes": (2_000_000, 1)}
 
 
-def _parse_verify(data: dict) -> dict:
-    cfg = data.get("verify", {})
-    if not isinstance(cfg, dict):
-        raise ScenarioError("verify", "must be an object")
-    known = [*_VERIFY_MINIMUMS, "oracle_counts"]
-    for key in cfg:
-        if key not in known:
-            raise ScenarioError(f"verify.{key}", f"unknown key; known: {', '.join(known)}")
-    for key, least in _VERIFY_MINIMUMS.items():
-        value = cfg.get(key, least)
+def _parse_verify(data: dict, counts: tuple[int, int, int]) -> dict:
+    """The ``verify`` section, every setting filled in (``oracle_counts``: ``counts``)."""
+    cfg = _object(data.get("verify", {}), "verify", [*_VERIFY_SETTINGS, "oracle_counts"])
+    filled = {}
+    for key, (default, least) in _VERIFY_SETTINGS.items():
+        filled[key] = value = cfg.get(key, default)
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
             raise ScenarioError(f"verify.{key}", f"must be an integer >= {least}, got {value!r}")
-    if "oracle_counts" in cfg:
-        _grid_counts(cfg["oracle_counts"], "verify.oracle_counts")
-    return cfg
+    filled["oracle_counts"] = _grid_counts(cfg.get("oracle_counts", counts),
+                                           "verify.oracle_counts")
+    return filled
 
 
 def _parse_lattice(data: dict) -> tuple[tuple[int, int], tuple[int, int]]:
-    lat = data.get("lattice", {"rings": 4, "base_angles": 8})
-    if not isinstance(lat, dict):
-        raise ScenarioError("lattice", "must be an object")
-
     def one(cfg: dict, where: str) -> tuple[int, int]:
+        cfg = _object(cfg, where, ("rings", "base_angles"))
         rings = cfg.get("rings", 4)
         base = cfg.get("base_angles", 8)
         if not isinstance(rings, int) or isinstance(rings, bool) or rings < 1:
@@ -179,14 +180,16 @@ def _parse_lattice(data: dict) -> tuple[tuple[int, int], tuple[int, int]]:
             raise ScenarioError(f"{where}.base_angles", "must be an integer >= 4")
         return rings, base
 
-    if "y" in lat or "z" in lat:
+    lat = data.get("lattice", {})
+    if isinstance(lat, dict) and ("y" in lat or "z" in lat):
+        _object(lat, "lattice", ("y", "z"))
         return one(lat.get("y", {}), "lattice.y"), one(lat.get("z", {}), "lattice.z")
     cfg = one(lat, "lattice")
     return cfg, cfg
 
 
 def _named_fn(data: dict, key: str) -> tuple[str, dict]:
-    entry = _need(data, key, dict)
+    entry = _object(_need(data, key, dict), key, ("name", "params"))
     name = _need(entry, "name", str, key)
     params = entry.get("params", {})
     if not isinstance(params, dict):
@@ -195,6 +198,9 @@ def _named_fn(data: dict, key: str) -> tuple[str, dict]:
 
 
 def parse_scenario(data: dict) -> Scenario:
+    """The scenario of a parsed JSON document; an invalid value or an unknown
+    key raises :class:`ScenarioError` naming its field.  ``Scenario.verify``
+    holds every setting of the ``verify`` section, defaults filled in."""
     if not isinstance(data, dict):
         raise ScenarioError("<root>", "scenario must be a JSON object")
     schema = data.get("schema")
@@ -203,6 +209,9 @@ def parse_scenario(data: dict) -> Scenario:
     kind = _need(data, "kind", str)
     if kind not in ("game", "hji"):
         raise ScenarioError("kind", f"must be 'game' or 'hji', got {kind!r}")
+    own = {"hji": ("hamiltonian", "initial"), "game": ("radii", "running_cost", "terminal")}
+    _object(data, "", ("schema", "kind", "horizon", "grid", "time_steps", "lattice", "seed",
+                       "outputs", "constants", "verify", *own[kind]))
     horizon = _need(data, "horizon", float)
     if horizon <= 0:
         raise ScenarioError("horizon", f"the horizon T must be positive, got {horizon}")
@@ -217,16 +226,10 @@ def parse_scenario(data: dict) -> Scenario:
     outputs = data.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
         raise ScenarioError("outputs", "must be a string path")
-    overrides = data.get("constants", {})
-    if not isinstance(overrides, dict):
-        raise ScenarioError("constants", "must be an object")
     # the constants each kind reads; any other name would be ignored
     accepted = {"hji": ("k", "d1", "d1p", "c2", "c2p"), "game": ("c1", "c1p", "c2", "c2p")}[kind]
-    for name in overrides:
-        if name not in accepted:
-            raise ScenarioError(f"constants.{name}", f"a {kind} scenario accepts only "
-                                                     f"{', '.join(accepted)}")
-    verify_cfg = _parse_verify(data)
+    overrides = _object(data.get("constants", {}), "constants", accepted)
+    verify_cfg = _parse_verify(data, counts)
 
     def override(name, value):
         if name not in overrides:
@@ -260,7 +263,7 @@ def parse_scenario(data: dict) -> Scenario:
         game = build_game(problem)
         h_convex = init.h_convex
     else:
-        radii = _need(data, "radii", dict)
+        radii = _object(_need(data, "radii", dict), "radii", ("r_y", "r_z"))
         r_y = _need(radii, "r_y", float, "radii")
         r_z = _need(radii, "r_z", float, "radii")
         if r_y < 0 or r_z < 0:

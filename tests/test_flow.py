@@ -5,7 +5,6 @@ from _util import batch_controls, batch_trajectory, flow_checks_reference, integ
 
 from heisgame.heis import IDENTITY, dist_g, group_mul
 from heisgame.checks import (
-    SAMPLE_DEFAULTS,
     check_flow_exactness,
     check_group_axioms,
     check_reach,
@@ -13,6 +12,7 @@ from heisgame.checks import (
     check_translation,
     random_control,
 )
+from heisgame.scenario import SAMPLE_DEFAULTS
 from heisgame.flow import (
     PiecewiseConstantControl,
     check_reach_bound,

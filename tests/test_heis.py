@@ -51,6 +51,12 @@ def test_dilate():
         dilate(0.0, x)
     with pytest.raises(ValueError):
         dilate(-1.0, x)
+    # an array of factors, one per point, matches one call per point bit for bit
+    rng = np.random.default_rng(0)
+    lam, pts = rng.uniform(0.1, 4.0, 100), rng.uniform(-5, 5, (100, 3))
+    assert np.array_equal(dilate(lam, pts), [dilate(a, p) for a, p in zip(lam, pts)])
+    with pytest.raises(ValueError):
+        dilate(np.where(np.arange(100) == 7, 0.0, lam), pts)
 
 
 def test_gauge_values():

@@ -111,6 +111,30 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=field):
             parse_scenario(dict(SMALL, lattice=lattice))
 
+    @pytest.mark.parametrize("change,field", [
+        ({"lattice": {"ring": 1, "base_angles": 8}}, "lattice.ring"),
+        ({"grid": {"box": SMALL["grid"]["box"], "count": [5, 5, 5]}}, "grid.count"),
+        ({"sed": 3}, "sed"),
+        ({"hamiltonian": {"name": "norm"}}, "hamiltonian")])
+    def test_unknown_key_rejected(self, change, field):
+        data = dict(SMALL if "hamiltonian" not in change else
+                    json.loads((SCENARIOS / "coupling-game.json").read_text()), **change)
+        with pytest.raises(ScenarioError, match=f"'{field}': unknown key; known: "):
+            parse_scenario(data)
+
+    def test_verify_settings_filled_in(self):
+        # the defaults the README documents, under SMALL's overrides
+        defaults = {"group_samples": 10_000, "flow_controls": 200, "reach_instances": 2000,
+                    "translation_instances": 2000, "shift_instances": 300,
+                    "dpp_probes": 48, "identity_probes": 1000, "isaacs_probes": 200,
+                    "random_pairs": 20_000, "convexity_directions": 64,
+                    "convexity_probes": 33, "oracle_nodes": 12, "max_nodes": 2_000_000}
+        assert parse_scenario(SMALL).verify == {**defaults, **SMALL["verify"],
+                                                "oracle_counts": (33, 33, 65)}
+        data = dict(SMALL)
+        data.pop("verify")
+        assert parse_scenario(data).verify == {**defaults, "oracle_counts": (17, 17, 33)}
+
     def test_benchmark_scenarios_parse(self):
         spec = importlib.util.spec_from_file_location("workloads",
                                                       REPO / "bench" / "workloads.py")
@@ -469,17 +493,6 @@ class TestConvergeCommand:
         for row in rows[1:3]:
             assert float(row.split(",")[diff_col]) <= 1e-10
 
-    def test_single_level_rejected(self, tmp_path):
-        rc = main(["converge", str(SCENARIOS / "constant-hamiltonian.json"),
-                   "--levels", "1", "--out", str(tmp_path)])
-        assert rc == 2
-
-    def test_indivisible_steps_rejected(self, tmp_path):
-        data = dict(SMALL, time_steps=2)
-        path = write_scenario(tmp_path, data)
-        assert main(["converge", str(path), "--levels", "3",
-                     "--out", str(tmp_path / "c")]) == 2
-
     def test_memory_guard_covers_the_ladder(self, tmp_path, monkeypatch, capsys):
         # a machine that holds the finest level's solve, but not every level at once
         path = write_scenario(tmp_path, SMALL)
@@ -492,12 +505,20 @@ class TestConvergeCommand:
         assert solves == []
         assert "physical memory" in capsys.readouterr().err
 
-    def test_node_cap_guard(self, tmp_path):
-        data = dict(SMALL)
-        data["verify"] = dict(SMALL["verify"], max_nodes=100)
-        path = write_scenario(tmp_path, data)
-        assert main(["converge", str(path), "--levels", "2",
-                     "--out", str(tmp_path / "c")]) == 2
+    @pytest.mark.parametrize("field,change,levels", [
+        ("--levels", {}, "1"),
+        ("grid.counts", {"grid": {"box": SMALL["grid"]["box"], "counts": [18, 17, 33]}}, "2"),
+        ("time_steps", {"time_steps": 3}, "2"),
+        ("lattice.rings", {"lattice": {"rings": 1, "base_angles": 8}}, "2"),
+        ("verify.max_nodes", {"verify": dict(SMALL["verify"], max_nodes=100)}, "2")],
+        ids=["levels", "grid.counts", "time_steps", "lattice.rings", "verify.max_nodes"])
+    def test_ladder_refusal_exit_2(self, tmp_path, capsys, field, change, levels):
+        out = tmp_path / "c"
+        path = write_scenario(tmp_path, dict(SMALL, **change))
+        assert main(["converge", str(path), "--levels", levels, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+        assert not out.exists()
 
 
 class TestAuditCommand:
@@ -527,14 +548,18 @@ class TestAuditCommand:
     @pytest.mark.parametrize("name,key,value", [
         ("valuegrid.json", "slices", 5), ("valuegrid.json", "box", [[-4, -4, -8]]),
         ("valuegrid.json", "trusted_region", 5), ("manifest.json", "seed", "x"),
-        ("manifest.json", "scenario", [1])])
+        ("manifest.json", "scenario", [1]), ("manifest.json", None, [1])])
     def test_malformed_input_exit_2(self, tmp_path, capsys, name, key, value):
-        # exit 1 means a failed audit, so a malformed input file exits 2
+        # exit 1 means a failed audit, so a malformed input file exits 2;
+        # a key of None replaces the whole document
         out = tmp_path / "solve-out"
         assert main(["solve", str(write_scenario(tmp_path, dict(SMALL, time_steps=2))),
                      "--out", str(out)]) == 0
         doc = json.loads((out / name).read_text())
-        doc[key] = value
+        if key is None:
+            doc = value
+        else:
+            doc[key] = value
         (out / name).write_text(json.dumps(doc))
         assert main(["audit", str(out)]) == 2
         assert str(out) in capsys.readouterr().err

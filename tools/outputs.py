@@ -12,7 +12,12 @@ benchmark workloads of ``bench/workloads.py`` at scenario seed 0, and on
 output does), and ``verify``.  ``coupling-game-c2`` is
 ``coupling-game.json`` at 9x9x17 nodes and 2 steps with a declared ``c2``
 of 0.5, which its terminal cost exceeds, so its ``warnings.txt`` files
-hold a warning and show how many times it is printed.  With
+hold a warning and show how many times it is printed.  Two runs feed bad
+input, so that ``diff`` compares their ``exit_code``: ``coupling-game``'s
+``solve-lattice-ring`` solves ``coupling-game.json`` with ``"lattice":
+{"ring": 1, "base_angles": 8}`` (an unknown key), and
+``coupling-game-c2``'s ``audit-manifest-list`` audits a copy of its
+``solve-t1`` output whose ``manifest.json`` is ``[1]``.  With
 ``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
 scenario seeds 1 to N-1.  The scenario inputs always come from this
 checkout, so two checkouts written this way ran the same commands.  Each
@@ -67,7 +72,8 @@ def _workloads():
 
 def _runs(seeds: int):
     """``(name, scenario path or JSON dict, run, argv tail)`` of each command;
-    the audit's scenario is ``None``, since it reads the ``solve-t1`` output."""
+    an audit reads a copy of the ``solve-t1`` output, and its second field is
+    ``None`` or a JSON value written over that copy's ``manifest.json``."""
     jobs = []
     inputs = [(path.stem, path) for path in sorted((REPO / "scenarios").glob("*.json"))]
     wl = _workloads()
@@ -83,6 +89,10 @@ def _runs(seeds: int):
     _, template = wl.WORKLOADS["hji-verify"]
     jobs += [("hji-verify", wl.scenario(template, s), f"verify-seed{s:02d}", ["verify"])
              for s in range(1, seeds)]
+    ring = json.loads((REPO / "scenarios" / "coupling-game.json").read_text())
+    ring["lattice"] = {"ring": 1, "base_angles": 8}
+    jobs += [("coupling-game", ring, "solve-lattice-ring", ["solve"]),
+             ("coupling-game-c2", [1], "audit-manifest-list", ["audit"])]
     return jobs
 
 
@@ -93,9 +103,11 @@ def write(outdir: Path, checkout: Path, seeds: int) -> int:
     for name, scenario, run, (command, *flags) in _runs(seeds):
         target = outdir / name / run
         target.mkdir(parents=True, exist_ok=True)
-        if scenario is None:
+        if command == "audit":
             shutil.copytree(outdir / name / "solve-t1", target, dirs_exist_ok=True,
                             ignore=shutil.ignore_patterns("*.csv"))
+            if scenario is not None:
+                (target / "manifest.json").write_text(json.dumps(scenario))
             argv = [command, str(target)]
         else:
             path = scenario
