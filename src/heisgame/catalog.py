@@ -16,11 +16,14 @@ Each entry also declares the group reflections it commutes with
 ``(x1, x2, x3)`` to ``(x1, -x2, -x3)`` and ``y, z`` to ``(y1, -y2)``;
 ``"x1"`` maps them to ``(-x1, x2, -x3)`` and ``(-y1, y2)``.  The set is
 derived from the parameters by exact zero tests, so a parameter that
-breaks a reflection drops it.
+breaks a reflection drops it.  Every parameter is a finite real, or a
+list of them; any other value raises :class:`ParamError` naming it.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +41,8 @@ __all__ = [
     "TERMINAL_NAMES",
     "HAMILTONIAN_NAMES",
     "RUNNING_COST_NAMES",
+    "ParamError",
+    "finite_reals",
 ]
 
 TERMINAL_NAMES = ("gauge", "euclidean-norm-squared-truncated", "affine", "constant")
@@ -46,6 +51,44 @@ RUNNING_COST_NAMES = ("coupling", "constant", "custom-affine")
 
 
 _BOTH = frozenset({"x1", "x2"})
+
+
+class ParamError(ValueError):
+    """A catalog parameter that is not finite reals; ``name`` is its key."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
+
+
+def finite_reals(value, shape=()):
+    """``value`` as a float (``shape == ()``) or a float array of ``shape``, or
+    ``None`` unless it is finite reals, nested as ``shape``; a bool, a string
+    or a null is not a real."""
+    items = np.asarray(value, dtype=object)
+    # abs(v) <= max refuses nan, the infinities and ints beyond the floats
+    if items.shape != shape or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                       and abs(v) <= sys.float_info.max for v in items.flat):
+        return None
+    return items.astype(float) if shape else float(value)
+
+
+def _params(name: str, params: dict | None, **defaults) -> list:
+    """The value in ``params`` (else the default) of each key of ``defaults``:
+    a finite real, or as many as a tuple default holds.  An unknown key
+    raises KeyError, a value that is not finite reals :class:`ParamError`."""
+    params = params or {}
+    extra = sorted(params.keys() - defaults.keys())
+    if extra:
+        raise KeyError(f"unknown parameters for {name!r}: {extra}")
+    values = []
+    for key, default in defaults.items():
+        shape = (len(default),) if isinstance(default, tuple) else ()
+        values.append(finite_reals(params.get(key, default), shape))
+        if values[-1] is None:
+            what = f"{shape[0]} finite numbers" if shape else "a finite number"
+            raise ParamError(key, f"must be {what}, got {params[key]!r}")
+    return values
 
 
 def _reflections(x1: bool, x2: bool) -> frozenset:
@@ -113,14 +156,13 @@ def _estimated_dg_lipschitz(fn: Callable, box: Box, n: int = 8192) -> float:
 
 
 def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
-    params = dict(params or {})
     if name == "gauge":
+        _params(name, params)
         c2 = float(gauge(box.corners()).max())
         return TerminalCost(name, gauge, c2, 1.0, True, _BOTH)
     if name == "euclidean-norm-squared-truncated":
         corners_sq = float((box.corners() ** 2).sum(-1).max())
-        cap = float(params.pop("cap", corners_sq))
-        _no_extra(name, params)
+        [cap] = _params(name, params, cap=corners_sq)
 
         def fn(x, cap=cap):
             x = np.asarray(x, dtype=float)
@@ -128,9 +170,7 @@ def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
 
         return TerminalCost(name, fn, cap, _estimated_dg_lipschitz(fn, box), False, _BOTH)
     if name == "affine":
-        a = np.asarray(params.pop("a", (1.0, 0.0, 0.0)), dtype=float).reshape(3)
-        b = float(params.pop("b", 0.0))
-        _no_extra(name, params)
+        a, b = _params(name, params, a=(1.0, 0.0, 0.0), b=0.0)
 
         def fn(x, a=a, b=b):
             return np.asarray(x, dtype=float) @ a + b
@@ -143,8 +183,7 @@ def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
         return TerminalCost(name, fn, c2, c2p, True,
                             _reflections(a[0] == a[2] == 0.0, a[1] == a[2] == 0.0))
     if name == "constant":
-        value = float(params.pop("value", 0.0))
-        _no_extra(name, params)
+        [value] = _params(name, params, value=0.0)
 
         def fn(x, value=value):
             x = np.asarray(x, dtype=float)
@@ -155,24 +194,22 @@ def make_terminal(name: str, params: dict | None, box: Box) -> TerminalCost:
 
 
 def make_hamiltonian(name: str, params: dict | None) -> HamiltonianModel:
-    params = dict(params or {})
     if name == "norm":
-        _no_extra(name, params)
+        _params(name, params)
 
         def fn(t, x, y):
             return np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
 
         return HamiltonianModel(name, fn, 1.0, 0.0, lambda ry: ry, _BOTH)
     if name == "component":
-        _no_extra(name, params)
+        _params(name, params)
 
         def fn(t, x, y):
             return np.asarray(y, dtype=float)[..., 0]
 
         return HamiltonianModel(name, fn, 1.0, 0.0, lambda ry: ry, frozenset({"x2"}))
     if name == "constant":
-        value = float(params.pop("value", 0.0))
-        _no_extra(name, params)
+        [value] = _params(name, params, value=0.0)
 
         def fn(t, x, y, value=value):
             y = np.asarray(y, dtype=float)
@@ -180,9 +217,7 @@ def make_hamiltonian(name: str, params: dict | None) -> HamiltonianModel:
 
         return HamiltonianModel(name, fn, 0.0, 0.0, lambda ry: abs(value), _BOTH)
     if name == "shifted-norm":
-        shift = np.asarray(params.pop("shift", (0.0, 0.0)), dtype=float).reshape(2)
-        offset = float(params.pop("offset", 0.0))
-        _no_extra(name, params)
+        shift, offset = _params(name, params, shift=(0.0, 0.0), offset=0.0)
 
         def fn(t, x, y, shift=shift, offset=offset):
             return np.linalg.norm(np.asarray(y, dtype=float) - shift, axis=-1) + offset
@@ -194,9 +229,8 @@ def make_hamiltonian(name: str, params: dict | None) -> HamiltonianModel:
 
 
 def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
-    params = dict(params or {})
     if name == "coupling":
-        _no_extra(name, params)
+        _params(name, params)
 
         def base(t, x, y):
             return -np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
@@ -210,8 +244,7 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
         return RunningCostModel(name, fn, lambda ry, rz: ry * rz + ry, 0.0, base,
                                 reflections=_BOTH)
     if name == "constant":
-        value = float(params.pop("value", 0.0))
-        _no_extra(name, params)
+        [value] = _params(name, params, value=0.0)
 
         def fn(t, x, y, z, value=value):
             return value
@@ -224,10 +257,7 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
 
         return RunningCostModel(name, fn, lambda ry, rz: abs(value), 0.0, base, pair, _BOTH)
     if name == "custom-affine":
-        a0 = float(params.pop("a0", 0.0))
-        ay = np.asarray(params.pop("ay", (0.0, 0.0)), dtype=float).reshape(2)
-        az = np.asarray(params.pop("az", (0.0, 0.0)), dtype=float).reshape(2)
-        _no_extra(name, params)
+        a0, ay, az = _params(name, params, a0=0.0, ay=(0.0, 0.0), az=(0.0, 0.0))
 
         def fn(t, x, y, z, a0=a0, ay=ay, az=az):
             return a0 + float(ay @ np.asarray(y, dtype=float)) \
@@ -248,8 +278,3 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
         return RunningCostModel(name, fn, c1, 0.0, base, pair, _reflections(
             ay[0] == az[0] == 0.0, ay[1] == az[1] == 0.0))
     raise KeyError(f"unknown running cost {name!r}; choose from {RUNNING_COST_NAMES}")
-
-
-def _no_extra(name: str, params: dict):
-    if params:
-        raise KeyError(f"unknown parameters for {name!r}: {sorted(params)}")

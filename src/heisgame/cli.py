@@ -63,33 +63,6 @@ def _load(args) -> Scenario:
     return sc
 
 
-def _formula_constants(sc: Scenario) -> dict:
-    g = sc.game
-    if sc.kind == "hji":
-        radius_src = {
-            "r_y": "R_Y = (1 + 3*K) * exp(T*K/2) * (D1p*T + C2p)",
-            "r_z": "R_Z = K",
-            "c1": "C1 = D1 + R_Z*R_Y",
-            "c1p": "C1p = D1p",
-        }
-    else:
-        radius_src = {
-            "r_y": "R_Y (scenario input)",
-            "r_z": "R_Z (scenario input)",
-            "c1": "C1 (running-cost bound)",
-            "c1p": "C1p (running-cost gauge-Lipschitz constant)",
-        }
-    return {
-        "r_y": {"value": g.r_y, "formula": radius_src["r_y"]},
-        "r_z": {"value": g.r_z, "formula": radius_src["r_z"]},
-        "c1": {"value": g.c1, "formula": radius_src["c1"]},
-        "c1p": {"value": g.c1p, "formula": radius_src["c1p"]},
-        "c2": {"value": g.c2, "formula": "C2 (terminal/datum bound)"},
-        "c2p": {"value": g.c2p, "formula": "C2p (terminal/datum gauge-Lipschitz constant)"},
-        **g.constants.table(),
-    }
-
-
 def _manifest(sc: Scenario, y_lat, z_lat, command: str) -> dict:
     region = certify_region(sc.box, sc.game.r_z, sc.horizon)
     return {
@@ -97,7 +70,7 @@ def _manifest(sc: Scenario, y_lat, z_lat, command: str) -> dict:
         "command": command,
         "scenario": sc.raw,
         "seed": sc.seed,
-        "derived_constants": _formula_constants(sc),
+        "derived_constants": sc.game.constants.table(sc.game.r_y, sc.game.c2, sc.kind == "hji"),
         "covering": {
             name: {
                 "radius": lat.radius,
@@ -302,12 +275,15 @@ def _cmd_audit(args) -> int:
         value = read_value_grid(indir)
     except (OSError, KeyError, ValueError, TypeError, IndexError) as e:
         raise ValueError(f"cannot read value grids from {indir}: {e}") from None
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as e:
+        raise ValueError(f"manifest.json in {indir} is not JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest.json in {indir} is not an object")
     seed, scenario = manifest.get("seed", 0), manifest.get("scenario", {})
-    if not isinstance(seed, int) or isinstance(seed, bool) or not isinstance(scenario, dict):
-        raise ValueError(f"manifest.json in {indir} needs an integer seed and a scenario object")
+    if type(seed) is not int or seed < 0 or not isinstance(scenario, dict):
+        raise ValueError(f"manifest.json in {indir} needs a seed >= 0 and a scenario object")
     found = {}
     for name in ("r_z", "c1", "c1p", "c2p"):
         try:
@@ -329,7 +305,7 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
-def _thread_count(text: str) -> int:
+def _non_negative(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
@@ -343,9 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=_non_negative, default=None,
                         help="override the scenario seed")
-        sp.add_argument("--threads", type=_thread_count, default=0,
+        sp.add_argument("--threads", type=_non_negative, default=0,
                         help="solver worker threads (0 = auto)")
 
     sp = sub.add_parser("solve", help="solve a scenario and write artifacts")

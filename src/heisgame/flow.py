@@ -286,7 +286,15 @@ def check_reach_bound(xis, controls, r_z, samples_per_segment: int = 64) -> Reac
     return ReachReport(worst <= 1 + 1e-9, worst, witness, d_max)
 
 
+# the formula of each constant a manifest records; an input that an ``hji``
+# scenario derives has two texts, (as a game input, as hji.build_game derives it)
 _FORMULAS = {
+    "r_y": ("R_Y (scenario input)", "R_Y = (1 + 3*K) * exp(T*K/2) * (D1p*T + C2p)"),
+    "r_z": ("R_Z (scenario input)", "R_Z = K"),
+    "c1": ("C1 (running-cost bound)", "C1 = D1 + R_Z*R_Y"),
+    "c1p": ("C1p (running-cost gauge-Lipschitz constant)", "C1p = D1p"),
+    "c2": "C2 (terminal/datum bound)",
+    "c2p": "C2p (terminal/datum gauge-Lipschitz constant)",
     "c_hat": "C_hat = exp(T*R_Z/2)",
     "c_tilde": "C_tilde = (1 + 3*R_Z) * exp(T*R_Z/2)",
     "c_sharp": "C_sharp = (1 + 3*R_Z) * exp(T*R_Z/2) * (C1p*T + C2p)",
@@ -317,13 +325,20 @@ class LipschitzConstants:
         c_hat = float(np.exp(self.horizon * self.r_z / 2.0))
         c_tilde = (1.0 + 3.0 * self.r_z) * c_hat
         c_sharp = c_tilde * (self.c1p * self.horizon + self.c2p)
-        for name, value in zip(_FORMULAS, (c_hat, c_tilde, c_sharp, c_sharp + self.c1)):
+        for name, value in zip(("c_hat", "c_tilde", "c_sharp", "c_prime"),
+                               (c_hat, c_tilde, c_sharp, c_sharp + self.c1)):
             object.__setattr__(self, name, value)
 
-    def table(self) -> dict:
-        """``{name: {"value": ..., "formula": ...}}`` for each derived constant."""
-        return {name: {"value": getattr(self, name), "formula": formula}
-                for name, formula in _FORMULAS.items()}
+    def table(self, r_y: float, c2: float, derived: bool) -> dict:
+        """``{name: {"value": ..., "formula": ...}}`` of the ten constants of a
+        manifest: the game's inputs, with the radius ``r_y`` and the bound
+        ``c2`` that these constants do not hold, and the four derived ones.
+        ``derived`` picks the text of ``r_y``, ``r_z``, ``c1`` and ``c1p`` as
+        an ``hji`` scenario derives them."""
+        values = dict(vars(self), r_y=r_y, c2=c2)
+        return {name: {"value": values[name],
+                       "formula": text if isinstance(text, str) else text[derived]}
+                for name, text in _FORMULAS.items()}
 
 
 @dataclass(frozen=True)

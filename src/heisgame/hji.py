@@ -4,10 +4,9 @@ Solves ``u_t + Ham(t, x, grad_H u) = 0`` with ``u(0, .) = g`` by building
 an auxiliary zero-sum game whose lower value, after the time reversal
 ``U(t, x) = V(T - t, x)``, represents the solution.  The construction
 fixes the control radii from the Lipschitz modulus ``K`` of the
-Hamiltonian in its gradient slot,
-
-    r_z = K,    r_y = (1 + 3K) * exp(T*K/2) * (d1p*T + c2p),
-
+Hamiltonian in its gradient slot: ``r_z = K``, and ``r_y`` is ``c_sharp``
+at ``r_z = K``, ``c1p = d1p`` (the formula texts of ``r_y``, ``r_z``,
+``c1``, ``c1p`` are in the table of :class:`heisgame.flow.LipschitzConstants`),
 and couples the players through the running cost
 ``F(t, x, y, z) = -Ham(T - t, x, y) + z . y``.  On the ``y``-ball the
 discrete lower Hamiltonian then satisfies

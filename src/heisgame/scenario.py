@@ -8,14 +8,13 @@ every randomized check, so reruns are bit-reproducible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .heis import Box
 from .catalog import (
+    ParamError,
+    finite_reals,
     make_hamiltonian,
     make_running_cost,
     make_terminal,
@@ -78,8 +77,7 @@ def _need(data: dict, key: str, kind, where: str = ""):
         raise ScenarioError(name, "missing required field")
     value = data[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(float(value)):
+        if finite_reals(value) is None:
             raise ScenarioError(name, f"must be a finite number, got {value!r}")
         return float(value)
     if kind is int:
@@ -124,9 +122,9 @@ def _grid_counts(counts, name: str) -> tuple[int, int, int]:
 
 def _parse_grid(data: dict) -> tuple[Box, tuple[int, int, int]]:
     grid = {**DEFAULT_GRID, **_object(data.get("grid", {}), "grid", DEFAULT_GRID)}
+    raw = finite_reals(grid["box"], (3, 2))
     try:
-        raw = np.asarray(grid["box"], dtype=float)
-        if raw.shape != (3, 2):
+        if raw is None:
             raise ValueError
         box = Box(raw[:, 0], raw[:, 1])
     except ValueError:
@@ -188,13 +186,20 @@ def _parse_lattice(data: dict) -> tuple[tuple[int, int], tuple[int, int]]:
     return cfg, cfg
 
 
-def _named_fn(data: dict, key: str) -> tuple[str, dict]:
+def _catalog(data: dict, key: str, make, *args):
+    """``make(name, params, *args)`` of the catalog entry at ``key``; an unknown
+    name or parameter, or a parameter that is not finite, raises ScenarioError."""
     entry = _object(_need(data, key, dict), key, ("name", "params"))
     name = _need(entry, "name", str, key)
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"{key}.params", "must be an object")
-    return name, params
+    try:
+        return make(name, params, *args)
+    except ParamError as e:
+        raise ScenarioError(f"{key}.params.{e.name}", str(e)) from None
+    except KeyError as e:
+        raise ScenarioError(key, str(e)) from None
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -221,8 +226,8 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("time_steps", "must be an integer >= 1")
     lat_y, lat_z = _parse_lattice(data)
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError("seed", f"must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ScenarioError("seed", f"must be an integer >= 0, got {seed!r}")
     outputs = data.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
         raise ScenarioError("outputs", "must be a string path")
@@ -232,25 +237,11 @@ def parse_scenario(data: dict) -> Scenario:
     verify_cfg = _parse_verify(data, counts)
 
     def override(name, value):
-        if name not in overrides:
-            return value
-        v = overrides[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                or not math.isfinite(float(v)):
-            raise ScenarioError(f"constants.{name}", f"must be a finite number, got {v!r}")
-        return float(v)
+        return _need(overrides, name, float, "constants") if name in overrides else value
 
     if kind == "hji":
-        ham_name, ham_params = _named_fn(data, "hamiltonian")
-        init_name, init_params = _named_fn(data, "initial")
-        try:
-            ham = make_hamiltonian(ham_name, ham_params)
-        except KeyError as e:
-            raise ScenarioError("hamiltonian", str(e)) from None
-        try:
-            init = make_terminal(init_name, init_params, box)
-        except KeyError as e:
-            raise ScenarioError("initial", str(e)) from None
+        ham = _catalog(data, "hamiltonian", make_hamiltonian)
+        init = _catalog(data, "initial", make_terminal, box)
         lip_y = override("k", ham.lip_y)
         d1p = override("d1p", ham.d1p)
         c2 = override("c2", init.c2)
@@ -268,16 +259,8 @@ def parse_scenario(data: dict) -> Scenario:
         r_z = _need(radii, "r_z", float, "radii")
         if r_y < 0 or r_z < 0:
             raise ScenarioError("radii", "control radii must be nonnegative")
-        cost_name, cost_params = _named_fn(data, "running_cost")
-        term_name, term_params = _named_fn(data, "terminal")
-        try:
-            cost = make_running_cost(cost_name, cost_params)
-        except KeyError as e:
-            raise ScenarioError("running_cost", str(e)) from None
-        try:
-            term = make_terminal(term_name, term_params, box)
-        except KeyError as e:
-            raise ScenarioError("terminal", str(e)) from None
+        cost = _catalog(data, "running_cost", make_running_cost)
+        term = _catalog(data, "terminal", make_terminal, box)
         c1 = override("c1", cost.c1_of_radii(r_y, r_z))
         c1p = override("c1p", cost.c1p)
         c2 = override("c2", term.c2)

@@ -122,6 +122,17 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=f"'{field}': unknown key; known: "):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("change,field", [({"horizon": 10 ** 400}, "horizon"),
+                                              ({"constants": {"k": 10 ** 400}}, "constants.k")])
+    def test_integer_beyond_floats_rejected(self, change, field):
+        with pytest.raises(ScenarioError, match=f"'{field}': must be a finite number"):
+            parse_scenario(dict(SMALL, **change))
+
+    @pytest.mark.parametrize("seed", [-3, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ScenarioError, match="'seed': must be an integer >= 0"):
+            parse_scenario(dict(SMALL, seed=seed))
+
     def test_verify_settings_filled_in(self):
         # the defaults the README documents, under SMALL's overrides
         defaults = {"group_samples": 10_000, "flow_controls": 200, "reach_instances": 2000,
@@ -189,10 +200,44 @@ class TestSolveCommand:
         assert dc["r_y"]["value"] == pytest.approx(6.594885, abs=1e-6)
         assert dc["c_sharp"]["value"] == pytest.approx(6.594885, abs=1e-6)
         assert dc["c_sharp"]["value"] == pytest.approx(dc["r_y"]["value"], rel=1e-12)
-        assert "exp(T*K/2)" in dc["r_y"]["formula"]
         assert manifest["covering"]["y"]["points"] == 9
         assert "trusted_region" in manifest
         assert manifest["sample_counts"]["identity_probes"] == 200
+
+    # every formula text of a manifest, per kind; the inputs an hji scenario
+    # derives have their own texts
+    SHARED_FORMULAS = {
+        "c2": "C2 (terminal/datum bound)",
+        "c2p": "C2p (terminal/datum gauge-Lipschitz constant)",
+        "c_hat": "C_hat = exp(T*R_Z/2)",
+        "c_tilde": "C_tilde = (1 + 3*R_Z) * exp(T*R_Z/2)",
+        "c_sharp": "C_sharp = (1 + 3*R_Z) * exp(T*R_Z/2) * (C1p*T + C2p)",
+        "c_prime": "C_prime = C_tilde * (C1p*T + C2p) + C1",
+    }
+    FORMULAS = {
+        "hji": {"r_y": "R_Y = (1 + 3*K) * exp(T*K/2) * (D1p*T + C2p)", "r_z": "R_Z = K",
+                "c1": "C1 = D1 + R_Z*R_Y", "c1p": "C1p = D1p", **SHARED_FORMULAS},
+        "game": {"r_y": "R_Y (scenario input)", "r_z": "R_Z (scenario input)",
+                 "c1": "C1 (running-cost bound)",
+                 "c1p": "C1p (running-cost gauge-Lipschitz constant)", **SHARED_FORMULAS},
+    }
+
+    @pytest.mark.parametrize("kind", ["hji", "game"])
+    def test_manifest_formulas_and_values(self, tmp_path, kind):
+        data = dict(SMALL if kind == "hji" else
+                    json.loads((SCENARIOS / "coupling-game.json").read_text()),
+                    grid={"box": SMALL["grid"]["box"], "counts": [9, 9, 17]}, time_steps=2)
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+        dc = json.loads((out / "manifest.json").read_text())["derived_constants"]
+        assert {name: entry["formula"] for name, entry in dc.items()} == self.FORMULAS[kind]
+        # each value is its GameSpec field or LipschitzConstants attribute, bit for bit
+        game = load_scenario(path).game
+        for name, entry in dc.items():
+            source = game if name in ("r_y", "r_z", "c1", "c1p", "c2", "c2p") \
+                else game.constants
+            assert entry["value"].hex() == float(getattr(source, name)).hex(), name
 
     def test_negative_horizon_exit_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, dict(SMALL, horizon=-2.0))
@@ -210,6 +255,63 @@ class TestSolveCommand:
                   "--out", str(out), "--threads", "-3"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "converge"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(SCENARIOS / "coupling-game.json"),
+                  "--out", str(out), "--seed", "-3"])
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change,field", [
+        ({"initial": {"name": "constant", "params": {"value": None}}}, "initial.params.value"),
+        ({"hamiltonian": {"name": "constant", "params": {"value": None}}},
+         "hamiltonian.params.value"),
+        ({"hamiltonian": {"name": "constant", "params": {"value": "inf"}}},
+         "hamiltonian.params.value"),
+        ({"hamiltonian": {"name": "constant", "params": {"value": float("nan")}}},
+         "hamiltonian.params.value"),
+        ({"hamiltonian": {"name": "constant", "params": {"value": float("inf")}}},
+         "hamiltonian.params.value"),
+        ({"hamiltonian": {"name": "constant", "params": {"value": 10 ** 400}}},
+         "hamiltonian.params.value"),
+        ({"hamiltonian": {"name": "constant", "params": {"value": True}}},
+         "hamiltonian.params.value"),
+        ({"hamiltonian": {"name": "shifted-norm", "params": {"shift": [1, "a"]}}},
+         "hamiltonian.params.shift"),
+        ({"hamiltonian": {"name": "shifted-norm", "params": {"offset": [1]}}},
+         "hamiltonian.params.offset"),
+        ({"initial": {"name": "euclidean-norm-squared-truncated", "params": {"cap": [1]}}},
+         "initial.params.cap"),
+        ({"initial": {"name": "affine", "params": {"a": {"x": 1}}}}, "initial.params.a"),
+        ({"initial": {"name": "affine", "params": {"b": None}}}, "initial.params.b"),
+        ({"grid": {"box": [[{}, 1], [0, 1], [0, 1]]}}, "grid.box"),
+        ({"grid": {"box": [[True, 2], [0, 1], [0, 1]]}}, "grid.box"),
+        # the gauge takes no parameter
+        ({"initial": {"name": "gauge", "params": {"value": 1}}}, "initial"),
+        ({"kind": "game", "radii": {"r_y": 1.0, "r_z": 1.0}, "terminal": {"name": "gauge"},
+          "running_cost": {"name": "custom-affine", "params": {"az": [0.3]}}},
+         "running_cost.params.az"),
+        ({"kind": "game", "radii": {"r_y": 1.0, "r_z": 1.0},
+          "terminal": {"name": "constant", "params": {"value": "1"}},
+          "running_cost": {"name": "constant", "params": {"value": -1e400}}},
+         "running_cost.params.value"),
+        ({"kind": "game", "radii": {"r_y": 1.0, "r_z": 1.0},
+          "terminal": {"name": "gauge"},
+          "running_cost": {"name": "custom-affine", "params": {"a0": None}}},
+         "running_cost.params.a0")])
+    def test_bad_catalog_parameter_exit_2(self, tmp_path, capsys, change, field):
+        data = {**json.loads((SCENARIOS / "constant-hamiltonian.json").read_text()), **change}
+        if data["kind"] == "game":
+            del data["hamiltonian"], data["initial"]
+        out = tmp_path / "o"
+        assert main(["solve", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"'{field}'" in err[0]
         assert not out.exists()
 
     def test_box_too_small_for_reach_exit_2(self, tmp_path):
@@ -548,10 +650,11 @@ class TestAuditCommand:
     @pytest.mark.parametrize("name,key,value", [
         ("valuegrid.json", "slices", 5), ("valuegrid.json", "box", [[-4, -4, -8]]),
         ("valuegrid.json", "trusted_region", 5), ("manifest.json", "seed", "x"),
-        ("manifest.json", "scenario", [1]), ("manifest.json", None, [1])])
+        ("manifest.json", "scenario", [1]), ("manifest.json", None, [1]),
+        ("manifest.json", "seed", -3), ("manifest.json", None, "{not json")])
     def test_malformed_input_exit_2(self, tmp_path, capsys, name, key, value):
         # exit 1 means a failed audit, so a malformed input file exits 2;
-        # a key of None replaces the whole document
+        # a key of None replaces the whole document, a string value its text
         out = tmp_path / "solve-out"
         assert main(["solve", str(write_scenario(tmp_path, dict(SMALL, time_steps=2))),
                      "--out", str(out)]) == 0
@@ -560,9 +663,12 @@ class TestAuditCommand:
             doc = value
         else:
             doc[key] = value
-        (out / name).write_text(json.dumps(doc))
+        (out / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main(["audit", str(out)]) == 2
-        assert str(out) in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        if name == "manifest.json":
+            assert f"manifest.json in {out}" in err[0] and (key is None or key in err[0])
         assert not (out / "audit.json").exists()
 
     def test_out_option_rejected(self, tmp_path):

@@ -12,12 +12,15 @@ benchmark workloads of ``bench/workloads.py`` at scenario seed 0, and on
 output does), and ``verify``.  ``coupling-game-c2`` is
 ``coupling-game.json`` at 9x9x17 nodes and 2 steps with a declared ``c2``
 of 0.5, which its terminal cost exceeds, so its ``warnings.txt`` files
-hold a warning and show how many times it is printed.  Two runs feed bad
+hold a warning and show how many times it is printed.  Four runs feed bad
 input, so that ``diff`` compares their ``exit_code``: ``coupling-game``'s
 ``solve-lattice-ring`` solves ``coupling-game.json`` with ``"lattice":
-{"ring": 1, "base_angles": 8}`` (an unknown key), and
-``coupling-game-c2``'s ``audit-manifest-list`` audits a copy of its
-``solve-t1`` output whose ``manifest.json`` is ``[1]``.  With
+{"ring": 1, "base_angles": 8}`` (an unknown key), ``constant-hamiltonian``'s
+``solve-value-null`` solves ``constant-hamiltonian.json`` with the
+Hamiltonian's ``"params": {"value": null}``, and ``coupling-game-c2``'s
+``audit-manifest-list`` and ``audit-seed-negative`` audit copies of its
+``solve-t1`` output whose ``manifest.json`` is ``[1]`` and has ``"seed":
+-3``.  With
 ``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
 scenario seeds 1 to N-1.  The scenario inputs always come from this
 checkout, so two checkouts written this way ran the same commands.  Each
@@ -73,7 +76,8 @@ def _workloads():
 def _runs(seeds: int):
     """``(name, scenario path or JSON dict, run, argv tail)`` of each command;
     an audit reads a copy of the ``solve-t1`` output, and its second field is
-    ``None`` or a JSON value written over that copy's ``manifest.json``."""
+    ``None`` or a function of that copy's parsed ``manifest.json`` returning
+    the JSON value written over it."""
     jobs = []
     inputs = [(path.stem, path) for path in sorted((REPO / "scenarios").glob("*.json"))]
     wl = _workloads()
@@ -91,8 +95,13 @@ def _runs(seeds: int):
              for s in range(1, seeds)]
     ring = json.loads((REPO / "scenarios" / "coupling-game.json").read_text())
     ring["lattice"] = {"ring": 1, "base_angles": 8}
+    null = json.loads((REPO / "scenarios" / "constant-hamiltonian.json").read_text())
+    null["hamiltonian"] = {"name": "constant", "params": {"value": None}}
     jobs += [("coupling-game", ring, "solve-lattice-ring", ["solve"]),
-             ("coupling-game-c2", [1], "audit-manifest-list", ["audit"])]
+             ("constant-hamiltonian", null, "solve-value-null", ["solve"]),
+             ("coupling-game-c2", lambda m: [1], "audit-manifest-list", ["audit"]),
+             ("coupling-game-c2", lambda m: dict(m, seed=-3), "audit-seed-negative",
+              ["audit"])]
     return jobs
 
 
@@ -107,7 +116,8 @@ def write(outdir: Path, checkout: Path, seeds: int) -> int:
             shutil.copytree(outdir / name / "solve-t1", target, dirs_exist_ok=True,
                             ignore=shutil.ignore_patterns("*.csv"))
             if scenario is not None:
-                (target / "manifest.json").write_text(json.dumps(scenario))
+                manifest = json.loads((target / "manifest.json").read_text())
+                (target / "manifest.json").write_text(json.dumps(scenario(manifest)))
             argv = [command, str(target)]
         else:
             path = scenario
