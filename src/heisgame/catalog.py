@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .game import separable_cost
 from .heis import Box, dist_g, eval_field, gauge
 
 __all__ = [
@@ -235,19 +236,10 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
         def base(t, x, y):
             return -np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
 
-        def fn(t, x, y, z):
-            # |y| in base's reduction form, so base + k rounds as fn does
-            y = np.asarray(y, dtype=float)
-            z = np.asarray(z, dtype=float)
-            return float(z @ y) - np.linalg.norm(y, axis=-1)
-
-        return RunningCostModel(name, fn, lambda ry, rz: ry * rz + ry, 0.0, base,
-                                reflections=_BOTH)
+        return RunningCostModel(name, separable_cost(base), lambda ry, rz: ry * rz + ry, 0.0,
+                                base, reflections=_BOTH)
     if name == "constant":
         [value] = _params(name, params, value=0.0)
-
-        def fn(t, x, y, z, value=value):
-            return value
 
         def base(t, x, y, value=value):
             return value
@@ -255,13 +247,10 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
         def pair(ypts, zpts):
             return np.zeros((len(zpts), len(ypts)))
 
-        return RunningCostModel(name, fn, lambda ry, rz: abs(value), 0.0, base, pair, _BOTH)
+        return RunningCostModel(name, separable_cost(base, pair), lambda ry, rz: abs(value),
+                                0.0, base, pair, _BOTH)
     if name == "custom-affine":
         a0, ay, az = _params(name, params, a0=0.0, ay=(0.0, 0.0), az=(0.0, 0.0))
-
-        def fn(t, x, y, z, a0=a0, ay=ay, az=az):
-            return a0 + float(ay @ np.asarray(y, dtype=float)) \
-                + float(az @ np.asarray(z, dtype=float))
 
         def c1(ry, rz, a0=a0, ay=ay, az=az):
             return abs(a0) + float(np.linalg.norm(ay)) * ry \
@@ -271,10 +260,9 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
             return a0 + float(ay @ np.asarray(y, dtype=float))
 
         def pair(ypts, zpts, az=az):
-            # the same dot as fn, so base + k rounds as fn does
             k = np.array([float(az @ z) for z in zpts])
             return np.broadcast_to(k[:, None], (len(zpts), len(ypts)))
 
-        return RunningCostModel(name, fn, c1, 0.0, base, pair, _reflections(
+        return RunningCostModel(name, separable_cost(base, pair), c1, 0.0, base, pair, _reflections(
             ay[0] == az[0] == 0.0, ay[1] == az[1] == 0.0))
     raise KeyError(f"unknown running cost {name!r}; choose from {RUNNING_COST_NAMES}")

@@ -31,6 +31,7 @@ __all__ = [
     "LipschitzConstants",
     "NonFiniteValueError",
     "make_lattice",
+    "separable_cost",
     "REFLECTIONS",
     "Domain",
     "fundamental_domain",
@@ -424,10 +425,22 @@ def _ring_probe(points: np.ndarray) -> tuple[int, ...]:
     return tuple(int(k) for k in np.flatnonzero(norms >= norms.max() * (1 - 1e-9))[::4])
 
 
+def _pair_values(pair: Callable | None, ypts: np.ndarray, zpts: np.ndarray) -> np.ndarray:
+    """The ``(mz, my)`` table of ``k`` in a separable cost ``base + k`` with
+    table function ``pair`` (``None``: ``k = z . y``)."""
+    return np.asarray(zpts @ ypts.T if pair is None else pair(ypts, zpts), dtype=float)
+
+
 def _pair_table(spec: GameSpec, ypts: np.ndarray, zpts: np.ndarray) -> np.ndarray:
-    """The ``(mz, my)`` table of ``k`` in a separable cost ``base + k``."""
-    pair = zpts @ ypts.T if spec.coupling_pair is None else spec.coupling_pair(ypts, zpts)
-    return np.asarray(pair, dtype=float)
+    """The ``_pair_values`` table of ``spec``'s separable cost."""
+    return _pair_values(spec.coupling_pair, ypts, zpts)
+
+
+def separable_cost(base: Callable, pair: Callable | None = None) -> Callable:
+    """The running cost ``F = base(t, x, y) + k(y, z)``, ``k`` read as the one
+    entry of the ``_pair_values`` table, so ``F`` rounds as the solver's sum."""
+    return lambda t, x, y, z: base(t, x, y) + _pair_values(
+        pair, np.reshape(y, (1, 2)), np.reshape(z, (1, 2)))[0, 0]
 
 
 def _linear_continuation(spec, t, x, lam, y_lattice, z_lattice):

@@ -30,6 +30,7 @@ from .game import (
     LipschitzConstants,
     backward_induction,
     lower_hamiltonian,
+    separable_cost,
 )
 
 __all__ = [
@@ -129,16 +130,11 @@ def build_game(p: HjiProblem) -> GameSpec:
     def base(t, x, y):
         return -np.asarray(ham(horizon - t, x, y), dtype=float)
 
-    def running_cost(t, x, y, z):
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return base(t, x, y) + float(z @ y)
-
     return GameSpec(
         horizon=horizon,
         r_y=r_y,
         r_z=r_z,
-        running_cost=running_cost,
+        running_cost=separable_cost(base),
         terminal_cost=p.initial,
         c1=p.d1 + r_z * r_y,
         c1p=p.d1p,
