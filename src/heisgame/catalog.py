@@ -5,10 +5,11 @@ embedded interpreter; library users can pass arbitrary callables instead.
 Each builder also reports the constants the audits need.  Bounds over a
 box are taken at its corners where the function is componentwise
 monotone; gauge-Lipschitz constants with no closed form are estimated by
-a sampled supremum ratio padded by 25 percent.  A separable running cost,
-``base(t, x, y) + k(y, z)``, also returns ``base`` and the table of ``k``
-(``coupling_pair``, ``None`` for ``z . y``) for the solver's fast path; a
-table free of ``y`` (``constant``, ``custom-affine``) lets each step
+a sampled supremum ratio padded by 25 percent.  Every running cost is
+separable, ``base(t, x, y) + k(y, z)``: each entry defines ``base`` and the
+table of ``k`` (``coupling_pair``, ``None`` for ``z . y``) for the solver's
+fast path, and its ``fn`` is :func:`heisgame.game.separable_cost` of the
+two; a table free of ``y`` (``constant``, ``custom-affine``) lets each step
 reduce its ``min_z`` once for all ``y``.
 
 Each entry also declares the group reflections it commutes with
@@ -263,6 +264,6 @@ def make_running_cost(name: str, params: dict | None) -> RunningCostModel:
             k = np.array([float(az @ z) for z in zpts])
             return np.broadcast_to(k[:, None], (len(zpts), len(ypts)))
 
-        return RunningCostModel(name, separable_cost(base, pair), c1, 0.0, base, pair, _reflections(
-            ay[0] == az[0] == 0.0, ay[1] == az[1] == 0.0))
+        return RunningCostModel(name, separable_cost(base, pair), c1, 0.0, base, pair,
+                                _reflections(ay[0] == az[0] == 0.0, ay[1] == az[1] == 0.0))
     raise KeyError(f"unknown running cost {name!r}; choose from {RUNNING_COST_NAMES}")

@@ -46,12 +46,11 @@ __all__ = ["CheckResult", "run_verification", "random_control", "oracle_solve"]
 
 
 def oracle_solve(sc: Scenario) -> tuple:
-    """Grid counts, time steps and ``y``, ``z`` lattices of the small-N
-    oracle's solve; the 5e-2 tolerance of its check is calibrated at
-    33x33x65, which a coarser scenario can request through
-    ``verify.oracle_counts``."""
-    return (sc.verify["oracle_counts"], 3,
-            make_lattice(sc.game.r_y, 1, 8), make_lattice(sc.game.r_z, 1, 8))
+    """Grid counts, time steps and the ``make_lattice`` arguments of the ``y``
+    and ``z`` lattices of the small-N oracle's solve; the 5e-2 tolerance of
+    its check is calibrated at 33x33x65, which a coarser scenario can
+    request through ``verify.oracle_counts``."""
+    return sc.verify["oracle_counts"], 3, (sc.game.r_y, 1, 8), (sc.game.r_z, 1, 8)
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,8 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
         {"asserted": sc.h_convex, "sampled_pass": bool(conv.passed)},
     ))
 
-    oracle_counts, oracle_steps, y9, z9 = oracle_solve(sc)
+    oracle_counts, oracle_steps, *lattices = oracle_solve(sc)
+    y9, z9 = (make_lattice(*args) for args in lattices)
 
     # oracle equivalence, frozen dynamics (r_z = 0): grid-free recursion is exact
     frozen = dataclasses.replace(sc.game, r_z=0.0)

@@ -36,6 +36,8 @@ from .game import (
     LipschitzConstants,
     NonFiniteValueError,
     fundamental_domain,
+    lattice_bytes,
+    lattice_points,
     lipschitz_audit,
     solve_bytes,
 )
@@ -92,13 +94,21 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(*solves) -> None:
-    """Refuses, before any is allocated, solves whose arrays (``solve_bytes``
-    of each ``(counts, n_steps, z_points, threads)``) exceed physical memory."""
-    need, have = sum(solve_bytes(*s) for s in solves), _physical_memory()
-    if need > have:
-        raise ValueError(f"the solver arrays need about {need / 2**30:.3g} GiB, more than "
-                         f"the {have / 2**30:.3g} GiB of physical memory; use a coarser grid")
+def _require_memory(threads: int, *runs) -> None:
+    """Refuses, before any is built, runs ``(counts, n_steps, y, z)``, with
+    ``y``, ``z`` the ``make_lattice`` arguments, whose largest lattice build
+    (``lattice_bytes``) or whose solves' arrays together (``solve_bytes``)
+    exceed physical memory.  A build frees its buffers before the next build
+    and the solves, so the builds do not add up."""
+    have = _physical_memory()
+    build = max(lattice_bytes(*lat) for run in runs for lat in run[2:])
+    solves = sum(solve_bytes(counts, n_steps, lattice_points(*z), threads)
+                 for counts, n_steps, _, z in runs)
+    for what, need, fix in (("a lattice build needs", build, "fewer lattice rings"),
+                            ("the solver arrays need", solves, "a coarser grid")):
+        if need > have:
+            raise ValueError(f"{what} about {need / 2**30:.3g} GiB, more than the "
+                             f"{have / 2**30:.3g} GiB of physical memory; use {fix}")
 
 
 def _cmd_solve(args) -> int:
@@ -107,9 +117,9 @@ def _cmd_solve(args) -> int:
     # validate the truncation before burning solver time
     certify_region(sc.box, sc.game.r_z, sc.horizon)
     hji = sc.kind == "hji"
+    _require_memory(args.threads, (sc.counts, sc.n_steps, *sc.lattice_args()))
     t0 = time.time()
     y_lat, z_lat = sc.make_lattices()
-    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads))
     value = sc.solve(y_lat, z_lat, args.threads)
     if hji:
         value = value.reversed_time()
@@ -138,10 +148,8 @@ def _cmd_verify(args) -> int:
     sc = _load(args)
     outdir = _resolve_outdir(args, sc)
     certify_region(sc.box, sc.game.r_z, sc.horizon)
+    _require_memory(args.threads, (sc.counts, sc.n_steps, *sc.lattice_args()), oracle_solve(sc))
     y_lat, z_lat = sc.make_lattices()
-    oracle_counts, oracle_steps, _, z9 = oracle_solve(sc)
-    _require_memory((sc.counts, sc.n_steps, len(z_lat.points), args.threads),
-                    (oracle_counts, oracle_steps, len(z9.points), args.threads))
     results = run_verification(sc, y_lat, z_lat, threads=args.threads)
     outdir.mkdir(parents=True, exist_ok=True)
     bundle = {
@@ -211,9 +219,9 @@ def _cmd_converge(args) -> int:
 
     # every level's stacks are kept for the differences, so the whole
     # ladder must fit before level 0 is solved
+    _require_memory(args.threads, *((level.counts, level.n_steps, *level.lattice_args())
+                                    for level in ladders))
     lattices = [level.make_lattices() for level in ladders]
-    _require_memory(*((level.counts, level.n_steps, len(z_lat.points), args.threads)
-                      for level, (_, z_lat) in zip(ladders, lattices)))
 
     # audits and differences run on the game-time stacks: the differences
     # compare the same pairs of slices in either time order

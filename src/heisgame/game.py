@@ -31,6 +31,8 @@ __all__ = [
     "LipschitzConstants",
     "NonFiniteValueError",
     "make_lattice",
+    "lattice_points",
+    "lattice_bytes",
     "separable_cost",
     "REFLECTIONS",
     "Domain",
@@ -71,7 +73,8 @@ class GameSpec:
     ``base(t, x, y) + k(y, z)``, passing ``coupling_base`` and
     ``coupling_pair(ypts, zpts)``, the ``(mz, my)`` table of ``k`` (``None``
     for ``z . y``), lets each step call the cost only as ``base``, once per
-    ``y``, with one ``min_z`` for all ``y`` where the table is free of ``y``.
+    ``y``, with one ``min_z`` for all ``y`` where the table is free of ``y``;
+    :func:`separable_cost` derives ``running_cost`` from the two.
     Every backward step, on the grid or grid-free, and both lattice
     Hamiltonians (the one-step expansions of the recurrences, continuing a
     linear value) are one ``_backup`` over the one max-min kernel
@@ -355,6 +358,20 @@ def make_lattice(radius: float, rings: int = 4, base_angles: int = 8) -> Control
     points = np.asarray(pts)
     bound = _ring_bound(radius, rings, base_angles)
     return ControlLattice(radius, points, _covering_radius(points, radius, bound))
+
+
+def lattice_points(radius: float, rings: int, base_angles: int) -> int:
+    """Number of points of ``make_lattice(radius, rings, base_angles)``."""
+    return 1 if radius == 0.0 else 1 + base_angles * rings * (rings + 1) // 2
+
+
+def lattice_bytes(radius: float, rings: int, base_angles: int) -> int:
+    """About the peak bytes of ``make_lattice(radius, rings, base_angles)``,
+    all freed when it returns.  The exact covering radius pairs each point
+    with the about ``base_angles`` points within ``2*bound`` and forms
+    triples from those pairs, so a point costs ``4096 + 12*base_angles**2``
+    bytes, an upper bound the tests check under tracemalloc."""
+    return lattice_points(radius, rings, base_angles) * (4096 + 12 * base_angles ** 2)
 
 
 def _check_lattices(spec: GameSpec, y_lattice: ControlLattice, z_lattice: ControlLattice):

@@ -122,7 +122,9 @@ def derived_radii(horizon: float, k: float, d1p: float, c2p: float) -> tuple[flo
 
 
 def build_game(p: HjiProblem) -> GameSpec:
-    """Auxiliary zero-sum game whose lower value represents the solution."""
+    """Auxiliary zero-sum game whose lower value represents the solution; its
+    running cost is :func:`separable_cost` of ``base = -Ham(T - t, x, y)``
+    and the default pair ``z . y``."""
     r_y, r_z = derived_radii(p.horizon, p.lip_y, p.d1p, p.c2p)
     horizon = p.horizon
     ham = p.hamiltonian

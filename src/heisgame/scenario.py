@@ -53,10 +53,12 @@ class Scenario:
     verify: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
+    def lattice_args(self):
+        """The ``make_lattice`` arguments of the ``y`` and the ``z`` lattice."""
+        return (self.game.r_y, *self.lattice_y), (self.game.r_z, *self.lattice_z)
+
     def make_lattices(self):
-        y = make_lattice(self.game.r_y, *self.lattice_y)
-        z = make_lattice(self.game.r_z, *self.lattice_z)
-        return y, z
+        return tuple(make_lattice(*args) for args in self.lattice_args())
 
     def solve(self, y_lat, z_lat, threads: int = 0) -> ValueGrid:
         """Game-time lower value on the scenario's grid, the one solve of

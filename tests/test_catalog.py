@@ -117,3 +117,23 @@ def test_scenario_game_declares_the_common_reflections():
         running_cost={"name": "custom-affine", "params": {"ay": [0.0, 1.0]}},
         terminal={"name": "constant"}))
     assert game.game.reflections == ("x1",)
+
+
+# each running cost's README formula, written out here, as a reference
+# independent of the catalog's separable form
+README_FORMULAS = {
+    "coupling": lambda p, t, x, y, z: z @ y - np.hypot(*y),
+    "constant": lambda p, t, x, y, z: p.get("value", 0.0),
+    "custom-affine": lambda p, t, x, y, z: (p.get("a0", 0.0) + np.dot(p.get("ay", [0, 0]), y)
+                                            + np.dot(p.get("az", [0, 0]), z)),
+}
+
+
+@pytest.mark.parametrize("name,params", RUNNING_COSTS)
+def test_running_cost_matches_readme_formula(name, params):
+    cost = make_running_cost(name, params)
+    t, x, y, z = samples(3)
+    for i in range(0, N_SAMPLES, 10):
+        want = README_FORMULAS[name](params or {}, t[i], x[i:i + 3], y[i], z[i])
+        got = np.asarray(cost.fn(t[i], x[i:i + 3], y[i], z[i]), dtype=float)
+        assert np.abs(got - want).max() <= 1e-12 * (1 + abs(want)), (name, i)

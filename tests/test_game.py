@@ -130,6 +130,26 @@ class TestMakeLattice:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("radius, rings, base_angles", [
+        (0.0, 4, 8), (0.5, 3, 5), (1.0, 1, 4), (2.0, 16, 8), (2.0, 7, 16)])
+    def test_lattice_points_counts_the_lattice(self, radius, rings, base_angles):
+        assert game.lattice_points(radius, rings, base_angles) \
+            == len(make_lattice(radius, rings, base_angles).points)
+
+    @pytest.mark.parametrize("rings", [1, 4, 12])
+    @pytest.mark.parametrize("base_angles", [4, 16, 32])
+    def test_lattice_bytes_bounds_the_build(self, rings, base_angles):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            make_lattice(2.0, rings, base_angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an upper bound, and within 3x of the peak, so the guard stays useful
+        assert peak <= game.lattice_bytes(2.0, rings, base_angles) <= 3 * peak
+
     def test_ordering_center_then_rings(self):
         lat = make_lattice(1.0, rings=2, base_angles=4)
         assert np.array_equal(lat.points[0], (0, 0))
@@ -562,21 +582,24 @@ class TestBackwardInduction:
         mid = tuple((c - 1) // 2 for c in SMALL_COUNTS)
         assert v.trusted[0][mid]
 
+    @pytest.mark.parametrize("n_steps", [1, 3])
     @pytest.mark.parametrize("threads", [0, 2])
     @pytest.mark.parametrize("which", ["lower", "upper"])
-    def test_trusted_mask_matches_stepped_containment(self, which, threads):
+    def test_trusted_mask_matches_stepped_containment(self, which, threads, n_steps):
         spec = coupling_spec(r_y=1.0)
         nodes = grid_nodes(SMALL_BOX, (33, 33, 17))
         # more nodes than one threaded block, so threads=2 runs two blocks
         assert len(_node_blocks(len(nodes), 2, 33 * 17)) == 2
-        v = backward_induction(spec, SMALL_BOX, (33, 33, 17), 1, self.Y, self.Z, which=which,
-                               threads=threads)
+        v = backward_induction(spec, SMALL_BOX, (33, 33, 17), n_steps, self.Y, self.Z,
+                               which=which, threads=threads)
         inside = np.ones(len(nodes), dtype=bool)
         for z in self.Z.points:
-            inside &= SMALL_BOX.contains(exact_step(nodes, -z, spec.horizon))
+            inside &= SMALL_BOX.contains(exact_step(nodes, -z, spec.horizon / n_steps))
         assert inside.any() and not inside.all()
-        assert np.array_equal(v.trusted[0].reshape(-1), inside)
-        assert v.trusted[1].all()
+        # the same mask at every step: it depends on the step h, not the values
+        for k in range(n_steps):
+            assert np.array_equal(v.trusted[k].reshape(-1), inside)
+        assert v.trusted[n_steps].all()
 
     @pytest.mark.parametrize("which", ["lower", "upper"])
     def test_plane_blocks_are_invisible(self, which):

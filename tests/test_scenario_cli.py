@@ -1,14 +1,17 @@
 import importlib.util
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heisgame.checks as checks
 import heisgame.cli as cli
 import heisgame.game as game
 import heisgame.scenario as scenario
@@ -476,6 +479,28 @@ class TestMemoryGuard:
         assert main(["solve", str(path), "--out", str(tmp_path / "t")]) == 2
         assert "physical memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "converge"])
+    @pytest.mark.parametrize("lattice", [{"rings": 1000, "base_angles": 8},
+                                         {"y": {"rings": 1000}, "z": {"rings": 2}},
+                                         {"y": {"rings": 2}, "z": {"rings": 1000}}])
+    def test_huge_lattice_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys,
+                                                     command, lattice):
+        # on a machine of 8 GiB: building a 1000-ring lattice takes about 18 GiB
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
+
+        def build(*args):
+            raise AssertionError(f"lattice {args} built before the memory guard")
+
+        for module in (game, scenario, checks):
+            monkeypatch.setattr(module, "make_lattice", build)
+        out = tmp_path / "out"
+        argv = [command, str(write_scenario(tmp_path, dict(SMALL, lattice=lattice))),
+                "--out", str(out)]
+        assert main(argv + (["--levels", "2"] if command == "converge" else [])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "lattice build" in err[0] and "physical memory" in err[0]
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_small_scenario_all_pass(self, tmp_path):
@@ -680,9 +705,14 @@ class TestAuditCommand:
 
 
 def test_console_script_help():
-    exe = shutil.which("heisgame")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+    # the installed script where there is one, else the module entry that
+    # bench/run.py runs, importing this checkout's src
+    script, env = shutil.which("heisgame"), dict(os.environ)
+    argv = [script]
+    if script is None:
+        argv = [sys.executable, "-m", "heisgame.cli"]
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(argv + ["--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "verify" in proc.stdout
