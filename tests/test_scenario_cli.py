@@ -485,7 +485,7 @@ class TestMemoryGuard:
                                          {"y": {"rings": 2}, "z": {"rings": 1000}}])
     def test_huge_lattice_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys,
                                                      command, lattice):
-        # on a machine of 8 GiB: building a 1000-ring lattice takes about 18 GiB
+        # on a machine of 8 GiB; lattice_bytes puts a 1000-ring build at about 18 GiB
         monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
 
         def build(*args):
