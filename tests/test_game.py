@@ -582,10 +582,17 @@ class TestBackwardInduction:
         mid = tuple((c - 1) // 2 for c in SMALL_COUNTS)
         assert v.trusted[0][mid]
 
-    @pytest.mark.parametrize("n_steps", [1, 3])
     @pytest.mark.parametrize("threads", [0, 2])
     @pytest.mark.parametrize("which", ["lower", "upper"])
-    def test_trusted_mask_matches_stepped_containment(self, which, threads, n_steps):
+    def test_trusted_mask_matches_stepped_containment(self, which, threads):
+        self._check_trusted_mask(which, threads, 1)
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_trusted_mask_is_the_same_at_every_step(self, which, threads):
+        self._check_trusted_mask(which, threads, 3)
+
+    def _check_trusted_mask(self, which, threads, n_steps):
         spec = coupling_spec(r_y=1.0)
         nodes = grid_nodes(SMALL_BOX, (33, 33, 17))
         # more nodes than one threaded block, so threads=2 runs two blocks
