@@ -81,18 +81,6 @@ class PiecewiseConstantControl:
     def duration(self) -> float:
         return self.t_end - self.t0
 
-    def max_norm(self) -> float:
-        if self.n_segments == 0:
-            return 0.0
-        return float(np.linalg.norm(self.values, axis=-1).max())
-
-    def restrict(self, tau: float) -> "PiecewiseConstantControl":
-        """Restriction to ``[tau, t_end]``."""
-        if not (self.t0 <= tau <= self.t_end):
-            raise ValueError(f"tau {tau} outside control span [{self.t0}, {self.t_end}]")
-        keep = self.breakpoints > tau
-        return PiecewiseConstantControl(tau, self.breakpoints[keep], self.values[keep])
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -255,8 +243,6 @@ def _ratio(num, den):
 class ReachReport:
     ok: np.ndarray
     worst_ratio: np.ndarray
-    witness_time: np.ndarray
-    max_distance: np.ndarray
 
 
 def check_reach_bound(xis, controls, r_z, samples_per_segment: int = 64) -> ReachReport:
@@ -271,19 +257,17 @@ def check_reach_bound(xis, controls, r_z, samples_per_segment: int = 64) -> Reac
     """
     xis = np.asarray(xis, dtype=float).reshape(-1, 3)
     r_z = np.broadcast_to(np.asarray(r_z, dtype=float), (len(controls),))
-    worst, witness, d_max = (np.empty(len(controls)) for _ in range(3))
+    worst = np.empty(len(controls))
     for idx, t0, bp, vals in _batches(controls, samples_per_segment, r_z):
         times = _segment_times(t0, bp, samples_per_segment)
         d = dist_g(_flow_at(xis[idx], t0, bp, vals, times), xis[idx, None])
         dt, frozen = times - t0[:, None], r_z[idx] == 0.0
         ratios = np.divide(d, 3.0 * r_z[idx, None] * dt, out=np.zeros_like(d),
                            where=(dt > 0) & ~frozen[:, None])
-        k = np.argmax(np.where(frozen[:, None], d, ratios), axis=1)
-        d_max[idx] = d.max(axis=1, initial=0.0)
-        worst[idx] = np.where(frozen, np.where(d_max[idx] <= 1e-12, 0.0, np.inf),
+        d_max = d.max(axis=1, initial=0.0)
+        worst[idx] = np.where(frozen, np.where(d_max <= 1e-12, 0.0, np.inf),
                               ratios.max(axis=1, initial=0.0))
-        witness[idx] = np.take_along_axis(times, k[:, None], 1)[:, 0]
-    return ReachReport(worst <= 1 + 1e-9, worst, witness, d_max)
+    return ReachReport(worst <= 1 + 1e-9, worst)
 
 
 # the formula of each constant a manifest records; an input that an ``hji``
@@ -349,15 +333,16 @@ class TranslationReport:
     ok: np.ndarray
 
 
-def check_translation_identity(xis, xi_hats, controls, samples_per_segment: int = 64,
-                               r_z=None) -> TranslationReport:
+def check_translation_identity(xis, xi_hats, controls, r_z,
+                               samples_per_segment: int = 64) -> TranslationReport:
     """Verifies ``xhat(t) = xihat o xi^{-1} o x(t)`` and the Gronwall bound on
-    each instance ``(xis[i], xi_hats[i], controls[i])``, sampled and grouped
-    as in :func:`check_reach_bound`; each report field is an array.
+    each instance ``(xis[i], xi_hats[i], controls[i], r_z[i])`` (``r_z`` may
+    be a scalar), sampled and grouped as in :func:`check_reach_bound`; each
+    report field is an array.
 
     Both curves run under the same control; the separation never exceeds
-    ``exp(T * r_z / 2)`` times the initial separation (``r_z`` defaults to
-    each control's largest norm).  The identity deviation is measured in
+    ``exp(T * r_z / 2)`` times the initial separation, with ``r_z`` the
+    control radius.  The identity deviation is measured in
     the Euclidean norm: the gauge of a pure rounding defect is the square
     root of its vertical component, so no finite-precision integrator can
     hold a gauge deviation near machine scale.
@@ -371,8 +356,6 @@ def check_translation_identity(xis, xi_hats, controls, samples_per_segment: int 
         translated = group_mul(group_mul(xi_hats[idx], inverse(xis[idx]))[:, None], x)
         deviation[idx] = np.linalg.norm(x_hat - translated, axis=-1).max(axis=1, initial=0.0)
         phi[idx] = dist_g(x, x_hat).max(axis=1, initial=0.0)
-    if r_z is None:
-        r_z = [u.max_norm() for u in controls]
     c_hat = np.array([LipschitzConstants(u.t_end, r, 0.0, 0.0, 0.0).c_hat
                       for u, r in zip(controls, np.broadcast_to(r_z, len(controls)))])
     ratio = _ratio(phi, c_hat * dist_g(xis, xi_hats))
@@ -385,7 +368,6 @@ class ShiftReport:
     worst_ratio: np.ndarray
     c_tilde: np.ndarray
     max_separation: np.ndarray
-    bound: np.ndarray
 
 
 def check_shifted_start_bound(xis, xi_tildes, tau, tau_primes, controls, r_z,
@@ -418,6 +400,5 @@ def check_shifted_start_bound(xis, xi_tildes, tau, tau_primes, controls, r_z,
         max_sep[idx] = dist_g(full, late_pts).max(axis=1, initial=0.0)
     c_tilde = np.array([LipschitzConstants(u.t_end, r, 0.0, 0.0, 0.0).c_tilde
                         for u, r in zip(controls, r_z)])
-    bound = c_tilde * (dist_g(xi_tildes, xis) + (tau_p - tau))
-    worst = _ratio(max_sep, bound)
-    return ShiftReport(worst <= 1 + 1e-9, worst, c_tilde, max_sep, bound)
+    worst = _ratio(max_sep, c_tilde * (dist_g(xi_tildes, xis) + (tau_p - tau)))
+    return ShiftReport(worst <= 1 + 1e-9, worst, c_tilde, max_sep)

@@ -382,16 +382,6 @@ def _check_lattices(spec: GameSpec, y_lattice: ControlLattice, z_lattice: Contro
             )
 
 
-def _as_probe_arrays(t, x, lam):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    lam = np.asarray(lam, dtype=float)
-    lam = np.broadcast_to(lam, (len(pts), 2))
-    t = np.asarray(t, dtype=float)
-    return scalar, pts, lam, t
-
-
 def _max_min(n, m_outer, m_inner, row, lower, outer_term=None, probe=()):
     """The lattice opt-opt: ``max_a min_b`` if ``lower``, else ``min_a max_b``.
 
@@ -460,13 +450,17 @@ def separable_cost(base: Callable, pair: Callable | None = None) -> Callable:
         pair, np.reshape(y, (1, 2)), np.reshape(z, (1, 2)))[0, 0]
 
 
-def _linear_continuation(spec, t, x, lam, y_lattice, z_lattice):
-    """The ``_backup`` inputs of a lattice Hamiltonian at probes ``(t, x, lam)``:
-    whether the probe is one point, ``t``, the batch ``pts``, and ``W`` with
-    ``W[j] = -(lam . z_j)``, the continuation of a value linear in the step."""
+def _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, which):
+    """The ``_backup`` of step ``h = 1`` at probes ``(t, x, lam)`` with
+    ``W[j] = -(lam . z_j)``, the continuation of a value linear in the step;
+    a float for one point ``x`` of shape ``(3,)``."""
     _check_lattices(spec, y_lattice, z_lattice)
-    scalar, pts, lam2, tt = _as_probe_arrays(t, x, lam)
-    return scalar, tt, pts, -np.array([lam2 @ z for z in z_lattice.points])
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (len(pts), 2))
+    W = -np.array([lam @ z for z in z_lattice.points])
+    best = _backup(spec, np.asarray(t, dtype=float), 1.0, pts, W, y_lattice, z_lattice, which)
+    return float(best[0]) if x.ndim == 1 else best
 
 
 def lower_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
@@ -479,23 +473,18 @@ def lower_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
     separable cost rounds each entry as ``(-lam.z + k) + base``, the general
     one as ``-lam.z + F``, bit for bit ``F - lam.z``.
     """
-    scalar, t, pts, W = _linear_continuation(spec, t, x, lam, y_lattice, z_lattice)
-    best = _backup(spec, t, 1.0, pts, W, y_lattice, z_lattice, "lower")
-    return float(best[0]) if scalar else best
+    return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, "lower")
 
 
 def upper_hamiltonian(spec: GameSpec, t, x, lam, y_lattice, z_lattice):
     """Exact ``min_z max_y (F(t,x,y,z) - lam . z)`` over the lattices: the
     ``_backup`` of :func:`lower_hamiltonian` for the upper value."""
-    scalar, t, pts, W = _linear_continuation(spec, t, x, lam, y_lattice, z_lattice)
-    best = _backup(spec, t, 1.0, pts, W, y_lattice, z_lattice, "upper")
-    return float(best[0]) if scalar else best
+    return _lattice_hamiltonian(spec, t, x, lam, y_lattice, z_lattice, "upper")
 
 
 @dataclass(frozen=True)
 class IsaacsReport:
     max_gap: float
-    witness: tuple
     gaps: np.ndarray
 
 
@@ -505,15 +494,9 @@ def isaacs_gap(spec: GameSpec, probes, y_lattice, z_lattice) -> IsaacsReport:
     Measures only the lattice gap; a zero gap makes no claim about the
     continuum min-max condition.
     """
-    t, x, lam = probes
-    lo = lower_hamiltonian(spec, t, x, lam, y_lattice, z_lattice)
-    hi = upper_hamiltonian(spec, t, x, lam, y_lattice, z_lattice)
-    gaps = np.atleast_1d(hi - lo)
-    k = int(np.argmax(gaps))
-    _, pts, lam2, tt = _as_probe_arrays(t, x, lam)
-    tt = np.broadcast_to(tt, (len(pts),))
-    witness = (float(tt[k]), pts[k].copy(), lam2[k].copy())
-    return IsaacsReport(float(gaps[k]), witness, gaps)
+    lo = lower_hamiltonian(spec, *probes, y_lattice, z_lattice)
+    gaps = np.atleast_1d(upper_hamiltonian(spec, *probes, y_lattice, z_lattice) - lo)
+    return IsaacsReport(float(gaps.max()), gaps)
 
 
 def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):

@@ -78,9 +78,6 @@ class Grid3:
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return grid_axes(self.box, self.counts)
 
-    def node_coordinates(self) -> np.ndarray:
-        return grid_nodes(self.box, self.counts)
-
     def interp(self, p) -> tuple[np.ndarray, np.ndarray]:
         """Trilinear value at ``p`` plus a trusted flag.
 
@@ -145,21 +142,19 @@ def interp_values(box: Box, values: np.ndarray, pts):
     the x1-cell depends only on the plane and the x2-cell only on the row,
     so the lerps run axis by axis on the slab and only the x3-cell is
     gathered per point; the result is bit-identical to the same feet given
-    as an array (``exact_step`` of the nodes).
+    as an array (``exact_step`` of the nodes), since both paths take every
+    lerp through ``_lerp``.
     """
     if isinstance(pts, StepFeet):
         return _interp_feet(box, values, pts)
     i, f, inside = _axis_cells(pts, box.lo, box.hi, np.array(values.shape))
     v = values
-    i1, i2, i3 = i[:, 0], i[:, 1], i[:, 2]
-    f1, f2, f3 = f[:, 0], f[:, 1], f[:, 2]
-    c00 = v[i1, i2, i3] * (1 - f1) + v[i1 + 1, i2, i3] * f1
-    c10 = v[i1, i2 + 1, i3] * (1 - f1) + v[i1 + 1, i2 + 1, i3] * f1
-    c01 = v[i1, i2, i3 + 1] * (1 - f1) + v[i1 + 1, i2, i3 + 1] * f1
-    c11 = v[i1, i2 + 1, i3 + 1] * (1 - f1) + v[i1 + 1, i2 + 1, i3 + 1] * f1
-    c0 = c00 * (1 - f2) + c10 * f2
-    c1 = c01 * (1 - f2) + c11 * f2
-    return c0 * (1 - f3) + c1 * f3, inside.all(axis=-1)
+    (i1, i2, i3), (f1, f2, f3) = i.T, f.T
+    c00 = _lerp(v[i1, i2, i3], v[i1 + 1, i2, i3], f1)
+    c10 = _lerp(v[i1, i2 + 1, i3], v[i1 + 1, i2 + 1, i3], f1)
+    c01 = _lerp(v[i1, i2, i3 + 1], v[i1 + 1, i2, i3 + 1], f1)
+    c11 = _lerp(v[i1, i2 + 1, i3 + 1], v[i1 + 1, i2 + 1, i3 + 1], f1)
+    return _lerp(_lerp(c00, c10, f2), _lerp(c01, c11, f2), f3), inside.all(axis=-1)
 
 
 def _interp_feet(box: Box, values: np.ndarray, feet: StepFeet):
@@ -302,23 +297,6 @@ class ValueGrid:
         stacks are reversed views of this one's, not copies."""
         return ValueGrid(self.box, self.times.copy(), self.data[::-1], self.trusted_region,
                          self.trusted[::-1])
-
-    @classmethod
-    def from_function(
-        cls,
-        fn: Callable,
-        box: Box,
-        counts,
-        horizon: float,
-        n_steps: int,
-        r_z: float = 0.0,
-    ) -> "ValueGrid":
-        """Sample ``fn(t, points)`` on the space-time grid (fully trusted)."""
-        times = np.linspace(0.0, horizon, n_steps + 1)
-        slices = [sample_field(lambda p, t=t: fn(t, p), box, counts).values for t in times]
-        data = np.stack(slices)
-        region = certify_region(box, r_z, horizon)
-        return cls(box, times, data, region, np.ones_like(data, dtype=bool))
 
 
 def refinement_sup_diffs(levels: list[ValueGrid]) -> list[float]:

@@ -110,9 +110,6 @@ class Box:
         p = _pts(p)
         return ((p >= self.lo) & (p <= self.hi)).all(axis=-1)
 
-    def clip(self, p) -> np.ndarray:
-        return np.clip(_pts(p), self.lo, self.hi)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.lo + rng.random((n, 3)) * self.extent
 

@@ -159,7 +159,6 @@ def covering_error_bound(p: HjiProblem, spec: GameSpec, y_lattice: ControlLattic
 class IdentityReport:
     max_error: float
     expected_bound: float
-    errors: np.ndarray
 
 
 def hamiltonian_identity_check(
@@ -188,9 +187,8 @@ def hamiltonian_identity_check(
         )
     hm = lower_hamiltonian(spec, spec.horizon - t, x, lam, y_lattice, z_lattice)
     target = np.asarray(p.hamiltonian(t, x, lam), dtype=float)
-    errors = np.abs(np.atleast_1d(hm) + target)
-    bound = covering_error_bound(p, spec, y_lattice, z_lattice)
-    return IdentityReport(float(errors.max()), float(bound), errors)
+    error = float(np.abs(np.atleast_1d(hm) + target).max())
+    return IdentityReport(error, float(covering_error_bound(p, spec, y_lattice, z_lattice)))
 
 
 def solve(
@@ -222,10 +220,6 @@ class PdeResidualReport:
     max: float
     n_retained: int
     n_excluded: int
-
-    @property
-    def no_smooth_probes(self) -> bool:
-        return self.n_retained == 0
 
 
 def pde_residual(

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 
-from heisgame.flow import exact_step
+from heisgame.flow import PiecewiseConstantControl, exact_step
 from heisgame.game import AUDIT_SLACK, AuditReport, _backup
+from heisgame.grids import ValueGrid, sample_field
 from heisgame.heis import Box, ball_points, dist_g
 from heisgame.scenario import load_scenario
 
@@ -19,6 +20,14 @@ def canonical_problem():
     reflections declared."""
     sc = load_scenario(SCENARIOS / "canonical.json")
     return sc.problem, sc.game
+
+
+def value_grid_from_function(fn, box, counts, horizon, n_steps):
+    """``fn(t, points)`` sampled on the space-time grid, fully trusted, with
+    the whole box as its certified region."""
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    data = np.stack([sample_field(lambda p, t=t: fn(t, p), box, counts).values for t in times])
+    return ValueGrid(box, times, data, box, np.ones_like(data, dtype=bool))
 
 
 def batch_controls(rng, n, radius, segments=4, t_end=1.0):
@@ -282,7 +291,9 @@ def flow_checks_reference(rng, n_reach, n_translation, n_shift, radii=(0.5, 1.0,
         xi_tilde = rng.uniform(-2, 2, 3)
         tau_prime = float(rng.random() * 0.9)
         u = random_control(rng, 1.0)
-        late_t, late = integrate_reference(xi_tilde, u.restrict(tau_prime), 64)
+        keep = u.breakpoints > tau_prime
+        late_u = PiecewiseConstantControl(tau_prime, u.breakpoints[keep], u.values[keep])
+        late_t, late = integrate_reference(xi_tilde, late_u, 64)
         full_t, full = integrate_reference(xi, u, extra_times=late_t)
         sep = dist_g(full[np.searchsorted(full_t, late_t)], late).max()
         shift = max(shift, sep / (c_tilde * (float(dist_g(xi_tilde, xi)) + tau_prime)))

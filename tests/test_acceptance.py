@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from _util import DEFAULT_BOX, batch_controls, batch_trajectory
+from _util import DEFAULT_BOX, batch_controls, batch_trajectory, value_grid_from_function
 
 from heisgame.heis import (
     Box,
@@ -28,7 +28,7 @@ from heisgame.flow import (
     integrate,
     rk4_reference,
 )
-from heisgame.grids import ValueGrid, grid_nodes, refinement_sup_diffs, sample_field
+from heisgame.grids import grid_nodes, refinement_sup_diffs, sample_field
 from heisgame.game import (
     backward_induction,
     brute_force_value,
@@ -282,7 +282,7 @@ def test_criterion_10_closed_form_solutions():
     comp = make_hamiltonian("component", None)
     lin = make_terminal("affine", {"a": (1.0, 0.0, 0.0), "b": 0.0}, box)
     p2 = HjiProblem(1.0, comp.fn, lin.fn, 10.0, 0.0, 1.0, lin.c2, lin.c2p)
-    u2 = ValueGrid.from_function(
+    u2 = value_grid_from_function(
         lambda t, pts: np.asarray(pts, dtype=float)[..., 0] - t,
         box, counts, 1.0, 8,
     )

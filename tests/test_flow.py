@@ -41,16 +41,6 @@ class TestControl:
         with pytest.raises(ValueError):
             PiecewiseConstantControl(1.0, [0.5], [[1, 0]])
 
-    def test_value_lookup_and_restrict(self):
-        u = two_segment_control()
-        late = u.restrict(0.7)
-        assert late.t0 == 0.7
-        assert late.n_segments == 1
-        assert np.allclose(late.values[0], (0, 1))
-        empty = u.restrict(1.0)
-        assert empty.n_segments == 0
-        assert empty.t_end == 1.0
-
 
 class TestExactStep:
     def test_from_origin(self):
@@ -167,7 +157,7 @@ class TestTranslation:
     def test_same_start_zero_deviation(self):
         u = two_segment_control()
         xi = np.array([0.5, -0.5, 0.25])
-        rep = check_translation_identity([xi], [xi], [u])
+        rep = check_translation_identity([xi], [xi], [u], 1.0)
         assert rep.ok[0]
         assert rep.max_deviation[0] == 0.0
         assert rep.gronwall_ratio[0] == 0.0
@@ -190,7 +180,7 @@ class TestTranslation:
         # z = (0, 1) the separation at t = 1 is (r^4 + r^2)^(1/4), so the
         # ratio to C_hat * r = e^(1/2) * r grows without bound as r -> 0
         u = PiecewiseConstantControl.constant((0.0, 1.0), 0.0, 1.0)
-        rep = check_translation_identity([(0.0, 0.0, 0.0)], [(r, 0.0, 0.0)], [u])
+        rep = check_translation_identity([(0.0, 0.0, 0.0)], [(r, 0.0, 0.0)], [u], 1.0)
         closed_form = (r**4 + r**2) ** 0.25 / (r * np.exp(0.5))
         assert rep.gronwall_ratio[0] == pytest.approx(closed_form, rel=1e-12)
         if r < 1.0:
@@ -280,12 +270,12 @@ class TestBatchedFlow:
         tau_p[4] = controls[4].breakpoints[0]
 
         batch = (check_reach_bound(xis, controls, r_z),
-                 check_translation_identity(xis, xi_hats, controls),
+                 check_translation_identity(xis, xi_hats, controls, r_z),
                  check_shifted_start_bound(xis, xi_hats, 0.0, tau_p, controls, r_z))
         for i in range(n):
             one = ([xis[i]], [xi_hats[i]], [controls[i]])
             single = (check_reach_bound(one[0], one[2], r_z[i]),
-                      check_translation_identity(*one),
+                      check_translation_identity(*one, r_z[i]),
                       check_shifted_start_bound(one[0], one[1], 0.0, tau_p[i], one[2], r_z[i]))
             for rep, alone in zip(batch, single):
                 assert [v[i] for v in vars(rep).values()] == [v[0] for v in vars(alone).values()]

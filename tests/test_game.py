@@ -11,6 +11,7 @@ from _util import (
     depth_first_value,
     lipschitz_audit_reference,
     sampled_covering_radius,
+    value_grid_from_function,
     voronoi_covering_radius,
 )
 
@@ -18,7 +19,7 @@ import heisgame.game as game
 from heisgame.catalog import make_running_cost
 from heisgame.heis import Box, ball_points, eval_field, gauge
 from heisgame.flow import exact_step
-from heisgame.grids import Grid3, ValueGrid, grid_axes, grid_nodes, sample_field
+from heisgame.grids import Grid3, grid_axes, grid_nodes, sample_field
 from heisgame.game import (
     _alternating_value,
     _node_blocks,
@@ -1135,8 +1136,8 @@ class TestLipschitzAudit:
 
     def test_constant_in_space_has_no_spatial_witness(self):
         spec = coupling_spec()
-        v = ValueGrid.from_function(lambda t, p: np.full(len(p), t * t), SMALL_BOX,
-                                    SMALL_COUNTS, 1.0, 4)
+        v = value_grid_from_function(lambda t, p: np.full(len(p), t * t), SMALL_BOX,
+                                     SMALL_COUNTS, 1.0, 4)
         spatial, space_time = self.assert_matches_reference(v, spec.constants, 17)
         assert spatial.worst_ratio == 0.0 and spatial.witness is None
         assert space_time.witness is not None
@@ -1146,7 +1147,7 @@ class TestLipschitzAudit:
         # random pairs on one such row at one time, read exactly 1; the
         # space-time witness stays with a pair of the two-time draw (ka == kb),
         # since a same-time pair replaces it only when strictly larger
-        v = ValueGrid.from_function(lambda t, p: p[:, 0], SMALL_BOX, (5, 5, 5), 1.0, 2)
+        v = value_grid_from_function(lambda t, p: p[:, 0], SMALL_BOX, (5, 5, 5), 1.0, 2)
         spatial, space_time = self.assert_matches_reference(v, coupling_spec().constants, 19)
         assert spatial.worst_ratio == space_time.worst_ratio == 1.0
         assert space_time.to_dict()["witness"] != spatial.to_dict()["witness"]
@@ -1154,7 +1155,7 @@ class TestLipschitzAudit:
     def test_region_one_node_thick(self):
         # the certified region holds only the x1 = 0 plane: no x1-adjacent pair
         spec = coupling_spec()
-        v = ValueGrid.from_function(lambda t, p: gauge(p) + t, SMALL_BOX, SMALL_COUNTS, 1.0, 3)
+        v = value_grid_from_function(lambda t, p: gauge(p) + t, SMALL_BOX, SMALL_COUNTS, 1.0, 3)
         v = dataclasses.replace(v, trusted_region=Box([-0.5, -3.0, -6.0], [0.5, 3.0, 6.0]))
         assert v.region_index_bounds()[0] == slice(4, 5)
         self.assert_matches_reference(v, spec.constants, 18)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from _util import value_grid_from_function
+
 from heisgame import grids
 from heisgame.heis import Box, gauge
 from heisgame.flow import exact_step
@@ -9,6 +11,7 @@ from heisgame.grids import (
     StepFeet,
     ValueGrid,
     certify_region,
+    grid_nodes,
     interp_values,
     read_grid_binary,
     read_value_grid,
@@ -29,7 +32,7 @@ def affine(p):
 class TestInterp:
     def test_nodal_values_exact(self):
         g = sample_field(gauge, BOX, (5, 7, 9))
-        nodes = g.node_coordinates()
+        nodes = grid_nodes(g.box, g.counts)
         vals, trusted = g.interp(nodes)
         assert np.array_equal(vals, g.values.reshape(-1))
         assert trusted.all()
@@ -89,7 +92,7 @@ class TestInterpFeet:
             z = rng.normal(size=2) * (0.0 if k % 5 == 0 else rng.choice([0.1, 1.0, 10.0]))
             grid = Grid3(box, values)
             ref_v, ref_in = interp_values(box, values,
-                                          exact_step(grid.node_coordinates(), -z, h))
+                                          exact_step(grid_nodes(box, values.shape), -z, h))
             x1, x2, x3 = grid.axes()
             n1, plane = values.shape[0], values.shape[1] * values.shape[2]
             a = int(rng.integers(0, n1))
@@ -191,7 +194,7 @@ class TestValueGrid:
         assert np.shares_memory(rev.trusted, vg.trusted)
 
     def test_from_function(self):
-        vg = ValueGrid.from_function(
+        vg = value_grid_from_function(
             lambda t, p: affine(p) - 2 * t, BOX, (4, 4, 4), 1.0, 3)
         assert vg.data.shape == (4, 4, 4, 4)
         assert vg.data[0].max() == pytest.approx(affine((1, 1, 2)), abs=1e-12)
@@ -230,7 +233,7 @@ class TestSerialization:
                            5e-324, 1.0, 123456789.125, -2.0]).reshape(2, 3, 2)
         trusted = np.array([True, False] * 6).reshape(2, 3, 2)
         g = Grid3(box, values)
-        table = np.column_stack([g.node_coordinates(), values.reshape(-1),
+        table = np.column_stack([grid_nodes(g.box, g.counts), values.reshape(-1),
                                  trusted.reshape(-1).astype(float)])
         np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g,%.17g,%.17g,%.17g,%d",
                    header="x1,x2,x3,value,trusted", comments="")
@@ -243,7 +246,7 @@ class TestSerialization:
         """The bytes ``write_grid_csv`` writes for ``g`` and those of
         ``np.savetxt`` on the same rows (``trusted=None`` means all 1)."""
         flags = np.ones(g.counts) if trusted is None else trusted
-        table = np.column_stack([g.node_coordinates(), g.values.reshape(-1),
+        table = np.column_stack([grid_nodes(g.box, g.counts), g.values.reshape(-1),
                                  flags.reshape(-1).astype(float)])
         np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g,%.17g,%.17g,%.17g,%d",
                    header="x1,x2,x3,value,trusted", comments="")
@@ -290,8 +293,8 @@ class TestSerialization:
         assert out == ref == b"x1,x2,x3,value,trusted\n-1,-1,-2,-0.33333333333333331,1\n"
 
     def test_value_grid_roundtrip(self, tmp_path):
-        vg = ValueGrid.from_function(lambda t, p: gauge(p) + t, BOX, (3, 4, 5),
-                                     1.0, 2)
+        vg = value_grid_from_function(lambda t, p: gauge(p) + t, BOX, (3, 4, 5),
+                                      1.0, 2)
         write_value_grid(vg, tmp_path)
         back = read_value_grid(tmp_path)
         assert np.array_equal(back.data, vg.data)

@@ -17,7 +17,7 @@ import heisgame.game as game
 import heisgame.scenario as scenario
 from heisgame.cli import main
 from heisgame.game import make_lattice, solve_bytes
-from heisgame.grids import read_value_grid
+from heisgame.grids import grid_nodes, read_value_grid
 from heisgame.scenario import ScenarioError, load_scenario, parse_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -375,7 +375,7 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", str(self.small_scenario(tmp_path)), "--out", str(out)]) == 0
         vg = read_value_grid(out)
-        coords = vg.slice(0).node_coordinates()
+        coords = grid_nodes(vg.box, vg.counts)
         for k in range(len(vg.times)):
             assert len(np.unique(vg.data[k].view(np.uint64))) < vg.data[k].size / 2
             table = np.column_stack([coords, vg.data[k].reshape(-1),
