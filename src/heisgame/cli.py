@@ -41,6 +41,7 @@ from .game import (
     lipschitz_audit,
     solve_bytes,
 )
+from .catalog import finite_reals
 from .checks import oracle_solve, run_verification
 from .scenario import SAMPLE_DEFAULTS, Scenario, ScenarioError, load_scenario
 
@@ -97,15 +98,17 @@ def _physical_memory() -> int:
 def _require_memory(threads: int, *runs) -> None:
     """Refuses, before any is built, runs ``(counts, n_steps, y, z)``, with
     ``y``, ``z`` the ``make_lattice`` arguments, whose largest lattice build
-    (``lattice_bytes``) or whose solves' arrays together (``solve_bytes``)
-    exceed physical memory.  A build frees its buffers before the next build
-    and the solves, so the builds do not add up."""
+    (``lattice_bytes``) or whose solves' arrays together (``solve_bytes``,
+    the ``y``, ``z`` pair table included) exceed physical memory.  A build
+    frees its buffers before the next build and the solves, so the builds do
+    not add up."""
     have = _physical_memory()
     build = max(lattice_bytes(*lat) for run in runs for lat in run[2:])
-    solves = sum(solve_bytes(counts, n_steps, lattice_points(*z), threads)
-                 for counts, n_steps, _, z in runs)
+    solves = sum(solve_bytes(counts, n_steps, lattice_points(*y), lattice_points(*z), threads)
+                 for counts, n_steps, y, z in runs)
     for what, need, fix in (("a lattice build needs", build, "fewer lattice rings"),
-                            ("the solver arrays need", solves, "a coarser grid")):
+                            ("the solver arrays need", solves,
+                             "a coarser grid or fewer lattice rings")):
         if need > have:
             raise ValueError(f"{what} about {need / 2**30:.3g} GiB, more than the "
                              f"{have / 2**30:.3g} GiB of physical memory; use {fix}")
@@ -191,6 +194,8 @@ def _cmd_converge(args) -> int:
         raise ValueError("converge needs --levels >= 2")
     outdir = _resolve_outdir(args, sc)
     max_nodes = sc.verify["max_nodes"]
+    # every level shares the box and horizon, so one check covers the ladder
+    certify_region(sc.box, sc.game.r_z, sc.horizon)
 
     ladders = []
     for i in range(levels):
@@ -295,10 +300,12 @@ def _cmd_audit(args) -> int:
     found = {}
     for name in ("r_z", "c1", "c1p", "c2p"):
         try:
-            found[name] = float(manifest["derived_constants"][name]["value"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"manifest.json in {indir} has no number at"
-                             f" derived_constants.{name}.value") from None
+            found[name] = finite_reals(manifest["derived_constants"][name]["value"])
+        except (KeyError, TypeError):
+            found[name] = None
+        if found[name] is None or found[name] < 0:
+            raise ValueError(f"manifest.json in {indir} has no finite number >= 0 at"
+                             f" derived_constants.{name}.value")
     consts = LipschitzConstants(float(value.horizon), **found)
     if scenario.get("kind") == "hji":
         value = value.reversed_time()

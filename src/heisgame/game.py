@@ -732,17 +732,27 @@ def backward_induction(
 _BLOCK_NODES = 131072
 
 
-def solve_bytes(counts, n_steps: int, z_points: int, threads: int = 0) -> int:
+# bytes a lattice pair costs in a ``_backup`` of a separable cost: the
+# float64 table ``h*k`` with its bool finiteness and ``y``-free tests, and the
+# unscaled table where numpy does not reuse its buffer (9 to 18 B measured)
+_PAIR_BYTES = 24
+
+
+def solve_bytes(counts, n_steps: int, y_points: int, z_points: int, threads: int = 0) -> int:
     """Bytes of the arrays ``backward_induction`` holds on a grid of ``counts``
     nodes: the float64 value and bool trusted stacks of ``n_steps + 1``
-    slices, the node coordinates and terminal samples (32 B per node), and
-    the ``(z_points, block)`` ``W`` of the blocks in flight.  An HJI solve's
-    time reversal (``ValueGrid.reversed_time``) is a view of the same stacks.
-    This sizes the lower solve the CLI runs; an upper step of a separable
-    cost also holds the ``my`` base rows ``h*base(y)`` of its block."""
+    slices, the node coordinates and terminal samples (32 B per node), and,
+    for each block in flight, its ``(z_points, block)`` ``W`` and the
+    ``(z_points, y_points)`` pair table that ``_backup`` builds for a
+    separable cost (``_PAIR_BYTES`` a pair, an upper bound on the peak the
+    tests measure).  An HJI solve's time reversal
+    (``ValueGrid.reversed_time``) is a view of the same stacks.  This sizes
+    the lower solve the CLI runs; an upper step of a separable cost also
+    holds the ``my`` base rows ``h*base(y)`` of its block."""
     nodes = math.prod(counts)
-    held = nodes if threads > 1 else min(nodes, _BLOCK_NODES)
-    return (n_steps + 1) * nodes * 9 + nodes * 32 + z_points * held * 8
+    held, blocks = (nodes, threads) if threads > 1 else (min(nodes, _BLOCK_NODES), 1)
+    return ((n_steps + 1) * nodes * 9 + nodes * 32 + z_points * held * 8
+            + blocks * y_points * z_points * _PAIR_BYTES)
 
 
 def _node_blocks(n: int, threads: int, plane: int) -> list[slice]:

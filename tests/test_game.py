@@ -1170,7 +1170,32 @@ def test_solve_bytes_counts_the_stacks_and_w(threads):
     terminal = eval_field(spec.terminal_cost, nodes)
     w = len(Z.points) * v.data[0].size * 8  # one block of every node
     held = v.data.nbytes + v.trusted.nbytes + nodes.nbytes + terminal.nbytes + w
-    assert game.solve_bytes(SMALL_COUNTS, 2, len(Z.points), threads) == held
+    table = (threads or 1) * len(Y.points) * len(Z.points) * game._PAIR_BYTES
+    assert game.solve_bytes(SMALL_COUNTS, 2, len(Y.points), len(Z.points), threads) \
+        == held + table
     # an HJI solve's time reversal holds no stacks of its own
     u = v.reversed_time()
     assert np.shares_memory(u.data, v.data) and np.shares_memory(u.trusted, v.trusted)
+
+
+@pytest.mark.parametrize("rings", [3, 8])
+@pytest.mark.parametrize("source", ["coupling_spec", "constant", "custom-affine"])
+@pytest.mark.parametrize("which", ["lower", "upper"])
+def test_pair_bytes_bounds_the_table(which, source, rings):
+    import tracemalloc
+
+    if source == "coupling_spec":
+        spec = coupling_spec()
+    else:
+        spec = catalog_spec(source, AFFINE_PARAMS if source == "custom-affine"
+                            else {"value": 0.75})
+    Y, Z = make_lattice(spec.r_y, rings, 8), make_lattice(spec.r_z, rings, 8)
+    pts, W = np.zeros((1, 3)), np.zeros((len(Z.points), 1))
+    tracemalloc.start()
+    try:
+        game._backup(spec, 0.0, 0.05, pts, W, Y, Z, which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an upper bound, and within 3x of the peak, so the guard stays useful
+    assert peak <= len(Y.points) * len(Z.points) * game._PAIR_BYTES <= 3 * peak

@@ -462,7 +462,7 @@ class TestMemoryGuard:
         # a machine that holds the scenario's own solve but not the oracle's too
         data = dict(SMALL, time_steps=2)
         path = write_scenario(tmp_path, data)
-        own = solve_bytes(SMALL["grid"]["counts"], 2, 25)
+        own = solve_bytes(SMALL["grid"]["counts"], 2, 25, 25)
         monkeypatch.setattr(cli, "_physical_memory", lambda: own + 1)
         assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 0
         assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
@@ -472,7 +472,7 @@ class TestMemoryGuard:
     def test_hji_solve_guard_equals_game_time(self, tmp_path, monkeypatch, capsys):
         # the time reversal is a view, so an HJI solve needs the game-time bytes
         path = write_scenario(tmp_path, dict(SMALL, time_steps=2))
-        game_time = solve_bytes(SMALL["grid"]["counts"], 2, 25)
+        game_time = solve_bytes(SMALL["grid"]["counts"], 2, 25, 25)
         monkeypatch.setattr(cli, "_physical_memory", lambda: game_time)
         assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 0
         monkeypatch.setattr(cli, "_physical_memory", lambda: game_time - 1)
@@ -487,19 +487,45 @@ class TestMemoryGuard:
                                                      command, lattice):
         # on a machine of 8 GiB; lattice_bytes puts a 1000-ring build at about 18 GiB
         monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
+        err = refused_before_any_lattice(tmp_path, monkeypatch, capsys, command,
+                                         dict(SMALL, lattice=lattice))
+        assert "lattice build" in err and "physical memory" in err
 
-        def build(*args):
-            raise AssertionError(f"lattice {args} built before the memory guard")
+    @pytest.mark.parametrize("command", ["solve", "verify", "converge"])
+    def test_pair_table_refused_before_the_lattices_are_built(self, tmp_path, monkeypatch,
+                                                              capsys, command):
+        # on a machine of 4 GiB, 60 rings build in about 71 MB a lattice, and
+        # the solve's stacks and W fit; its 14641 x 14641 pair table does not
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * 2**30)
+        err = refused_before_any_lattice(tmp_path, monkeypatch, capsys, command,
+                                         dict(SMALL, lattice={"rings": 60, "base_angles": 8}))
+        assert "solver arrays" in err and "physical memory" in err
 
-        for module in (game, scenario, checks):
-            monkeypatch.setattr(module, "make_lattice", build)
-        out = tmp_path / "out"
-        argv = [command, str(write_scenario(tmp_path, dict(SMALL, lattice=lattice))),
-                "--out", str(out)]
-        assert main(argv + (["--levels", "2"] if command == "converge" else [])) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "lattice build" in err[0] and "physical memory" in err[0]
-        assert not out.exists()
+
+def refused_before_any_lattice(tmp_path, monkeypatch, capsys, command, data) -> str:
+    """The one stderr line of ``command`` on the scenario ``data``, which must
+    exit 2 before it builds a lattice or makes its output directory."""
+    def build(*args):
+        raise AssertionError(f"lattice {args} built before the input was refused")
+
+    for module in (game, scenario, checks):
+        monkeypatch.setattr(module, "make_lattice", build)
+    out = tmp_path / "out"
+    argv = [command, str(write_scenario(tmp_path, data)), "--out", str(out)]
+    assert main(argv + (["--levels", "2"] if command == "converge" else [])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and not out.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "converge"])
+def test_empty_certified_region_refused_before_the_lattices_are_built(
+        tmp_path, monkeypatch, capsys, command):
+    # the reach R_Z*T = 1 of canonical's game is the box's horizontal half extent
+    data = json.loads((SCENARIOS / "canonical.json").read_text())
+    data["grid"] = {"box": [[-0.5, 0.5], [-0.5, 0.5], [-1, 1]], "counts": [9, 9, 17]}
+    err = refused_before_any_lattice(tmp_path, monkeypatch, capsys, command, data)
+    assert "certified region is empty" in err
 
 
 class TestVerifyCommand:
@@ -623,7 +649,7 @@ class TestConvergeCommand:
     def test_memory_guard_covers_the_ladder(self, tmp_path, monkeypatch, capsys):
         # a machine that holds the finest level's solve, but not every level at once
         path = write_scenario(tmp_path, SMALL)
-        finest = solve_bytes(SMALL["grid"]["counts"], SMALL["time_steps"], 25)
+        finest = solve_bytes(SMALL["grid"]["counts"], SMALL["time_steps"], 25, 25)
         monkeypatch.setattr(cli, "_physical_memory", lambda: finest + 1)
         solves = []
         monkeypatch.setattr(scenario, "backward_induction", lambda *a, **k: solves.append(a))
@@ -676,10 +702,13 @@ class TestAuditCommand:
         ("valuegrid.json", "slices", 5), ("valuegrid.json", "box", [[-4, -4, -8]]),
         ("valuegrid.json", "trusted_region", 5), ("manifest.json", "seed", "x"),
         ("manifest.json", "scenario", [1]), ("manifest.json", None, [1]),
-        ("manifest.json", "seed", -3), ("manifest.json", None, "{not json")])
+        ("manifest.json", "seed", -3), ("manifest.json", None, "{not json"),
+        *(("manifest.json", "derived_constants.c2p.value", v)
+          for v in (float("inf"), True, float("nan"), -1.0, "0.5"))])
     def test_malformed_input_exit_2(self, tmp_path, capsys, name, key, value):
         # exit 1 means a failed audit, so a malformed input file exits 2;
-        # a key of None replaces the whole document, a string value its text
+        # a key of None replaces the whole document, a string value its text,
+        # and a dotted key names a nested value
         out = tmp_path / "solve-out"
         assert main(["solve", str(write_scenario(tmp_path, dict(SMALL, time_steps=2))),
                      "--out", str(out)]) == 0
@@ -687,7 +716,11 @@ class TestAuditCommand:
         if key is None:
             doc = value
         else:
-            doc[key] = value
+            *path, last = key.split(".")
+            target = doc
+            for part in path:
+                target = target[part]
+            target[last] = value
         (out / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main(["audit", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()

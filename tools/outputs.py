@@ -9,19 +9,20 @@ benchmark workloads of ``bench/workloads.py`` at scenario seed 0, and on
 ``coupling-game-c2``: ``solve`` at ``--threads 1`` and at ``--threads 2``,
 ``audit`` on a copy of the ``--threads 1`` output without its CSV slices
 (its ``audit.json`` holds the Lipschitz audit's witnesses, which no other
-output does), and ``verify``.  ``coupling-game-c2`` is
+output does), and ``verify``; on ``constant-hamiltonian.json`` it also
+runs ``converge --levels 2``.  ``coupling-game-c2`` is
 ``coupling-game.json`` at 9x9x17 nodes and 2 steps with a declared ``c2``
 of 0.5, which its terminal cost exceeds, so its ``warnings.txt`` files
-hold a warning and show how many times it is printed.  Four runs feed bad
+hold a warning and show how many times it is printed.  Five runs feed bad
 input, so that ``diff`` compares their ``exit_code``: ``coupling-game``'s
 ``solve-lattice-ring`` solves ``coupling-game.json`` with ``"lattice":
 {"ring": 1, "base_angles": 8}`` (an unknown key), ``constant-hamiltonian``'s
 ``solve-value-null`` solves ``constant-hamiltonian.json`` with the
 Hamiltonian's ``"params": {"value": null}``, and ``coupling-game-c2``'s
-``audit-manifest-list`` and ``audit-seed-negative`` audit copies of its
-``solve-t1`` output whose ``manifest.json`` is ``[1]`` and has ``"seed":
--3``.  With
-``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
+``audit-manifest-list``, ``audit-seed-negative`` and ``audit-c2p-infinite``
+audit copies of its ``solve-t1`` output whose ``manifest.json`` is ``[1]``,
+has ``"seed": -3``, and has ``Infinity`` at ``derived_constants.c2p.value``.
+With ``--seeds N`` the ``hji-verify`` workload's ``verify`` also runs at
 scenario seeds 1 to N-1.  The scenario inputs always come from this
 checkout, so two checkouts written this way ran the same commands.  Each
 command writes to ``DIR/<scenario>/<run>``, next to an ``exit_code`` file
@@ -30,8 +31,9 @@ and a ``warnings.txt`` file holding the warnings it printed, one
 Python prints before them (those move with any edit).
 
 ``diff`` lists the files that differ in bytes or exist on one side only,
-ignoring ``run.log`` (it holds wall times), so a change that adds or
-removes a warning shows as a differing ``warnings.txt``; for each
+ignoring ``run.log`` and the ``seconds`` column of ``converge.csv`` (both
+hold wall times), so a change that adds or removes a warning shows as a
+differing ``warnings.txt``; for each
 differing ``.bin`` grid it adds the largest absolute difference of its
 values, and for each differing ``.json`` file the dotted paths of the
 keys whose values differ or exist on one side only, one per line, with
@@ -90,6 +92,8 @@ def _runs(seeds: int):
         jobs += [(name, scenario, f"solve-t{t}", ["solve", "--threads", str(t)]) for t in (1, 2)]
         jobs.append((name, None, "audit", ["audit"]))
         jobs.append((name, scenario, "verify", ["verify"]))
+        if name == "constant-hamiltonian":
+            jobs.append((name, scenario, "converge", ["converge", "--levels", "2"]))
     _, template = wl.WORKLOADS["hji-verify"]
     jobs += [("hji-verify", wl.scenario(template, s), f"verify-seed{s:02d}", ["verify"])
              for s in range(1, seeds)]
@@ -101,8 +105,16 @@ def _runs(seeds: int):
              ("constant-hamiltonian", null, "solve-value-null", ["solve"]),
              ("coupling-game-c2", lambda m: [1], "audit-manifest-list", ["audit"]),
              ("coupling-game-c2", lambda m: dict(m, seed=-3), "audit-seed-negative",
-              ["audit"])]
+              ["audit"]),
+             ("coupling-game-c2", _c2p_infinite, "audit-c2p-infinite", ["audit"])]
     return jobs
+
+
+def _c2p_infinite(manifest: dict) -> dict:
+    """``manifest`` with ``Infinity`` at ``derived_constants.c2p.value``."""
+    constants = manifest["derived_constants"]
+    return dict(manifest, derived_constants=dict(
+        constants, c2p=dict(constants["c2p"], value=float("inf"))))
 
 
 def write(outdir: Path, checkout: Path, seeds: int) -> int:
@@ -139,6 +151,17 @@ def write(outdir: Path, checkout: Path, seeds: int) -> int:
 
 def _files(root: Path) -> set:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file() and p.name not in SKIPPED}
+
+
+def _compared(path: Path) -> bytes:
+    """The bytes ``diff`` compares: a ``converge.csv`` without its
+    ``seconds`` column, any other file whole."""
+    data = path.read_bytes()
+    rows = [line.split(b",") for line in data.splitlines(keepends=True)]
+    if path.name != "converge.csv" or not rows or b"seconds" not in rows[0]:
+        return data
+    k = rows[0].index(b"seconds")
+    return b"".join(b",".join(row[:k] + row[k + 1:]) for row in rows)
 
 
 def _max_abs_diff(a: Path, b: Path) -> str:
@@ -181,7 +204,7 @@ def diff(a: Path, b: Path) -> int:
     for rel in sorted(files_a | files_b):
         if rel not in files_a or rel not in files_b:
             print(f"only in {a if rel in files_a else b}: {rel}")
-        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+        elif _compared(a / rel) != _compared(b / rel):
             note = f" ({_max_abs_diff(a / rel, b / rel)})" if rel.suffix == ".bin" else ""
             print(f"differs: {rel}{note}")
             if rel.suffix == ".json":
@@ -192,7 +215,8 @@ def diff(a: Path, b: Path) -> int:
             same += 1
             continue
         bad += 1
-    print(f"{same} files byte-identical, {bad} differ or are missing (run.log ignored)")
+    print(f"{same} files byte-identical, {bad} differ or are missing"
+          f" (run.log and converge.csv's seconds ignored)")
     return 1 if bad else 0
 
 
