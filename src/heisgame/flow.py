@@ -164,48 +164,47 @@ def _flow_at(xi, t0, breakpoints, values, times) -> np.ndarray:
     return np.where((times == t0[:, None])[..., None], xi[:, None], pts)
 
 
-def _rk4_span(x, z1: float, z2: float, length: float, n: int):
-    """Scalar RK4 over one constant-control segment (plain floats for speed)."""
-    x1, x2, x3 = x
-    h = length / n
-    for _ in range(n):
-        a3 = 0.5 * (z2 * x1 - z1 * x2)
-        b3 = 0.5 * (z2 * (x1 + 0.5 * h * z1) - z1 * (x2 + 0.5 * h * z2))
-        # k2 and k3 coincide: the velocity depends on x only through (x1, x2)
-        d3 = 0.5 * (z2 * (x1 + h * z1) - z1 * (x2 + h * z2))
-        x1 += h * z1
-        x2 += h * z2
-        x3 += h / 6.0 * (a3 + 4.0 * b3 + d3)
-    return x1, x2, x3
-
-
 def rk4_reference(xi, u: PiecewiseConstantControl, substeps: int = 100) -> Trajectory:
-    """Classical RK4 integration of the same dynamics, used as a test oracle.
+    """Classical RK4 integration of the same dynamics, used as a test oracle;
+    ``substeps`` sets the target step count over the whole span, with steps
+    aligned to the control's segments."""
+    points = _rk4_at(_pts(xi).reshape(1, 3), np.array([u.t0]), u.breakpoints[None],
+                     u.values[None], substeps)[0]
+    return Trajectory(np.concatenate(([u.t0], u.breakpoints)), points)
 
-    ``substeps`` sets the target step count over the whole span; steps are
-    aligned with the control's segments.
+
+def _rk4_at(xi, t0, breakpoints, values, substeps: int) -> np.ndarray:
+    """RK4 states of ``n`` controls of ``m`` segments each, shaped as for
+    :func:`_flow_at`, at ``t0`` and every breakpoint: ``(n, 1 + m, 3)``.
+
+    A segment takes ``max(1, ceil(length / h_target))`` equal steps, with
+    ``h_target = duration / substeps``.  A control is a row of steps padded
+    to the longest, summed along the row in sequence (``np.add.accumulate``)
+    with every ``+`` and ``*`` in the order of a loop in Python floats, so
+    each state has that loop's bits in any batch; padding is never read.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    xi = _pts(xi).reshape(3)
-    times = [u.t0]
-    points = [xi.copy()]
-    if u.n_segments:
-        h_target = u.duration / substeps if u.duration > 0 else 1.0
-        x = (float(xi[0]), float(xi[1]), float(xi[2]))
-        t_cur = u.t0
-        for end, z in zip(u.breakpoints, u.values):
-            length = end - t_cur
-            n = max(1, math.ceil(length / h_target - 1e-12))
-            x = _rk4_span(x, float(z[0]), float(z[1]), length, n)
-            times.append(end)
-            points.append(np.array(x))
-            t_cur = end
-    return Trajectory(np.asarray(times), np.asarray(points))
+    length = np.diff(breakpoints, prepend=t0[:, None], axis=1)
+    h_target = (breakpoints[:, -1:] - t0[:, None]) / substeps
+    n = np.maximum(1, np.ceil(length / h_target - 1e-12)).astype(int)
+    ends = np.cumsum(np.column_stack([np.zeros(len(n), int), n]), axis=1)
+    pad = np.arange(ends[:, -1].max(initial=0)) < ends[:, -1:]
+    h, z1, z2 = step = np.zeros((3, *pad.shape))
+    step[:, pad] = np.repeat(np.column_stack([(length / n).ravel(), values.reshape(-1, 2)]),
+                             n.ravel(), axis=0).T
+    x1, x2 = np.add.accumulate(np.concatenate([xi.T[:2, :, None], h * step[1:]], axis=2), axis=2)
+    a3 = 0.5 * (z2 * x1[:, :-1] - z1 * x2[:, :-1])
+    b3 = 0.5 * (z2 * (x1[:, :-1] + 0.5 * h * z1) - z1 * (x2[:, :-1] + 0.5 * h * z2))
+    # k2 and k3 coincide: the velocity depends on x only through (x1, x2);
+    # k4's x + h*z is the next state, the same sum rounded the same way
+    d3 = 0.5 * (z2 * x1[:, 1:] - z1 * x2[:, 1:])
+    x3 = np.add.accumulate(np.column_stack([xi[:, 2], h / 6.0 * (a3 + 4.0 * b3 + d3)]), axis=1)
+    return np.stack([x[np.arange(len(n))[:, None], ends] for x in (x1, x2, x3)], axis=-1)
 
 
-# samples per batched flow evaluation: keeps the batched checks'
-# temporaries at a few MB whatever the instance count
+# samples (or RK4 steps, at most ``substeps`` a segment) per batch: keeps
+# the batched checks' temporaries at a few MB whatever the instance count
 _CHUNK_POINTS = 1 << 15
 
 

@@ -1,5 +1,6 @@
 """Shared helpers: the canonical problem and batched trajectory math."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,32 @@ def integrate_reference(xi, u, samples_per_segment=0, extra_times=None):
         x_cur = exact_step(x_cur, z, end - t_cur)
         t_cur = end
     return times, points
+
+
+def rk4_loop_reference(xi, u, substeps):
+    """RK4 one step at a time in Python floats, segment by segment:
+    reference for the batched steps behind ``flow.rk4_reference``.  Returns
+    the times and states at ``t0`` and every breakpoint."""
+    xi = np.asarray(xi, dtype=float).reshape(3)
+    times, points = [u.t0], [xi.copy()]
+    x1, x2, x3 = (float(c) for c in xi)
+    t_cur = u.t0
+    for end, (z1, z2) in zip(u.breakpoints, u.values.tolist()):
+        length = end - t_cur
+        n = max(1, math.ceil(length / (u.duration / substeps) - 1e-12))
+        h = length / n
+        for _ in range(n):
+            a3 = 0.5 * (z2 * x1 - z1 * x2)
+            b3 = 0.5 * (z2 * (x1 + 0.5 * h * z1) - z1 * (x2 + 0.5 * h * z2))
+            # k2 and k3 coincide: the velocity depends on x only through (x1, x2)
+            d3 = 0.5 * (z2 * (x1 + h * z1) - z1 * (x2 + h * z2))
+            x1 += h * z1
+            x2 += h * z2
+            x3 += h / 6.0 * (a3 + 4.0 * b3 + d3)
+        times.append(end)
+        points.append(np.array([x1, x2, x3]))
+        t_cur = end
+    return np.asarray(times), np.asarray(points)
 
 
 def flow_checks_reference(rng, n_reach, n_translation, n_shift, radii=(0.5, 1.0, 2.0)):

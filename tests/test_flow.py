@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from _util import batch_controls, batch_trajectory, flow_checks_reference, integrate_reference
+from _util import (
+    batch_controls,
+    batch_trajectory,
+    flow_checks_reference,
+    integrate_reference,
+    rk4_loop_reference,
+)
 
+from heisgame import checks
 from heisgame.heis import IDENTITY, dist_g, group_mul
 from heisgame.checks import (
     check_flow_exactness,
@@ -121,6 +128,25 @@ class TestRk4:
         xi = np.array([1.0, 2.0, 3.0])
         traj = rk4_reference(xi, u, substeps=16)
         assert np.array_equal(traj.points, np.stack([xi, xi]))
+
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(12)
+        empty = PiecewiseConstantControl(0.3, [], np.zeros((0, 2)))
+        traj = rk4_reference((1.0, 2.0, 3.0), empty, substeps=16)
+        assert np.array_equal(traj.times, [0.3])
+        assert np.array_equal(traj.points, [[1.0, 2.0, 3.0]])
+        controls = [empty]
+        for k in range(200):
+            u = random_control(rng, 2.0, t0=-0.5, t_end=1.5)
+            controls.append(PiecewiseConstantControl(u.t0, u.breakpoints, -u.values)
+                            if k % 2 else u)
+        for u in controls:
+            xi = rng.uniform(-2, 2, 3)
+            for substeps in (1, 16, 1000):
+                traj = rk4_reference(xi, u, substeps=substeps)
+                times, points = rk4_loop_reference(xi, u, substeps)
+                assert np.array_equal(traj.times, times)
+                assert np.array_equal(traj.points, points)
 
 
 class TestReachBound:
@@ -251,6 +277,32 @@ class TestBatchedFlow:
                    check_shifted_start(n[2], rngs[0])]
         assert [r.measured for r in results] == list(flow_checks_reference(rngs[1], *n))
         assert [r.passed for r in results] == [True, True, seed == 0, True]
+
+    @pytest.mark.parametrize("substeps", [1000, 1])
+    def test_flow_exactness_matches_per_instance_loop(self, monkeypatch, substeps):
+        # 70 draws: at 1000 substeps, some segment counts take several chunks
+        real, segments = checks._rk4_at, []
+
+        def counted(xi, t0, bp, vals, substeps):
+            segments.append(bp.shape[1])
+            return real(xi, t0, bp, vals, substeps)
+
+        monkeypatch.setattr(checks, "_rk4_at", counted)
+        rngs = [np.random.default_rng(13) for _ in range(2)]
+        res = check_flow_exactness(70, rngs[0], substeps=substeps)
+        worst = worst_gauge = 0.0
+        for _ in range(70):
+            xi = rngs[1].uniform(-2, 2, 3)
+            u = random_control(rngs[1], 2.0)
+            end_exact = integrate(xi, u).endpoint
+            end_rk4 = rk4_loop_reference(xi, u, substeps)[1][-1]
+            worst = max(worst, float(np.linalg.norm(end_exact - end_rk4)))
+            worst_gauge = max(worst_gauge, float(dist_g(end_exact, end_rk4)))
+        assert res.measured == worst
+        assert res.detail["gauge_distance"] == worst_gauge
+        assert rngs[0].random() == rngs[1].random()
+        assert len(segments) >= 3
+        assert (len(segments) > len(set(segments))) == (substeps == 1000)
 
     def test_batch_entries_match_single_instances(self):
         # mixed segment counts, more than one chunk per count, and the
