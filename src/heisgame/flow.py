@@ -177,7 +177,7 @@ def _rk4_at(xi, t0, breakpoints, values, substeps: int) -> np.ndarray:
     """RK4 states of ``n`` controls of ``m`` segments each, shaped as for
     :func:`_flow_at`, at ``t0`` and every breakpoint: ``(n, 1 + m, 3)``.
 
-    A segment takes ``max(1, ceil(length / h_target))`` equal steps, with
+    A segment takes ``max(1, ceil(length / h_target - 1e-12))`` equal steps, with
     ``h_target = duration / substeps``.  A control is a row of steps padded
     to the longest, summed along the row in sequence (``np.add.accumulate``)
     with every ``+`` and ``*`` in the order of a loop in Python floats, so
