@@ -10,7 +10,8 @@ separable, ``base(t, x, y) + k(y, z)``: each entry defines ``base`` and the
 table of ``k`` (``coupling_pair``, ``None`` for ``z . y``) for the solver's
 fast path, and its ``fn`` is :func:`heisgame.game.separable_cost` of the
 two; a table free of ``y`` (``constant``, ``custom-affine``) lets each step
-reduce its ``min_z`` once for all ``y``.
+reduce its ``min_z`` once for all ``y`` and add ``max_y h*base(y)`` to it
+once, a scalar for these costs, with the bits of the full opt-opt.
 
 Each entry also declares the group reflections it commutes with
 (``reflections``, names from ``game.REFLECTIONS``): ``"x2"`` maps

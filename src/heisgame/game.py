@@ -12,6 +12,7 @@ expansion of the lower recurrence reproduces the lower Hamiltonian
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from contextlib import nullcontext
@@ -73,8 +74,9 @@ class GameSpec:
     ``base(t, x, y) + k(y, z)``, passing ``coupling_base`` and
     ``coupling_pair(ypts, zpts)``, the ``(mz, my)`` table of ``k`` (``None``
     for ``z . y``), lets each step call the cost only as ``base``, once per
-    ``y``, with one ``min_z`` for all ``y`` where the table is free of ``y``;
-    :func:`separable_cost` derives ``running_cost`` from the two.
+    ``y``, with one ``min_z`` for all ``y`` plus ``max_y h*base(y)`` where
+    the table is free of ``y``; :func:`separable_cost` derives
+    ``running_cost`` from the two.
     Every backward step, on the grid or grid-free, and both lattice
     Hamiltonians (the one-step expansions of the recurrences, continuing a
     linear value) are one ``_backup`` over the one max-min kernel
@@ -511,9 +513,11 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
     otherwise, with one ``running_cost`` call per ``(y, z)`` pair.  Both
     values reduce the same entries.  Where every column of ``offs = h*k``
     has the same bits (a ``k`` free of ``y``; ``0.0`` and ``-0.0`` differ),
-    both take the one ``min_z`` of ``W_z + offs_z``, then the max over ``y``
-    of it plus ``h*base(y)``: a rounded add is monotone, so this is
-    bit-identical to either opt-opt of the entries.  Otherwise the lower
+    both take the one ``min_z`` ``c`` of ``W_z + offs_z`` and add it once
+    to ``max_y h*base(y)``, reduced lazily in lattice order at the base's
+    shape (a scalar for the catalog's costs).  A rounded add is monotone
+    and its zero sum is ``-0.0`` only from two ``-0.0`` terms, so this has
+    the bits of either opt-opt of the entries.  Otherwise the lower
     value adds ``h*base(y)`` after its ``min_z`` and bounds each ``y`` after
     the first by the rows of every 4th point of the outermost ``z`` ring
     (``_max_min``'s ``probe``), skipping it where the running best is
@@ -543,8 +547,8 @@ def _backup(spec, t, h, pts, W, y_lattice, z_lattice, which):
         if (bits == bits[:, :1]).all():
             common = _max_min(n, 1, len(zpts),
                               lambda _, zi, out: np.add(W[zi], offs[zi, 0], out=out), True)
-            return _max_min(n, len(ypts), 1,
-                            lambda yi, _, out: np.add(common, base(yi), out=out), True)
+            top = functools.reduce(np.maximum, map(base, range(len(ypts))))
+            return np.add(common, top, out=common)
         if lower:
             probe = _ring_probe(zpts) if np.isfinite(W).all() else ()
             return _max_min(n, *sizes, lambda yi, zi, out: np.add(W[zi], offs[zi, yi], out=out),

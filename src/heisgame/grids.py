@@ -171,7 +171,10 @@ def _interp_feet(box: Box, values: np.ndarray, feet: StepFeet):
                               box.lo[2], box.hi[2], n3)
     a = _lerp(values[i1], values[i1 + 1], f1[:, None, None])
     b = _lerp(a[:, i2], a[:, i2 + 1], f2[None, :, None])
-    c = _lerp(np.take_along_axis(b, i3, axis=2), np.take_along_axis(b, i3 + 1, axis=2), f3)
+    # i3 becomes the flat (column, k) index into b; the lower neighbour is
+    # taken before i3 += 1 moves it, in place, onto the upper one
+    i3 += (np.arange(i3.shape[0] * i3.shape[1]) * n3).reshape(i3.shape[:2] + (1,))
+    c = _lerp(b.take(i3), b.take(np.add(i3, 1, out=i3)), f3)
     in3 &= in1[:, None, None] & in2[None, :, None]
     return c.reshape(-1), in3.reshape(-1)
 

@@ -76,6 +76,25 @@ def const_field(c):
     return lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], c)
 
 
+def entries_opt_opt(W, offs, bases):
+    """Both opt-opts of the entries ``(W_z + offs_zy) + bases_y``, reduced
+    row by row in lattice order, as ``game._max_min`` reduces them."""
+    mz, my = offs.shape
+    entries = [[W[zi] + offs[zi, yi] + bases[yi] for yi in range(my)] for zi in range(mz)]
+    ref = {"lower": np.full(W.shape[1], -np.inf), "upper": np.full(W.shape[1], np.inf)}
+    for yi in range(my):
+        acc = entries[0][yi]
+        for zi in range(1, mz):
+            acc = np.minimum(acc, entries[zi][yi])
+        ref["lower"] = np.maximum(ref["lower"], acc)
+    for zi in range(mz):
+        acc = entries[zi][0]
+        for yi in range(1, my):
+            acc = np.maximum(acc, entries[zi][yi])
+        ref["upper"] = np.minimum(ref["upper"], acc)
+    return ref
+
+
 class TestMakeLattice:
     def test_zero_radius(self):
         lat = make_lattice(0.0)
@@ -492,34 +511,109 @@ class TestBackwardInduction:
         Z = ControlLattice(1.0, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), 1.0)
         W = np.array([[0.0, -0.0, -0.0, 1.0], [-0.0, 0.0, -0.0, -2.0], [-0.0, -0.0, 0.0, 3.0]])
         pts = np.zeros((W.shape[1], 3))
-        entries = [[W[zi] + table[zi, yi] + bases[yi] for yi in range(len(ypts))]
-                   for zi in range(len(table))]
-        ref = {"lower": np.full(len(pts), -np.inf), "upper": np.full(len(pts), np.inf)}
-        for yi in range(len(ypts)):
-            acc = entries[0][yi]
-            for zi in range(1, len(table)):
-                acc = np.minimum(acc, entries[zi][yi])
-            ref["lower"] = np.maximum(ref["lower"], acc)
-        for zi in range(len(table)):
-            acc = entries[zi][0]
-            for yi in range(1, len(ypts)):
-                acc = np.maximum(acc, entries[zi][yi])
-            ref["upper"] = np.minimum(ref["upper"], acc)
+        ref = entries_opt_opt(W, table, bases)
         assert np.signbit(ref["upper"][:3]).any() and not np.signbit(ref["upper"][:3]).all()
         for which in ("lower", "upper"):
             got = game._backup(spec, 0.0, 1.0, pts, W, Y, Z, which)
             assert np.array_equal(got.view(np.uint64), ref[which].view(np.uint64))
 
+    # y-free column: W + h*col makes the one min_z -0.0 at nodes 0, 1 (from
+    # a 0.0/-0.0 tie) and 6, +0.0 at 2 and 3 and nonzero at 4 and 5; per
+    # node, the array bases' max over y ties at 0.0 and -0.0 at 1, 2 and 6, so
+    # the sum is -0.0 at nodes 0 and 1 only
+    Y_FREE_COL = np.array([-0.0, 0.25, -0.0])
+    Y_FREE_W = np.array([[-0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.0],
+                         [1.0, -0.125, 3.0, -0.125, 2.0, 3.0, 1.0],
+                         [-0.0, -0.0, 1.0, 0.0, 0.5, 0.75, -0.0]])
+    Y_FREE_BASES = np.array([[-0.0, 0.0, 0.0, -0.0, 2.0, -0.75, -0.0],
+                             [-1.0, -0.0, -0.0, -0.0, 1.0, -2.0, -1.0],
+                             [-0.0, -0.0, -3.0, -0.0, 2.0, 0.25, 0.0],
+                             [-2.0, -1.0, -1.0, -0.0, 0.0, -0.75, -2.0]])
+
+    def y_free_spec(self, bases):
+        ypts = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])[:len(bases)]
+        index = {tuple(y): i for i, y in enumerate(ypts)}
+        spec = dataclasses.replace(
+            simple_spec(None, gauge), coupling_base=lambda t, x, y: bases[index[tuple(y)]],
+            coupling_pair=lambda yp, zp: np.stack([self.Y_FREE_COL] * len(yp), axis=1))
+        Z = ControlLattice(1.0, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), 1.0)
+        return spec, ControlLattice(1.0, ypts, 1.0), Z
+
+    @pytest.mark.parametrize("bases", [
+        Y_FREE_BASES,
+        [np.float64(b) for b in (-0.0, -1.0, -0.0, -2.0)],
+        [np.float64(b) for b in (-0.0, -1.0, 0.0)],
+        [np.float64(b) for b in (0.0, -0.0, -3.0)],
+    ], ids=["array", "scalar", "scalar-tie-pos", "scalar-tie-neg"])
+    def test_y_free_adds_max_base_once(self, bases):
+        # the y-free path adds max_y h*base(y) to the one min_z once; at any
+        # base shape this is bit for bit either opt-opt of the entries
+        spec, Y, Z = self.y_free_spec(bases)
+        h, W = 0.5, self.Y_FREE_W
+        pts = np.zeros((W.shape[1], 3))
+        ref = entries_opt_opt(W, h * np.stack([self.Y_FREE_COL] * len(bases), axis=1),
+                              [h * np.asarray(b) for b in bases])
+        assert np.array_equal(ref["lower"].view(np.uint64), ref["upper"].view(np.uint64))
+        assert not ref["lower"][[0, 1, 2, 3, 6]].any() and ref["lower"][5]
+        if np.ndim(bases[0]):
+            assert list(np.signbit(ref["lower"][[0, 1, 2, 3, 4, 6]])) == [True, True] + [False] * 4
+        for which in ("lower", "upper"):
+            got = game._backup(spec, 0.0, h, pts, W, Y, Z, which)
+            assert got.shape == (len(pts),)
+            assert np.array_equal(got.view(np.uint64), ref[which].view(np.uint64))
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_y_free_non_finite_last_base_raises(self, which):
+        bases = self.Y_FREE_BASES.copy()
+        bases[-1, 2] = np.inf
+        spec, Y, Z = self.y_free_spec(bases)
+        calls = []
+        base = spec.coupling_base
+        spec.coupling_base = lambda t, x, y: calls.append(y) or base(t, x, y)
+        pts = np.zeros((bases.shape[1], 3))
+        with pytest.raises(NonFiniteValueError, match="coupling base"):
+            game._backup(spec, 0.0, 0.5, pts, self.Y_FREE_W, Y, Z, which)
+        assert len(calls) == len(bases)
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_y_free_holds_few_base_rows(self, which):
+        # game-solve's 1089-point y lattice with x-dependent bases: the max
+        # over y holds a few rows of n at once, never one row per y
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        n, my = 4096, 1089
+        ypts = ball_points(rng, 1.0, my)
+        pts = rng.normal(size=(n, 3))
+        spec = dataclasses.replace(
+            simple_spec(None, gauge), coupling_base=lambda t, x, y: x[:, :2] @ y,
+            coupling_pair=lambda yp, zp: np.broadcast_to(zp[:, :1], (len(zp), len(yp))))
+        Y = ControlLattice(1.0, ypts, 1.0)
+        Z = ControlLattice(1.0, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), 1.0)
+        W = rng.normal(size=(3, n))
+        tracemalloc.start()
+        try:
+            game._backup(spec, 0.0, 0.5, pts, W, Y, Z, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * 8
+
     def test_y_free_pair_table_reduces_min_z_once(self, monkeypatch):
-        # a y-free table costs mz rows for the one min_z and my for the
-        # outer max, for either value; the z.y table of coupling_spec costs
-        # a row per pair
-        rows = []
-        kernel = game._max_min
+        # a y-free table costs mz kernel rows for the one min_z, for either
+        # value, and adds the max over y of h*base once, outside the kernel;
+        # the z.y table of coupling_spec costs a row per pair.  Both paths
+        # call the base once per y
+        rows, base_calls = [], []
+        kernel, base = game._max_min, coupling_spec().coupling_base
 
         def counted(n, m_outer, m_inner, *rest):
             rows.append(m_outer * m_inner)
             return kernel(n, m_outer, m_inner, *rest)
+
+        def counted_base(t, x, y):
+            base_calls.append(y)
+            return base(t, x, y)
 
         monkeypatch.setattr(game, "_max_min", counted)
         Y, Z = make_lattice(2.0, 2, 8), make_lattice(1.0, 1, 8)
@@ -527,15 +621,18 @@ class TestBackwardInduction:
         W = np.random.default_rng(0).normal(size=(mz, 16))
         pts = np.zeros((16, 3))
         y_free = lambda yp, zp: np.broadcast_to(zp[:, :1] - 0.5, (len(zp), len(yp)))
+        bases = np.array([base(0.0, pts, y) for y in Y.points])
         for which in ("lower", "upper"):
-            for pair, expected in ((y_free, mz + my), (None, my * mz)):
-                spec = dataclasses.replace(coupling_spec(), coupling_pair=pair)
+            for pair, expected in ((y_free, mz), (None, my * mz)):
+                spec = dataclasses.replace(coupling_spec(), coupling_pair=pair,
+                                           coupling_base=counted_base)
                 rows.clear()
+                base_calls.clear()
                 got = game._backup(spec, 0.0, 0.25, pts, W, Y, Z, which)
                 assert sum(rows) == expected
+                assert len(base_calls) == my
                 table = game._pair_table(spec, Y.points, Z.points)
-                base = np.array([spec.coupling_base(0.0, pts, y) for y in Y.points])
-                entries = (W[:, None] + 0.25 * table[:, :, None]) + 0.25 * base[None, :, None]
+                entries = (W[:, None] + 0.25 * table[:, :, None]) + 0.25 * bases[None, :, None]
                 ref = entries.min(0).max(0) if which == "lower" else entries.max(1).min(0)
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
