@@ -267,6 +267,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
         "|backward induction - grid-free recursion| <= interpolation tolerance",
         5e-2, worst, worst <= 5e-2, {"nodes": n_nodes, "time_steps": oracle_steps},
     ))
+    del v3  # freed before the baseline solve and the audits, off their peak
 
     # the baseline solve feeds the dynamic-programming and regularity audits
     audited = sc.solve(y_lat, z_lat, threads=threads)

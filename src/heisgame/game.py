@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .heis import Box, ball_points, dist_g, eval_field
+from .heis import Box, ball_at, dist_g, eval_field, fixed_points
 from .flow import LipschitzConstants, exact_step
 from .grids import StepFeet, ValueGrid, certify_region, grid_axes, grid_nodes, interp_values
 
@@ -127,22 +127,21 @@ class GameSpec:
         return LipschitzConstants(self.horizon, self.r_z, self.c1, self.c1p, self.c2p)
 
     def check_declarations(self, box: Box) -> list[str]:
-        """Samples 128 points of ``box`` and 4 draws of ``(t, y, z)`` from
-        ``default_rng(0)``, once for all declarations.  Raises ``ValueError``
+        """Samples 128 points of ``box`` and 4 draws of ``(t, y, z)``, once for
+        all declarations, from the seed-free :func:`~heisgame.heis.fixed_points`
+        (a solve imports no ``numpy.random``, 6 MB).  Raises ``ValueError``
         for the first cost that moves by more than ``1e-12 * (1 + |value|)``
         under a declared reflection, then warns of each sampled cost beyond
         ``c1`` or ``c2`` and returns the messages.  The warnings come from one
         fixed line, so Python's default filter prints a violation that
         repeated solves meet (``verify``'s three) once per process.
         """
-        n, rng = 128, np.random.default_rng(0)
-        pts = box.sample(n, rng)
+        n, u, ts = 128, fixed_points(4, 4), fixed_points(4, 1)[:, 0] * self.horizon
+        pts = box.lo + fixed_points(n, 3) * box.extent
         gv = _on_points(eval_field(self.terminal_cost, pts), n)
         draws = []
-        for _ in range(4):
-            t = rng.random() * self.horizon
-            y = ball_points(rng, self.r_y)
-            z = ball_points(rng, self.r_z)
+        for t, y, z in zip(ts, ball_at(u[:, 0], u[:, 1], self.r_y),
+                           ball_at(u[:, 2], u[:, 3], self.r_z)):
             draws.append((t, y, z, _on_points(self.running_cost(t, pts, y, z), n)))
         for name in self.reflections:
             flip = np.array(REFLECTIONS[name])
@@ -696,6 +695,7 @@ def backward_induction(
     x1, x2, x3 = grid_axes(box, counts)
     axes = (x1[s1:], x2[s2:], x3)
     solved = nodes.reshape(counts + (3,))[s1:, s2:].reshape(-1, 3)
+    del nodes, g_vals  # 32 B a node that no step reads, freed before the steps
 
     def run_block(k, planes, sl):
         block_axes = (axes[0][planes], axes[1], axes[2])
@@ -725,7 +725,7 @@ def backward_induction(
             if not np.isfinite(data[k]).all():
                 bad = int(np.argmax(~np.isfinite(data[k])))
                 raise NonFiniteValueError(
-                    f"non-finite value at t={times[k]:.6g}, node {nodes[bad]}"
+                    f"non-finite value at t={times[k]:.6g}, node {grid_nodes(box, counts)[bad]}"
                 )
 
     return ValueGrid(box, times, data, region, trusted)

@@ -137,13 +137,14 @@ def interp_values(box: Box, values: np.ndarray, pts):
 
     ``pts`` is an ``(n, 3)`` array or a :class:`StepFeet`; returns the
     values and the inside-box flags, flat in the order of the points.
-    Fractions within 1e-12 of a cell face snap onto it, so queries at
-    node coordinates return the stored value exactly.  At ``StepFeet``
-    the x1-cell depends only on the plane and the x2-cell only on the row,
-    so the lerps run axis by axis on the slab and only the x3-cell is
-    gathered per point; the result is bit-identical to the same feet given
-    as an array (``exact_step`` of the nodes), since both paths take every
-    lerp through ``_lerp``.
+    Fractions within 1e-12 of a cell face snap onto it, so a query at node
+    coordinates returns the stored value, though a stored ``-0.0`` may come
+    back ``+0.0`` (the lerp adds a neighbour times 0).  At ``StepFeet`` the
+    x1-cell depends only on the plane and the x2-cell only on the row, so
+    the lerps run axis by axis on the slab and only the x3-cell is gathered
+    per point; the result is bit-identical to the same feet given as an
+    array (``exact_step`` of the nodes), since both paths take every lerp
+    through ``_lerp``.
     """
     if isinstance(pts, StepFeet):
         return _interp_feet(box, values, pts)

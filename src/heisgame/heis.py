@@ -22,6 +22,8 @@ __all__ = [
     "IDENTITY",
     "Box",
     "ball_points",
+    "ball_at",
+    "fixed_points",
     "group_mul",
     "inverse",
     "dilate",
@@ -126,9 +128,26 @@ def ball_points(rng: np.random.Generator, radius: float, shape=()) -> np.ndarray
 
     Draws all angles, then all radii; ``shape=()`` gives one point.
     """
-    theta = rng.random(shape) * 2 * np.pi
-    r = radius * np.sqrt(rng.random(shape))
+    return ball_at(rng.random(shape), rng.random(shape), radius)
+
+
+def ball_at(u1, u2, radius: float) -> np.ndarray:
+    """The plane-ball points at angle ``2*pi*u1`` and radius ``radius*sqrt(u2)``:
+    uniform in the closed ball of ``radius`` when ``u1``, ``u2`` are."""
+    theta = u1 * 2 * np.pi
+    r = radius * np.sqrt(u2)
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def fixed_points(n: int, d: int) -> np.ndarray:
+    """``n`` low-discrepancy points ``frac(0.5 + k*alpha)`` of ``[0, 1)^d``,
+    ``k = 1..n``, ``alpha_i = phi**-i``, ``phi**(d+1) = phi + 1`` (Roberts'
+    R_d sequence); seed-free, so every call returns the same bits."""
+    phi = 2.0
+    for _ in range(64):  # the fixed-point iteration contracts to phi
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1)
+    return (0.5 + np.arange(1.0, n + 1)[:, None] * alpha) % 1.0
 
 
 def eval_field(f: Callable, pts: np.ndarray) -> np.ndarray:

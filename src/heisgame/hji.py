@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .heis import Box
+from .heis import Box, ball_at, fixed_points
 from .grids import ValueGrid
 from .game import (
     AUDIT_SLACK,
@@ -87,15 +87,13 @@ class HjiProblem:
 
     def spot_check(self, box: Box) -> list[str]:
         """Sampled check of the declared y-Lipschitz modulus at 64 points of
-        ``box``; violations warn from one fixed line, so Python's default
-        filter prints each once per process, however many solves meet it."""
-        rng = np.random.default_rng(0)
-        pts = box.sample(64, rng)
+        ``box`` and 4 draws of ``(t, y1, y2)``, ``|y| <= 2``, from the seed-free
+        :func:`~heisgame.heis.fixed_points`; violations warn from one fixed
+        line, so Python's default filter prints each once per process."""
+        u, ts = fixed_points(4, 4), fixed_points(4, 1)[:, 0] * self.horizon
+        pts = box.lo + fixed_points(64, 3) * box.extent
         msgs = []
-        for _ in range(4):
-            t = rng.random() * self.horizon
-            y1 = rng.normal(size=2)
-            y2 = rng.normal(size=2)
+        for t, y1, y2 in zip(ts, ball_at(u[:, 0], u[:, 1], 2.0), ball_at(u[:, 2], u[:, 3], 2.0)):
             lhs = np.abs(
                 np.asarray(self.hamiltonian(t, pts, y1), dtype=float)
                 - np.asarray(self.hamiltonian(t, pts, y2), dtype=float)

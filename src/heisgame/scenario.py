@@ -64,8 +64,8 @@ class Scenario:
         """Game-time lower value on the scenario's grid, the one solve of
         ``solve``, ``converge`` and ``verify``.  Besides the game's
         declarations (``GameSpec.check_declarations``), it samples an ``hji``
-        scenario's declared ``k``, after the solve since that check's first
-        numpy calls raise the solve's peak RSS; violations only warn."""
+        scenario's declared ``k``, after the solve so that warnings keep their
+        order (both samples are fixed and small); violations only warn."""
         value = backward_induction(self.game, self.box, self.counts, self.n_steps,
                                    y_lat, z_lat, threads=threads)
         if self.problem is not None:

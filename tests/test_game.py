@@ -722,6 +722,16 @@ class TestBackwardInduction:
         with pytest.raises(ValueError, match="counts must be three integers >= 2"):
             backward_induction(coupling_spec(r_y=1.0), SMALL_BOX, counts, 2, self.Y, self.Z)
 
+    def test_overflow_names_its_node(self):
+        # finite costs whose sum overflows: the step's check names the first
+        # node in C order, from coordinates recomputed after the solve freed them
+        spec = simple_spec(lambda t, x, y, z: 1.7e308, const_field(1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # both costs exceed c1 and c2
+            with pytest.raises(NonFiniteValueError,
+                               match=r"non-finite value at t=0, node \[-4\. -4\. -8\.\]"):
+                backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 1, self.Y, self.Z)
+
     def test_spot_check_warns_on_bad_bound(self):
         spec = simple_spec(lambda t, x, y, z: 0.0, gauge, c1=1.0, c2=0.5)
         with warnings.catch_warnings(record=True) as w:
@@ -943,6 +953,29 @@ class TestReflections:
         Y = Z = make_lattice(1.0, 1, 8)
         backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 2, Y, Z)
         assert len(calls) == 4 + 2 * 4
+
+    def test_declaration_sample_is_fixed_and_admissible(self):
+        # the same 128 box points and 4 (t, y, z) draws on every call, with
+        # t in [0, horizon) and y, z in their closed balls
+        box = Box([-1, -2, -3], [1, 2, 3])
+        seen, calls = [], []
+        terminal = lambda x: seen.append(np.array(x)) or gauge(x)
+        cost = lambda t, x, y, z: calls.append((t, np.array(x), y, z)) or 0.0
+        spec = simple_spec(cost, terminal, r_y=2.0, r_z=0.5, c2=10.0, horizon=0.25)
+        for _ in range(2):
+            assert spec.check_declarations(box) == []
+        (first, second), n = seen, 128
+        assert first.shape == (n, 3) and np.array_equal(first, second)
+        assert box.contains(first).all()
+        assert len(calls) == 2 * 4
+        for (t, x, y, z), again in zip(calls[:4], calls[4:]):
+            assert np.array_equal(x, first)
+            assert (t, y.tolist(), z.tolist()) == (again[0], again[2].tolist(), again[3].tolist())
+            assert 0.0 <= t < 0.25
+            assert np.hypot(*y) <= 2.0 and np.hypot(*z) <= 0.5
+        assert len({t for t, *_ in calls}) == 4
+        # the golden-ratio times reach both ends of the horizon
+        assert min(t for t, *_ in calls) < 0.25 * 0.25 and max(t for t, *_ in calls) > 0.75 * 0.25
 
     @pytest.mark.parametrize("wrong", ["running", "terminal"])
     def test_wrong_declaration_refused_before_backup(self, monkeypatch, wrong):

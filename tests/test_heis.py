@@ -4,9 +4,12 @@ import pytest
 from heisgame.heis import (
     IDENTITY,
     Box,
+    ball_at,
+    ball_points,
     dilate,
     dist_g,
     eval_field,
+    fixed_points,
     gauge,
     group_mul,
     h_convexity_check,
@@ -190,3 +193,48 @@ class TestHConvexity:
         with pytest.raises(ValueError, match="non-finite"):
             h_convexity_check(bad, self.BOX, directions=8, probes=9,
                               rng=np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (128, 3), (4, 5), (64, 3)])
+def test_fixed_points_repeat_their_bits_inside_the_unit_cube(n, d):
+    u = fixed_points(n, d)
+    assert u.shape == (n, d)
+    assert np.array_equal(u.view(np.uint64), fixed_points(n, d).view(np.uint64))
+    assert ((u >= 0.0) & (u < 1.0)).all()
+    assert len(np.unique(u, axis=0)) == n
+
+
+def test_fixed_points_are_roberts_sequence():
+    # d = 1 is the golden-ratio sequence frac(0.5 + k/phi)
+    phi = (1 + np.sqrt(5)) / 2
+    k = np.arange(1, 9)
+    assert np.abs(fixed_points(8, 1)[:, 0] - (0.5 + k / phi) % 1.0).max() <= 1e-12
+    # every axis spreads over the cube: each half holds some of 64 points
+    u = fixed_points(64, 3)
+    assert ((u < 0.5).sum(axis=0) >= 24).all() and ((u >= 0.5).sum(axis=0) >= 24).all()
+
+
+@pytest.mark.parametrize("seed,radius,shape", [(0, 1.0, ()), (3, 2.5, (7,)), (11, 0.5, (4, 3))])
+def test_ball_points_keeps_its_rng_draws(seed, radius, shape):
+    # the sampler before ball_at was factored out: all angles, then all radii
+    rng = np.random.default_rng(seed)
+    theta = rng.random(shape) * 2 * np.pi
+    r = radius * np.sqrt(rng.random(shape))
+    old = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    new = ball_points(np.random.default_rng(seed), radius, shape)
+    assert new.shape == shape + (2,)
+    assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+def test_ball_points_pinned_bits():
+    pinned = ["0x1.a34c32a49a164p+0", "0x1.f49266effdcadp-1", "0x1.040f0ffd8fe13p-4",
+              "0x1.875c7bd4399f1p-1", "0x1.0ab8f8ca8d639p-1", "-0x1.8f877854a201cp+0"]
+    got = ball_points(np.random.default_rng(3), 2.5, (3,)).ravel().tolist()
+    assert [x.hex() for x in got] == pinned
+
+
+def test_ball_at_stays_in_the_closed_ball():
+    u = fixed_points(256, 2)
+    pts = ball_at(u[:, 0], u[:, 1], 1.5)
+    assert (np.hypot(pts[:, 0], pts[:, 1]) <= 1.5).all()
+    assert np.array_equal(ball_at(np.zeros(1), np.ones(1), 1.5), [[1.5, 0.0]])

@@ -268,3 +268,26 @@ def test_spot_check_warns_on_wrong_y_modulus():
         warnings.simplefilter("always")
         p.spot_check(BOX)
     assert any("y-increment" in str(x.message) for x in w)
+
+
+def test_spot_check_sample_is_fixed_and_admissible():
+    # 64 box points and 4 (t, y1, y2) draws, the same on every call, with
+    # t in [0, horizon) and y in the ball of radius 2
+    calls = []
+
+    def ham(t, x, y):
+        calls.append((t, np.array(x), np.array(y)))
+        return np.linalg.norm(y, axis=-1)
+
+    p = HjiProblem(0.5, ham, gauge, 0.0, 0.0, 1.0, 1.0, 1.0)
+    for _ in range(2):
+        assert p.spot_check(BOX) == []
+    assert len(calls) == 2 * 4 * 2
+    first, again = calls[:8], calls[8:]
+    for (t, x, y), (t2, x2, y2) in zip(first, again):
+        assert t == t2 and np.array_equal(x, x2) and np.array_equal(y, y2)
+        assert x.shape == (64, 3) and BOX.contains(x).all()
+        assert 0.0 <= t < 0.5 and np.hypot(*y) <= 2.0
+    assert len({t for t, *_ in first}) == 4
+    assert min(t for t, *_ in first) < 0.25 * 0.5 and max(t for t, *_ in first) > 0.75 * 0.5
+    assert len({tuple(y) for *_, y in first}) == 8

@@ -737,15 +737,78 @@ class TestAuditCommand:
         assert not (tmp_path / "audit.json").exists()
 
 
+def _src_env() -> dict:
+    """This process's environment, importing this checkout's src first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_console_script_help():
     # the installed script where there is one, else the module entry that
     # bench/run.py runs, importing this checkout's src
     script, env = shutil.which("heisgame"), dict(os.environ)
     argv = [script]
     if script is None:
-        argv = [sys.executable, "-m", "heisgame.cli"]
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        argv, env = [sys.executable, "-m", "heisgame.cli"], _src_env()
     proc = subprocess.run(argv + ["--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "verify" in proc.stdout
+
+
+SMALL_GAME = {
+    "schema": 1,
+    "kind": "game",
+    "horizon": 0.25,
+    "radii": {"r_y": 2.0, "r_z": 1.0},
+    "running_cost": {"name": "custom-affine",
+                     "params": {"a0": 0.25, "ay": [0.5, -0.25], "az": [0.3, 0.2]}},
+    "terminal": {"name": "gauge"},
+    "grid": {"box": [[-4, 4], [-4, 4], [-8, 8]], "counts": [9, 9, 17]},
+    "time_steps": 2,
+    "lattice": {"rings": 2, "base_angles": 8},
+}
+
+
+@pytest.mark.parametrize("data", [dict(SMALL, grid=SMALL_GAME["grid"], time_steps=2),
+                                  SMALL_GAME], ids=["hji", "custom-affine"])
+def test_solve_does_not_import_numpy_random(tmp_path, data):
+    # the declaration samples are fixed, so a solve never loads numpy.random
+    # (about 6 MB of resident memory); a fresh process, since this one has
+    code = ("import sys\nfrom heisgame.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    argv = ["solve", str(write_scenario(tmp_path, data)), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=_src_env(), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_pairs_tool_smoke(tmp_path):
+    # tools/pairs.py, 2 interleaved pairs of this checkout against itself
+    path = write_scenario(tmp_path, dict(SMALL, grid=SMALL_GAME["grid"], time_steps=2))
+    proc = subprocess.run([sys.executable, str(REPO / "tools" / "pairs.py"), str(REPO),
+                           str(REPO), "--pairs", "2", "--", "solve", str(path)],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["command"] == ["solve", str(path)]
+    for side in ("parent", "change"):
+        runs = result["runs"][side]
+        assert [r["exit_code"] for r in runs] == [0, 0]
+        assert all(r["wall_s"] > 0 and r["peak_rss_mb"] > 0 for r in runs)
+    for metric in ("wall_s", "peak_rss_mb"):
+        s = result["summary"][metric]
+        assert s["pairs"] == 2 and s["won"] + s["lost"] <= 2
+        assert s["verdict"] in ("gain", "loss", "no claim")
+    # the outputs went to temporary directories, not next to the scenario
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+    # the launcher stays small: it imports neither numpy nor heisgame
+    probe = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]);"
+                            " import pairs; print(sorted(m for m in sys.modules"
+                            " if m.split('.')[0] in ('numpy', 'heisgame')))",
+                            str(REPO / "tools")], capture_output=True, text=True, timeout=60)
+    assert probe.stdout.strip() == "[]", probe.stderr
