@@ -31,7 +31,7 @@ from .flow import (
     _flow_at,
     _rk4_at,
 )
-from .grids import grid_nodes, sample_field
+from .grids import sample_field
 from .game import (
     backward_induction,
     brute_force_value,
@@ -204,6 +204,22 @@ def check_shifted_start(n: int, rng: np.random.Generator) -> CheckResult:
 # scenario-level battery
 # ---------------------------------------------------------------------------
 
+def _oracle_gap(spec, box, counts, n_steps, y_lat, z_lat, pick, threads=0) -> float:
+    """Largest ``|solve - grid-free recursion|`` at t = 0 on the nodes ``pick(solve)`` indexes."""
+    v = backward_induction(spec, box, counts, n_steps, y_lat, z_lat, threads=threads)
+    idx = pick(v)
+    bf = brute_force_value(spec, np.column_stack([a[i] for a, i in zip(v.axes(), idx)]),
+                           n_steps, y_lat, z_lat)
+    return float(np.abs(bf - v.data[(0, *idx)]).max())
+
+
+def _probe_triples(sc: Scenario, n: int, seed: int):
+    """``n`` probes ``(t, x, lam)`` of ``default_rng(seed)``: box points, times, then ``lam``."""
+    rng = np.random.default_rng(seed)
+    pts = sc.box.sample(n, rng)
+    return rng.random(n) * sc.horizon, pts, ball_points(rng, sc.game.r_y, n)
+
+
 def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[CheckResult]:
     """Full battery on a scenario; heavier checks reuse one baseline solve.
 
@@ -239,35 +255,25 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
 
     # oracle equivalence, frozen dynamics (r_z = 0): grid-free recursion is exact
     frozen = dataclasses.replace(sc.game, r_z=0.0)
-    z_zero = make_lattice(0.0)
-    v_frozen = backward_induction(frozen, sc.box, (9, 9, 9), 3, y9, z_zero)
-    nodes = grid_nodes(sc.box, (9, 9, 9))
-    pick = np.linspace(0, len(nodes) - 1, 27).astype(int)
-    bf = brute_force_value(frozen, nodes[pick], 3, y9, z_zero)
-    worst = float(np.abs(bf - v_frozen.data[0].reshape(-1)[pick]).max())
+    pick = lambda v: np.unravel_index(np.linspace(0, 9 ** 3 - 1, 27).astype(int), (9, 9, 9))
+    worst = _oracle_gap(frozen, sc.box, (9, 9, 9), 3, y9, make_lattice(0.0), pick)
     results.append(CheckResult(
         "oracle_equivalence_frozen",
         "backward induction = grid-free recursion when R_Z = 0",
-        1e-12, worst, worst <= 1e-12, {"nodes": len(pick)},
+        1e-12, worst, worst <= 1e-12, {"nodes": 27},
     ))
 
     # oracle equivalence with motion: small N, small lattices
-    v3 = backward_induction(sc.game, sc.box, oracle_counts, oracle_steps, y9, z9,
-                            threads=threads)
-    sl = v3.region_index_bounds()
-    ax = v3.axes()
     n_nodes = cfg["oracle_nodes"]
     # node by node, i, j then l: the draw order fixes which nodes a seed picks
-    idx = np.array([[rng.integers(s.start, s.stop) for s in sl] for _ in range(n_nodes)])
-    p = np.column_stack([a[i] for a, i in zip(ax, idx.T)])
-    bf = brute_force_value(sc.game, p, oracle_steps, y9, z9)
-    worst = float(np.abs(bf - v3.data[(0, *idx.T)]).max())
+    pick = lambda v: np.array([[rng.integers(s.start, s.stop) for s in v.region_index_bounds()]
+                               for _ in range(n_nodes)]).T
+    worst = _oracle_gap(sc.game, sc.box, oracle_counts, oracle_steps, y9, z9, pick, threads)
     results.append(CheckResult(
         "oracle_equivalence_small_n",
         "|backward induction - grid-free recursion| <= interpolation tolerance",
         5e-2, worst, worst <= 5e-2, {"nodes": n_nodes, "time_steps": oracle_steps},
     ))
-    del v3  # freed before the baseline solve and the audits, off their peak
 
     # the baseline solve feeds the dynamic-programming and regularity audits
     audited = sc.solve(y_lat, z_lat, threads=threads)
@@ -297,11 +303,7 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
 
     # lattice min-max gap
     n_probes = cfg["isaacs_probes"]
-    pr = np.random.default_rng(sc.seed + 3)
-    pts = sc.box.sample(n_probes, pr)
-    ts = pr.random(n_probes) * sc.horizon
-    lams = ball_points(pr, sc.game.r_y, n_probes)
-    gap = isaacs_gap(sc.game, (ts, pts, lams), y_lat, z_lat)
+    gap = isaacs_gap(sc.game, _probe_triples(sc, n_probes, sc.seed + 3), y_lat, z_lat)
     cov = y_lat.covering_radius + z_lat.covering_radius
     if sc.kind == "hji":
         gap_bound = 2 * covering_error_bound(sc.problem, sc.game, y_lat, z_lat)
@@ -321,12 +323,8 @@ def run_verification(sc: Scenario, y_lat, z_lat, threads: int = 0) -> list[Check
 
     if sc.kind == "hji":
         n_id = cfg["identity_probes"]
-        pr = np.random.default_rng(sc.seed + 4)
-        pts = sc.box.sample(n_id, pr)
-        ts = pr.random(n_id) * sc.horizon
-        lams = ball_points(pr, sc.game.r_y, n_id)
         rep = hamiltonian_identity_check(sc.problem, sc.game, y_lat, z_lat,
-                                         (ts, pts, lams))
+                                         _probe_triples(sc, n_id, sc.seed + 4))
         bound = 2 * rep.expected_bound
         results.append(CheckResult(
             "hamiltonian_identity",

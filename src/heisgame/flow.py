@@ -126,7 +126,8 @@ def integrate(xi, u: PiecewiseConstantControl, samples_per_segment: int = 0) -> 
     if samples_per_segment > 0:
         wanted.append(_segment_times(np.array([u.t0]), u.breakpoints[None],
                                      samples_per_segment)[0])
-    times = np.unique(np.concatenate(wanted))
+    times = np.sort(np.concatenate(wanted))  # np.unique would import numpy.ma
+    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     points = _flow_at(xi[None], np.array([u.t0]), u.breakpoints[None], u.values[None],
                       times[None])[0]
     return Trajectory(times, points)
@@ -203,9 +204,9 @@ def _rk4_at(xi, t0, breakpoints, values, substeps: int) -> np.ndarray:
     return np.stack([x[np.arange(len(n))[:, None], ends] for x in (x1, x2, x3)], axis=-1)
 
 
-# samples (or RK4 steps, at most ``substeps`` a segment) per batch: keeps
-# the batched checks' temporaries at a few MB whatever the instance count
-_CHUNK_POINTS = 1 << 15
+# samples (or RK4 steps, at most ``substeps`` a segment) per batch: keeps the batched
+# checks' temporaries, which set verify's peak RSS, at a few MB whatever the instance count
+_CHUNK_POINTS = 1 << 14
 
 
 def _batches(controls, per_segment: int, radius=None, late=None):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .heis import Box, ball_at, dist_g, eval_field, fixed_points
+from .heis import Box, declaration_sample, dist_g, eval_field
 from .flow import LipschitzConstants, exact_step
 from .grids import StepFeet, ValueGrid, certify_region, grid_axes, grid_nodes, interp_values
 
@@ -128,21 +129,16 @@ class GameSpec:
 
     def check_declarations(self, box: Box) -> list[str]:
         """Samples 128 points of ``box`` and 4 draws of ``(t, y, z)``, once for
-        all declarations, from the seed-free :func:`~heisgame.heis.fixed_points`
+        all declarations, the seed-free :func:`~heisgame.heis.declaration_sample`
         (a solve imports no ``numpy.random``, 6 MB).  Raises ``ValueError``
         for the first cost that moves by more than ``1e-12 * (1 + |value|)``
         under a declared reflection, then warns of each sampled cost beyond
         ``c1`` or ``c2`` and returns the messages.  The warnings come from one
         fixed line, so Python's default filter prints a violation that
-        repeated solves meet (``verify``'s three) once per process.
-        """
-        n, u, ts = 128, fixed_points(4, 4), fixed_points(4, 1)[:, 0] * self.horizon
-        pts = box.lo + fixed_points(n, 3) * box.extent
-        gv = _on_points(eval_field(self.terminal_cost, pts), n)
-        draws = []
-        for t, y, z in zip(ts, ball_at(u[:, 0], u[:, 1], self.r_y),
-                           ball_at(u[:, 2], u[:, 3], self.r_z)):
-            draws.append((t, y, z, _on_points(self.running_cost(t, pts, y, z), n)))
+        repeated solves meet (``verify``'s three) once per process."""
+        pts, sample = declaration_sample(box, 128, self.horizon, self.r_y, self.r_z)
+        gv = _on_points(eval_field(self.terminal_cost, pts), pts)
+        draws = [(t, y, z, _on_points(self.running_cost(t, pts, y, z), pts)) for t, y, z in sample]
         for name in self.reflections:
             flip = np.array(REFLECTIONS[name])
             mirrored = pts * np.append(flip, -1.0)
@@ -151,7 +147,7 @@ class GameSpec:
                        self.running_cost(t, mirrored, y * flip, z * flip))
                       for t, y, z, fv in draws]
             for what, a, b in pairs:
-                b = _on_points(b, n)
+                b = _on_points(b, pts)
                 # pairs of non-finite values pass here; the solve reports them
                 with np.errstate(invalid="ignore"):
                     gap = np.abs(a - b)
@@ -166,25 +162,21 @@ class GameSpec:
         msgs = []
         if (np.abs(gv) > self.c2 * (1 + 1e-9) + 1e-12).any():
             k = int(np.argmax(np.abs(gv)))
-            msgs.append(
-                f"|terminal cost| = {abs(gv[k]):.6g} exceeds c2 = {self.c2:.6g} "
-                f"at {pts[k]}"
-            )
+            msgs.append(f"|terminal cost| = {abs(gv[k]):.6g} exceeds c2 = {self.c2:.6g} "
+                        f"at {pts[k]}")
         for t, y, z, fv in draws:
             if (np.abs(fv) > self.c1 * (1 + 1e-9) + 1e-12).any():
                 k = int(np.argmax(np.abs(fv)))
-                msgs.append(
-                    f"|running cost| = {abs(fv[k]):.6g} exceeds c1 = {self.c1:.6g} "
-                    f"at t={t:.4g}, x={pts[k]}, y={y}, z={z}"
-                )
+                msgs.append(f"|running cost| = {abs(fv[k]):.6g} exceeds c1 = {self.c1:.6g} "
+                            f"at t={t:.4g}, x={pts[k]}, y={y}, z={z}")
         for m in msgs:
             warnings.warn(m)
         return msgs
 
 
-def _on_points(values, n: int) -> np.ndarray:
-    """A cost evaluated on ``n`` points, as ``n`` floats (a scalar broadcasts)."""
-    return np.broadcast_to(np.asarray(values, dtype=float), (n,))
+def _on_points(values, pts: np.ndarray) -> np.ndarray:
+    """A cost evaluated on ``pts``, one float a point (a scalar broadcasts)."""
+    return np.broadcast_to(np.asarray(values, dtype=float), (len(pts),))
 
 
 @dataclass(frozen=True)
@@ -648,8 +640,9 @@ def backward_induction(
     interpolating the next slice trilinearly at the stepped point.  The
     stepped points of a block are passed as :class:`StepFeet`, so
     ``interp_values`` lerps axis by axis without forming them, bit-identical
-    to the gather at the ``exact_step`` feet.  Nodes are split into blocks
-    of whole x1-planes, one per thread.
+    to the gather at the ``exact_step`` feet.  One rule cuts the solved nodes
+    into blocks of whole x1-planes, serial or threaded (:func:`_node_blocks`),
+    run one at a time or ``threads`` at once, each thread with one ``W``.
     A node is flagged untrusted at a step when that step's interpolation
     clamps its stepped point for some lattice ``z``; ``trusted_region`` is
     the reach-certified sub-box.
@@ -660,10 +653,8 @@ def backward_induction(
     tensor grid, and fills the rest of the slice and its trusted row by
     mirroring (each value slice is invariant).  The values then differ from
     the full-grid solve by ulps, since the mirrored nodes' lerps run from
-    the other side.  Every solve checks the declarations on one sample
-    (``GameSpec.check_declarations``) before its first step: a wrong
-    reflection raises ``ValueError``; a sampled cost beyond ``c1`` or ``c2``
-    only warns, once per process for each distinct violation.
+    the other side.  Every solve checks the declarations
+    (``GameSpec.check_declarations``) before its first step.
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
@@ -697,28 +688,33 @@ def backward_induction(
     solved = nodes.reshape(counts + (3,))[s1:, s2:].reshape(-1, 3)
     del nodes, g_vals  # 32 B a node that no step reads, freed before the steps
 
-    def run_block(k, planes, sl):
+    plane = len(axes[1]) * len(axes[2])
+    blocks = _node_blocks(len(solved), threads, plane)
+    # one W a thread, as wide as the widest block, that every step reuses
+    local, width = threading.local(), max(b.stop - b.start for b in blocks) * plane
+
+    def run_block(k, planes):
         block_axes = (axes[0][planes], axes[1], axes[2])
-        W = np.empty((len(z_lattice.points), sl.stop - sl.start))
+        pts = solved.reshape(len(axes[0]), -1, 3)[planes].reshape(-1, 3)  # a view
+        if not hasattr(local, "W"):
+            local.W = np.empty((len(z_lattice.points), width))
+        W = local.W[:, :len(pts)]
         inside = trusted[k, s1:, s2:][planes]  # all True until this step
         for j, z in enumerate(z_lattice.points):
             W[j], ok = interp_values(box, data[k + 1], StepFeet(block_axes, -h * z))
             np.logical_and(inside, ok.reshape(inside.shape), out=inside)
-        return _backup(spec, times[k], h, solved[sl], W, y_lattice, z_lattice, which)
+        return _backup(spec, times[k], h, pts, W, y_lattice, z_lattice, which)
 
-    plane = len(axes[1]) * len(axes[2])
-    blocks = [(pl, slice(pl.start * plane, pl.stop * plane))
-              for pl in _node_blocks(len(solved), threads, plane)]
     pool = None
-    if threads and threads > 1 and len(blocks) > 1:
+    if threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=threads)
     with pool or nullcontext():
         for k in range(n_steps - 1, -1, -1):
-            results = (pool.map if pool else map)(lambda b: run_block(k, *b), blocks)
+            results = (pool.map if pool else map)(functools.partial(run_block, k), blocks)
             part = data[k, s1:, s2:]
-            for (planes, _), vals in zip(blocks, results):
+            for planes, vals in zip(blocks, results):
                 part[planes] = vals.reshape(-1, *part.shape[1:])
             _unfold(data[k], s1, s2)
             _unfold(trusted[k], s1, s2)
@@ -731,8 +727,7 @@ def backward_induction(
     return ValueGrid(box, times, data, region, trusted)
 
 
-# nodes in one serial block of ``backward_induction``; also the largest
-# batch the grid-free recursion stacks at its deepest level
+# nodes a solver block holds, to half a plane, and the grid-free recursion's largest batch
 _BLOCK_NODES = 131072
 
 
@@ -745,27 +740,28 @@ _PAIR_BYTES = 24
 def solve_bytes(counts, n_steps: int, y_points: int, z_points: int, threads: int = 0) -> int:
     """Bytes of the arrays ``backward_induction`` holds on a grid of ``counts``
     nodes: the float64 value and bool trusted stacks of ``n_steps + 1``
-    slices, the node coordinates and terminal samples (32 B per node), and,
-    for each block in flight, its ``(z_points, block)`` ``W`` and the
-    ``(z_points, y_points)`` pair table that ``_backup`` builds for a
-    separable cost (``_PAIR_BYTES`` a pair, an upper bound on the peak the
-    tests measure).  An HJI solve's time reversal
-    (``ValueGrid.reversed_time``) is a view of the same stacks.  This sizes
-    the lower solve the CLI runs; an upper step of a separable cost also
-    holds the ``my`` base rows ``h*base(y)`` of its block."""
-    nodes = math.prod(counts)
-    held, blocks = (nodes, threads) if threads > 1 else (min(nodes, _BLOCK_NODES), 1)
-    return ((n_steps + 1) * nodes * 9 + nodes * 32 + z_points * held * 8
-            + blocks * y_points * z_points * _PAIR_BYTES)
+    slices (an HJI solve's time reversal is a view of them), the node
+    coordinates and terminal samples (32 B per node), and for each thread
+    that runs blocks (one serial, up to ``threads``) a ``W`` as wide as the
+    widest :func:`_node_blocks` block of any part :func:`fundamental_domain`
+    may solve and the ``(z_points, y_points)`` pair table of a separable
+    cost (``_PAIR_BYTES`` a pair, an upper bound on the peak the tests
+    measure).  This sizes the lower solve the CLI runs; an upper separable
+    step also holds ``my`` base rows."""
+    (n1, n2, n3), nodes = counts, math.prod(counts)
+    cuts = [(p, _node_blocks((n1 - s1) * p, threads, p)) for s1 in {0, n1 // 2}
+            for p in {n2 * n3, (n2 - n2 // 2) * n3}]
+    widest = max(p * (b.stop - b.start) for p, cut in cuts for b in cut)
+    in_flight = min(max(threads, 1), max(len(cut) for _, cut in cuts))
+    return ((n_steps + 1) * nodes * 9 + nodes * 32
+            + in_flight * (z_points * widest * 8 + y_points * z_points * _PAIR_BYTES))
 
 
 def _node_blocks(n: int, threads: int, plane: int) -> list[slice]:
-    """Blocks of whole planes of ``plane`` nodes, as plane-index slices.
-
-    Each block holds as close as possible to ``_BLOCK_NODES`` of the ``n``
-    nodes serial, and to ``max(16384, n/threads)`` threaded.
-    """
-    size = max(16384, -(-n // threads)) if threads and threads > 1 else _BLOCK_NODES
+    """Blocks of whole planes of ``plane`` nodes, as plane-index slices, each
+    as close as possible to ``min(_BLOCK_NODES, max(16384, n/threads))`` of
+    the ``n`` nodes (``threads`` 0: one), so up to half a plane beyond it."""
+    size = min(_BLOCK_NODES, max(16384, -(-n // max(threads, 1))))
     step = max(1, round(size / plane))
     n_planes = n // plane
     return [slice(k, min(k + step, n_planes)) for k in range(0, n_planes, step)]

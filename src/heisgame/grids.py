@@ -172,6 +172,7 @@ def _interp_feet(box: Box, values: np.ndarray, feet: StepFeet):
                               box.lo[2], box.hi[2], n3)
     a = _lerp(values[i1], values[i1 + 1], f1[:, None, None])
     b = _lerp(a[:, i2], a[:, i2 + 1], f2[None, :, None])
+    del a  # off the x3 gathers' peak
     # i3 becomes the flat (column, k) index into b; the lower neighbour is
     # taken before i3 += 1 moves it, in place, onto the upper one
     i3 += (np.arange(i3.shape[0] * i3.shape[1]) * n3).reshape(i3.shape[:2] + (1,))

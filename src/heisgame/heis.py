@@ -24,6 +24,7 @@ __all__ = [
     "ball_points",
     "ball_at",
     "fixed_points",
+    "declaration_sample",
     "group_mul",
     "inverse",
     "dilate",
@@ -148,6 +149,14 @@ def fixed_points(n: int, d: int) -> np.ndarray:
         phi = (1.0 + phi) ** (1.0 / (d + 1))
     alpha = phi ** -np.arange(1.0, d + 1)
     return (0.5 + np.arange(1.0, n + 1)[:, None] * alpha) % 1.0
+
+
+def declaration_sample(box: Box, n: int, horizon: float, r1: float, r2: float):
+    """``n`` points of ``box`` and 4 draws ``(t, a, b)``, ``t`` in ``[0, horizon)``, ``a``, ``b``
+    in the balls of radii ``r1``, ``r2``: the fixed sample the declarations are checked on."""
+    u, ts = fixed_points(4, 4), fixed_points(4, 1)[:, 0] * horizon
+    draws = zip(ts, ball_at(u[:, 0], u[:, 1], r1), ball_at(u[:, 2], u[:, 3], r2))
+    return box.lo + fixed_points(n, 3) * box.extent, list(draws)
 
 
 def eval_field(f: Callable, pts: np.ndarray) -> np.ndarray:

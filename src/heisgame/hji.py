@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .heis import Box, ball_at, fixed_points
+from .heis import Box, declaration_sample
 from .grids import ValueGrid
 from .game import (
     AUDIT_SLACK,
@@ -87,24 +87,19 @@ class HjiProblem:
 
     def spot_check(self, box: Box) -> list[str]:
         """Sampled check of the declared y-Lipschitz modulus at 64 points of
-        ``box`` and 4 draws of ``(t, y1, y2)``, ``|y| <= 2``, from the seed-free
-        :func:`~heisgame.heis.fixed_points`; violations warn from one fixed
+        ``box`` and 4 draws of ``(t, y1, y2)``, ``|y| <= 2``, the seed-free
+        :func:`~heisgame.heis.declaration_sample`; violations warn from one fixed
         line, so Python's default filter prints each once per process."""
-        u, ts = fixed_points(4, 4), fixed_points(4, 1)[:, 0] * self.horizon
-        pts = box.lo + fixed_points(64, 3) * box.extent
+        pts, sample = declaration_sample(box, 64, self.horizon, 2.0, 2.0)
         msgs = []
-        for t, y1, y2 in zip(ts, ball_at(u[:, 0], u[:, 1], 2.0), ball_at(u[:, 2], u[:, 3], 2.0)):
-            lhs = np.abs(
-                np.asarray(self.hamiltonian(t, pts, y1), dtype=float)
-                - np.asarray(self.hamiltonian(t, pts, y2), dtype=float)
-            )
+        for t, y1, y2 in sample:
+            lhs = np.abs(np.asarray(self.hamiltonian(t, pts, y1), dtype=float)
+                         - np.asarray(self.hamiltonian(t, pts, y2), dtype=float))
             bound = self.lip_y * np.linalg.norm(y1 - y2) * (1 + 1e-9) + 1e-12
             if (lhs > bound).any():
                 k = int(np.argmax(lhs))
-                msgs.append(
-                    f"Hamiltonian y-increment {lhs.max():.6g} exceeds "
-                    f"K*|y-y'| = {bound:.6g} at x={pts[k]}"
-                )
+                msgs.append(f"Hamiltonian y-increment {lhs.max():.6g} exceeds "
+                            f"K*|y-y'| = {bound:.6g} at x={pts[k]}")
         for m in msgs:
             warnings.warn(m)
         return msgs

@@ -1300,12 +1300,78 @@ def test_solve_bytes_counts_the_stacks_and_w(threads):
     terminal = eval_field(spec.terminal_cost, nodes)
     w = len(Z.points) * v.data[0].size * 8  # one block of every node
     held = v.data.nbytes + v.trusted.nbytes + nodes.nbytes + terminal.nbytes + w
-    table = (threads or 1) * len(Y.points) * len(Z.points) * game._PAIR_BYTES
+    # one block, so one thread runs it: one W and one pair table
+    table = len(Y.points) * len(Z.points) * game._PAIR_BYTES
     assert game.solve_bytes(SMALL_COUNTS, 2, len(Y.points), len(Z.points), threads) \
         == held + table
     # an HJI solve's time reversal holds no stacks of its own
     u = v.reversed_time()
     assert np.shares_memory(u.data, v.data) and np.shares_memory(u.trusted, v.trusted)
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+@pytest.mark.parametrize("reflections", [(), ("x1", "x2")], ids=["full", "quadrant"])
+def test_solve_bytes_bounds_the_blocks_in_flight(monkeypatch, reflections, threads):
+    # at 3,000 nodes a block, the quadrant's 10 planes of 17x17 nodes (2,890)
+    # outgrow the full grid's 5 planes of 33x17 (2,805)
+    monkeypatch.setattr(game, "_BLOCK_NODES", 3000)
+    spec = dataclasses.replace(coupling_spec(r_y=1.0), reflections=reflections)
+    Y = Z = make_lattice(1.0, 1, 8)
+    real, buffers = game._backup, {}
+
+    def backup(*a):
+        # each W is a view of its thread's buffer, which every step reuses
+        buffers[id(a[4].base)] = a[4].base
+        return real(*a)
+
+    monkeypatch.setattr(game, "_backup", backup)
+    counts = (33, 33, 17)
+    v = backward_induction(spec, SMALL_BOX, counts, 2, Y, Z, threads=threads)
+    assert {b.shape[1] for b in buffers.values()} == {2890 if reflections else 2805}
+    assert 1 <= len(buffers) <= max(threads, 1)
+    held = (v.data.nbytes + v.trusted.nbytes + 32 * v.data[0].size
+            + sum(b.nbytes for b in buffers.values())
+            + len(buffers) * len(Y.points) * len(Z.points) * game._PAIR_BYTES)
+    assert game.solve_bytes(counts, 2, len(Y.points), len(Z.points), threads) >= held
+
+
+def test_solve_bytes_of_a_large_threaded_solve():
+    # 129x129x129 at two threads: each thread's W spans the widest block, 16
+    # quadrant planes of 65x129 nodes, not every node (1,448 MiB before the
+    # blocks were capped)
+    nodes, block = 129 ** 3, 16 * 65 * 129
+    expected = 3 * nodes * 9 + nodes * 32 + 81 * 2 * block * 8 + 2 * 81 * 81 * game._PAIR_BYTES
+    assert game.solve_bytes((129, 129, 129), 2, 81, 81, 2) == expected < 0.3 * 2**30
+
+
+def parent_node_blocks(n, threads, plane):
+    """The block rule before serial and threaded solves shared one formula:
+    ``_BLOCK_NODES`` serial, ``max(16384, n/threads)`` threaded, no cap."""
+    size = max(16384, -(-n // threads)) if threads and threads > 1 else game._BLOCK_NODES
+    step = max(1, round(size / plane))
+    return [slice(k, min(k + step, n // plane)) for k in range(0, n // plane, step)]
+
+
+# (n, threads, plane) for planes of a few grids, up to one beyond _BLOCK_NODES
+LAYOUTS = [(n_planes * plane, threads, plane)
+           for plane in (17, 289, 561, 8385, 16641, 140000)
+           for n_planes in (1, 2, 9, 17, 33, 65, 129, 257) for threads in (0, 1, 2, 3)]
+
+
+def test_node_blocks_keep_the_serial_and_under_cap_layouts():
+    kept = [(n, threads, plane) for n, threads, plane in LAYOUTS
+            if threads <= 1 or n <= threads * game._BLOCK_NODES]
+    assert 150 < len(kept) < len(LAYOUTS)
+    for n, threads, plane in kept:
+        assert _node_blocks(n, threads, plane) == parent_node_blocks(n, threads, plane)
+
+
+def test_no_block_exceeds_the_cap_by_more_than_a_plane():
+    for n, threads, plane in LAYOUTS:
+        for b in _node_blocks(n, threads, plane):
+            assert (b.stop - b.start) * plane <= game._BLOCK_NODES + plane
+    # the threaded rule before: one block per thread, 8 times the cap
+    assert len(parent_node_blocks(129 ** 3, 2, 129 * 129)) == 2
 
 
 @pytest.mark.parametrize("rings", [3, 8])
@@ -1329,3 +1395,106 @@ def test_pair_bytes_bounds_the_table(which, source, rings):
         tracemalloc.stop()
     # an upper bound, and within 3x of the peak, so the guard stays useful
     assert peak <= len(Y.points) * len(Z.points) * game._PAIR_BYTES <= 3 * peak
+
+
+def tilted_cost():
+    """``F = 2*y1 + z.y``: a ``z.y`` pair table whose maximizing ``y`` leaves
+    the centre, so a wrongly skipped row moves the lower value; it commutes
+    with the x2 reflection only."""
+    base = lambda t, x, y: np.full(len(x), 2.0 * y[0])
+    return game.separable_cost(base), base, None, ("x2",)
+
+
+def catalog_cost(name, params, general=False):
+    cost = make_running_cost(name, params)
+    return (cost.fn, None if general else cost.coupling_base, cost.coupling_pair,
+            tuple(sorted(cost.reflections)))
+
+
+# a cost for each branch of _backup: a y-free table (custom-affine, its ay and
+# az free of x1 so that the x1 reflection holds), the z.y table (coupling and
+# tilted) and the general row
+MONOTONE_COSTS = {
+    "y-free": lambda: catalog_cost("custom-affine",
+                                   {"a0": 0.25, "ay": [0.0, -0.25], "az": [0.0, 0.2]}),
+    "paired": lambda: catalog_cost("coupling", {}),
+    "tilted": tilted_cost,
+    "general": lambda: catalog_cost("coupling", {}, general=True),
+}
+
+
+def symmetric(a, reflections):
+    """``a`` made invariant under the reflections by a nodewise max (an or, for
+    masks)."""
+    for name in reflections:
+        a = np.maximum(a, a[::-1, :, ::-1] if name == "x1" else a[:, ::-1, ::-1])
+    return a
+
+
+class TestOneStepMonotone:
+    """One backward step ``S`` is monotone with no tolerance: a rounded
+    multiply by a lerp weight in ``[0, 1]``, a rounded add, and the min and
+    max of ``_max_min`` all are, so terminal slices ``U <= V`` give
+    ``S(U) <= S(V)`` at every node, ties and signed zeros included."""
+
+    @staticmethod
+    def slice_pairs(reflections, seed=0):
+        """Two pairs ``(U, V)`` around ``max(gauge - 2, 0)`` with noise outside
+        its flat core: pits in ``U`` (so the lower step's probe skips rows in
+        the blocks of ``V`` that it runs in those of ``U``), then peaks in
+        ``V``; ``U`` is ``-0.0`` at half its zeros, where ``V`` is ``+0.0``."""
+        rng = np.random.default_rng(seed)
+        g = gauge(grid_nodes(SMALL_BOX, SMALL_COUNTS)).reshape(SMALL_COUNTS)
+        noise = symmetric(0.1 * rng.normal(size=SMALL_COUNTS), reflections)
+        smooth = np.where(g > 2.0, g - 2.0 + noise, 0.0)
+        pairs = []
+        for pits in (True, False):
+            spikes = 5.0 * symmetric(rng.random(SMALL_COUNTS) < 0.1, reflections) \
+                * symmetric(np.abs(rng.normal(size=SMALL_COUNTS)), reflections)
+            u, v = (smooth - spikes, smooth) if pits else (smooth.copy(), smooth + spikes)
+            u[symmetric(rng.random(SMALL_COUNTS) < 0.5, reflections) & (u == 0.0)] = -0.0
+            pairs.append((u, v))
+        return pairs
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    @pytest.mark.parametrize("reflected", [False, True])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("branch", MONOTONE_COSTS)
+    def test_one_step_is_monotone(self, monkeypatch, branch, which, reflected, threads):
+        fn, base, pair, reflections = MONOTONE_COSTS[branch]()
+        reflections = reflections if reflected else ()
+        assert (reflections != ()) == reflected
+        Y, Z = make_lattice(2.0, 2, 8), make_lattice(1.0, 1, 8)
+        kernel, skipped = game._max_min, []
+
+        def counted(n, m_outer, m_inner, row, *rest):
+            # one kernel call a block; outers whose rows ran fewer than
+            # m_inner times were skipped on the probe
+            outers = []
+            best = kernel(n, m_outer, m_inner,
+                          lambda a, b, out: outers.append(a) or row(a, b, out), *rest)
+            skipped.append(int((np.bincount(outers, minlength=m_outer) < m_inner).sum()))
+            return best
+
+        # blocks of about 300 nodes: 2 planes of 9x17, or 4 of 5x17
+        monkeypatch.setattr(game, "_BLOCK_NODES", 300)
+        monkeypatch.setattr(game, "_max_min", counted)
+        for tables in self.slice_pairs(reflections):
+            steps = []
+            for table in tables:
+                terminal = lambda p, t=table: (t.reshape(-1) if len(p) == t.size
+                                               else np.zeros(len(p)))
+                spec = GameSpec(1.0, 2.0, 1.0, fn, terminal, c1=10.0, c1p=0.0, c2=100.0,
+                                c2p=0.0, coupling_base=base, coupling_pair=pair,
+                                reflections=reflections)
+                assert fundamental_domain(spec, SMALL_BOX, SMALL_COUNTS, Y, Z).reflections \
+                    == reflections
+                blocks = len(skipped)
+                steps.append(backward_induction(spec, SMALL_BOX, SMALL_COUNTS, 1, Y, Z,
+                                                which=which, threads=threads).data[0])
+                assert len(skipped) - blocks > 1
+            s_u, s_v = steps
+            assert (s_u <= s_v).all()
+            assert (s_u < s_v).any() and (s_u == s_v).any()
+        # the paired lower steps skip rows on their ring probe; no other does
+        assert (sum(skipped) > 0) == (branch in ("paired", "tilted") and which == "lower")

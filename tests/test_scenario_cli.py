@@ -787,6 +787,21 @@ def test_solve_does_not_import_numpy_random(tmp_path, data):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    # the sample trajectory's times are deduplicated without np.unique, whose
+    # masked-array check loads numpy.ma; a fresh process, as above
+    data = dict(SMALL, grid=SMALL_GAME["grid"], time_steps=2,
+                verify=dict(SMALL["verify"], oracle_counts=[9, 9, 17]))
+    code = ("import sys\nfrom heisgame.cli import main\nmain(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    argv = ["verify", str(write_scenario(tmp_path, data)), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=_src_env(), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "verify.json").exists()
+    assert (tmp_path / "out" / "sample_trajectory.csv").exists()
+
 def test_pairs_tool_smoke(tmp_path):
     # tools/pairs.py, 2 interleaved pairs of this checkout against itself
     path = write_scenario(tmp_path, dict(SMALL, grid=SMALL_GAME["grid"], time_steps=2))
